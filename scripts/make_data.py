@@ -15,7 +15,6 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from mimap.cli import normalize_map
 from mimap.datapath import compute_mi_map_fxp
 from mimap.explore import PLATFORMS, Environment, run_trial, simulate_scan, update_occupancy
 from mimap.grid import CellCoord, FcmiParams, OccupancyGrid, SensorConfig
@@ -166,8 +165,8 @@ features.wrapping = true
 def check_accuracy(name: str, grid: OccupancyGrid) -> float:
     sensor = SensorConfig(60)
     params = FcmiParams()
-    ref = normalize_map(compute_mi_map(grid, sensor, params).values)
-    fxp = normalize_map(compute_mi_map_fxp(grid, sensor, params).values)
+    ref = compute_mi_map(grid, sensor, params).normalized()
+    fxp = compute_mi_map_fxp(grid, sensor, params).normalized()
     gap = float(np.abs(ref - fxp).max())
     print(f"  {name}: normalized fxp-vs-ref max abs {gap:.4f}")
     if gap >= ACCURACY_BOUND:

@@ -53,12 +53,6 @@ import numpy as np
 from .datapath import compute_mi_map_fxp
 from .grid import CellCoord, FcmiParams, MIMap, OccupancyGrid, SensorConfig, line_family
 
-try:
-    import numba
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
 CONTEXTS_PER_SLOT = 2  # live ray contexts per pipeline slot
 MI_QUEUE_DEPTH = 64    # per-bank accumulate FIFO entries
 
@@ -134,18 +128,6 @@ class ArchConfig:
 
 
 @dataclass
-class WorkUnit:
-    """One slot's worth of chained scan-line segments."""
-
-    angle: float
-    segments: list[np.ndarray]
-
-    @property
-    def total_cells(self) -> int:
-        return sum(len(s) for s in self.segments)
-
-
-@dataclass
 class SimReport:
     total_cycles: int
     latency_s: float
@@ -159,12 +141,13 @@ class SimReport:
         return int(round(sum(self.per_core_busy) * self.total_cycles))
 
 
-def lower_bound_latency(height: int, ray_count: int, n_cores: int,
+def lower_bound_latency(shape: tuple[int, int], ray_count: int, n_cores: int,
                         clock_hz: float) -> float:
     """One cell-visit per core per cycle with unlimited memory bandwidth."""
-    if min(height, ray_count, n_cores) < 1 or clock_hz <= 0:
+    height, width = shape
+    if min(height, width, ray_count, n_cores) < 1 or clock_hz <= 0:
         raise ValueError("all arguments must be positive")
-    return height * height * ray_count / (n_cores * clock_hz)
+    return height * width * ray_count / (n_cores * clock_hz)
 
 
 def bank_of(coord: CellCoord, n_banks: int) -> int:
@@ -219,28 +202,6 @@ def _deal(total_units: int, n_cores: int) -> list[list[int]]:
     for uid in range(total_units):
         queues[uid % n_cores].append(uid)
     return queues
-
-
-def schedule(bounds: tuple[int, int], sensor: SensorConfig,
-             config: ArchConfig) -> list[list[WorkUnit]]:
-    """Per-core ordered work-unit lists covering every cell of every
-    heading exactly once."""
-    fams = [line_family(float(a), bounds) for a in sensor.angles]
-    ranges = [_unit_ranges(f, config) for f in fams]
-    local: list[tuple[int, int, int]] = []  # unit_id -> (angle, lo, hi)
-    for a, rs in enumerate(ranges):
-        for lo, hi in rs:
-            local.append((a, lo, hi))
-    queues = _deal(len(local), config.n_cores)
-    per_core: list[list[WorkUnit]] = []
-    for q in queues:
-        units = []
-        for uid in q:
-            a, lo, hi = local[uid]
-            segs = [fams[a].line_cells(s) for s in range(lo, hi)]
-            units.append(WorkUnit(float(sensor.angles[a]), segs))
-        per_core.append(units)
-    return per_core
 
 
 def _flat_schedule(bounds: tuple[int, int], sensor: SensorConfig, config: ArchConfig):
@@ -433,18 +394,6 @@ def _sim_kernel(n_cores, window, n_banks, gap, chain_pen, mi_cap,
     return last_issue, backlog, np.int64(0)
 
 
-_kernel_jit = None
-
-
-def _get_kernel(use_jit: bool):
-    global _kernel_jit
-    if use_jit and _HAVE_NUMBA:
-        if _kernel_jit is None:
-            _kernel_jit = numba.njit(cache=True)(_sim_kernel)
-        return _kernel_jit
-    return _sim_kernel
-
-
 def energy_of(busy_cycles: int, stall_cycles: int, mem_accesses: int,
               latency_s: float, params: EnergyParams) -> float:
     return (params.e_core_cycle * busy_cycles
@@ -455,8 +404,7 @@ def energy_of(busy_cycles: int, stall_cycles: int, mem_accesses: int,
 
 def simulate(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
              params: FcmiParams = FcmiParams(), config: ArchConfig = ArchConfig(),
-             compute_values: bool = True,
-             use_jit: bool | None = None) -> tuple[MIMap | None, SimReport]:
+             compute_values: bool = True) -> tuple[MIMap | None, SimReport]:
     """Run the cycle model; returns the fixed-point MI map and the report.
 
     ``compute_values=False`` skips the map (latency studies); timing is
@@ -480,8 +428,7 @@ def simulate(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
     mi_writes = np.zeros(n_banks, dtype=np.int64)
     stalls = np.zeros(3, dtype=np.int64)
     max_cycles = 16 * total_cells + 1_000_000
-    kernel = _get_kernel(True if use_jit is None else use_jit)
-    last_issue, backlog, status = kernel(
+    last_issue, backlog, status = _sim_kernel(
         n, window, n_banks, pipe.feedback_depth, chain_pen,
         MI_QUEUE_DEPTH, bank_seq, seg_start, unit_lo, unit_hi, unit_ang,
         core_units, core_ptr, busy, occ_reads, mi_reads, mi_writes, stalls,
@@ -499,7 +446,8 @@ def simulate(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
     report = SimReport(
         total_cycles=total_cycles,
         latency_s=latency_s,
-        lower_bound_s=height * width * sensor.ray_count / (n * config.clock_hz),
+        lower_bound_s=lower_bound_latency((height, width), sensor.ray_count,
+                                          n, config.clock_hz),
         stall_cycles=stall_cycles,
         per_core_busy=[b / total_cycles for b in busy.tolist()],
         energy_j=energy,
@@ -511,14 +459,13 @@ def simulate(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
 
 
 def scaling_sweep(grid: OccupancyGrid, sensor: SensorConfig, params: FcmiParams,
-                  n_list: list[int], config: ArchConfig = ArchConfig(),
-                  use_jit: bool | None = None) -> list[tuple[int, float, float]]:
+                  n_list: list[int],
+                  config: ArchConfig = ArchConfig()) -> list[tuple[int, float, float]]:
     """Latency and energy per core count, with banks matched to cores."""
     rows = []
     for n in n_list:
         cfg = replace(config, n_cores=n, n_banks=n)
-        _, rep = simulate(grid, sensor, params, cfg,
-                          compute_values=False, use_jit=use_jit)
+        _, rep = simulate(grid, sensor, params, cfg, compute_values=False)
         rows.append((n, rep.latency_s, rep.energy_j))
     return rows
 

@@ -22,15 +22,6 @@ EXIT_ASSERT = 1
 EXIT_USAGE = 2
 
 
-def normalize_map(values: np.ndarray) -> np.ndarray:
-    """Min-max rescale to [0, 1]; a constant map becomes all zeros."""
-    lo = float(values.min())
-    hi = float(values.max())
-    if hi > lo:
-        return (values - lo) / (hi - lo)
-    return np.zeros_like(values)
-
-
 def _emit(text: str, out_path) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -56,7 +47,7 @@ def _cmd_mi(args) -> int:
         mi = compute_mi_map(grid, sensor, FcmiParams())
     else:
         mi = compute_mi_map_fxp(grid, sensor, FcmiParams())
-    values = normalize_map(mi.values) if args.normalize else mi.values
+    values = mi.normalized() if args.normalize else mi.values
     write_mi_map(MIMap(values, mi.resolution), args.out)
     if args.pgm:
         write_pgm(values, args.pgm)
@@ -112,7 +103,7 @@ def _cmd_compare(args) -> int:
         raise ValueError(f"dimension mismatch: {args.map_a} is "
                          f"{a.shape[0]}x{a.shape[1]}, {args.map_b} is "
                          f"{b.shape[0]}x{b.shape[1]}")
-    diff = np.abs(normalize_map(a.values) - normalize_map(b.values))
+    diff = np.abs(a.normalized() - b.normalized())
     max_abs = float(diff.max())
     mean_abs = float(diff.mean())
     sys.stdout.write(f"max_abs_diff,{max_abs:.9e}\n"

@@ -28,23 +28,10 @@ from . import fixedpoint as fx
 from .grid import FcmiParams, MIMap, OccupancyGrid, SensorConfig, cell_width, line_family
 from .reference import _padded_lines
 
-try:
-    import numba
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
 PWL_SEGMENTS = 16
 PWL_LO = -8.0
 PWL_LO_RAW = fx.encode(PWL_LO)            # -32768
 PWL_SEG_RAW = (-PWL_LO_RAW) // PWL_SEGMENTS  # 2048 raw units per segment
-
-# plain-int copies for the compiled sweep (closure-captured constants)
-FRAC_BITS = fx.FRAC_BITS
-FRAC_MASK = fx.SCALE - 1
-HALF_ULP = fx.HALF_ULP
-RAW_MIN = fx.RAW_MIN
-RAW_MAX = fx.RAW_MAX
 
 
 class OccLutEntry(NamedTuple):
@@ -230,94 +217,14 @@ def _level_rows(w_raw: int, params: FcmiParams) -> np.ndarray:
     return rows
 
 
-def _sweep_family(levels_flat, mi_flat, idx, active, rows, w_arr, k1, dth_raw):
-    """Scalar twin of the vector family sweep; numba-compiled when available.
-
-    Same rounding and saturation semantics as the ``arr_*`` primitives,
-    applied cell by cell; returns the number of saturation events.
-    """
-    frac_bits = FRAC_BITS
-    frac_mask = FRAC_MASK
-    half = HALF_ULP
-    rmax = RAW_MAX
-    rmin = RAW_MIN
-    sat = np.zeros(1, dtype=np.int64)
-
-    def smul(a, b):
-        p = a * b
-        q = p >> frac_bits
-        r = p & frac_mask
-        if r > half or (r == half and (q & 1) == 1):
-            q += 1
-        if q > rmax:
-            sat[0] += 1
-            return rmax
-        if q < rmin:
-            sat[0] += 1
-            return rmin
-        return q
-
-    def sadd(a, b):
-        q = a + b
-        if q > rmax:
-            sat[0] += 1
-            return rmax
-        if q < rmin:
-            sat[0] += 1
-            return rmin
-        return q
-
-    n_lines = idx.shape[1]
-    a1 = np.zeros(n_lines, dtype=np.int64)
-    b1 = np.zeros(n_lines, dtype=np.int64)
-    a0 = np.zeros(n_lines, dtype=np.int64)
-    b0 = np.zeros(n_lines, dtype=np.int64)
-    for t in range(idx.shape[0]):
-        for j in range(active[t]):
-            ix = idx[t, j]
-            lvl = levels_flat[ix]
-            e = rows[lvl, 0]
-            x = rows[lvl, 1]
-            t_a1 = sadd(a1[j], smul(x, b1[j]))
-            t_a0 = sadd(a0[j], smul(x, b0[j]))
-            t_b1 = sadd(b1[j], smul(w_arr, b0[j]))
-            na1 = sadd(smul(e, sadd(t_a1, smul(w_arr, t_a0))), rows[lvl, 2])
-            nb1 = sadd(smul(e, t_b1), rows[lvl, 3])
-            na0 = sadd(smul(e, t_a0), rows[lvl, 4])
-            nb0 = sadd(smul(e, b0[j]), rows[lvl, 5])
-            a1[j] = na1
-            b1[j] = nb1
-            a0[j] = na0
-            b0[j] = nb0
-            contrib = smul(sadd(na1, -smul(k1, nb1)), dth_raw)
-            mi_flat[ix] = sadd(mi_flat[ix], contrib)
-    return sat[0]
-
-
-_sweep_jit = None
-
-
-def _get_sweep(use_jit: bool):
-    global _sweep_jit
-    if not use_jit:
-        return _sweep_family
-    if not _HAVE_NUMBA:
-        raise RuntimeError("numba is not installed; pass use_jit=False")
-    if _sweep_jit is None:
-        _sweep_jit = numba.njit(cache=True)(_sweep_family)
-    return _sweep_jit
-
-
 def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
-                       params: FcmiParams = FcmiParams(),
-                       use_jit: bool | None = None) -> MIMap:
+                       params: FcmiParams = FcmiParams()) -> MIMap:
     """Map-wide MI on the fixed-point datapath; accumulator also Q20.12.
 
     Sweeps the same line families as the reference engine, with every
     arithmetic op replaced by the saturating fixed-point primitives.  The
     returned map carries both the raw accumulator words and their decoded
-    float values.  ``use_jit`` None picks the compiled sweep when numba is
-    present; False forces the vectorized numpy sweep (bit-identical).
+    float values.
     """
     height, width = grid.shape
     levels_flat = grid.levels.reshape(-1).astype(np.int64)
@@ -325,18 +232,12 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
     _, _, consts = _tables_cached(params.lambda_cap)
     k1 = np.int64(consts.k1)
     dth_raw = np.int64(fx.encode(sensor.delta_theta))
-    jit = _HAVE_NUMBA if use_jit is None else bool(use_jit)
-    sweep = _get_sweep(True) if jit else None
     for angle in sensor.angles:
         fam = line_family(float(angle), (height, width))
         w_raw = fx.encode(cell_width(float(angle), grid.resolution))
         rows = _level_rows(w_raw, params)
         w_arr = np.int64(w_raw)
         idx, active = _padded_lines(fam)
-        if sweep is not None:
-            fx._tally_saturation(sweep(levels_flat, mi_flat, idx, active,
-                                       rows, w_arr, k1, dth_raw))
-            continue
         n_lines = idx.shape[1]
         a1 = np.zeros(n_lines, dtype=np.int64)
         b1 = np.zeros(n_lines, dtype=np.int64)

@@ -39,12 +39,6 @@ def reset_saturation() -> None:
     _sat_events = 0
 
 
-def _tally_saturation(n: int) -> None:
-    """Fold a batch kernel's private saturation count into the global one."""
-    global _sat_events
-    _sat_events += int(n)
-
-
 def _saturate(raw: int) -> int:
     global _sat_events
     if raw > RAW_MAX:
@@ -108,14 +102,6 @@ def mul_raw(a: int, b: int) -> int:
     if r > HALF_ULP or (r == HALF_ULP and (q & 1)):
         q += 1
     return _saturate(q)
-
-
-def fxp_add(a: FixedPoint, b: FixedPoint) -> FixedPoint:
-    return FixedPoint(add_raw(a.raw, b.raw))
-
-
-def fxp_sub(a: FixedPoint, b: FixedPoint) -> FixedPoint:
-    return FixedPoint(sub_raw(a.raw, b.raw))
 
 
 def fxp_mul(a: FixedPoint, b: FixedPoint) -> FixedPoint:

@@ -18,7 +18,7 @@ discretization, which is what makes suffix sharing exact.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -85,10 +85,14 @@ class OccupancyGrid:
         lv = np.asarray(self.levels)
         if lv.ndim != 2 or lv.size == 0:
             raise ValueError("levels must be a non-empty 2-D array")
+        # NaN fails the equality, so only whole numbers reach the range check
+        if lv.dtype.kind not in "biu" and not np.array_equal(lv, np.trunc(lv)):
+            raise ValueError("occupancy levels must be whole numbers")
         if lv.min() < 0 or lv.max() > 100:
             raise ValueError("occupancy levels must lie in 0..100")
-        if not self.resolution > 0:
-            raise ValueError("resolution must be positive")
+        if not 0 < self.resolution < math.inf:
+            raise ValueError(
+                f"resolution must be positive and finite, got {self.resolution}")
         self.levels = np.ascontiguousarray(lv, dtype=np.uint8)
 
     @property
@@ -133,12 +137,13 @@ class MIMap:
         return self.values.shape
 
     def normalized(self) -> np.ndarray:
-        """Min-max rescale to [0, 1]; a constant map rescales to all zeros."""
+        """Min-max rescale to [0, 1]; a constant map, or one holding NaN,
+        rescales to all zeros."""
         lo = float(self.values.min())
         hi = float(self.values.max())
-        if hi <= lo:
-            return np.zeros_like(self.values)
-        return (self.values - lo) / (hi - lo)
+        if hi > lo:
+            return (self.values - lo) / (hi - lo)
+        return np.zeros_like(self.values)
 
 
 @dataclass

@@ -6,6 +6,8 @@ W decimal reals.  Values are written with 17 significant digits so a
 write/read round trip reproduces the exact float64 bits.
 """
 
+import math
+
 import numpy as np
 
 from .grid import MIMap, OccupancyGrid
@@ -34,8 +36,8 @@ def read_grid(path) -> OccupancyGrid:
         _fail(path, 1, f"malformed header {lines[0]!r}, expected 'H W resolution'")
     if height < 1 or width < 1:
         _fail(path, 1, f"grid dims must be positive, got {height}x{width}")
-    if not resolution > 0:
-        _fail(path, 1, f"resolution must be positive, got {resolution}")
+    if not 0 < resolution < math.inf:
+        _fail(path, 1, f"resolution must be positive and finite, got {resolution}")
     if len(lines) < 1 + height:
         _fail(path, len(lines), f"expected {height} data rows, found {len(lines) - 1}")
     levels = np.empty((height, width), dtype=np.uint8)

@@ -16,11 +16,11 @@ from mimap.archsim import (
     parse_config,
     report_csv,
     scaling_sweep,
-    schedule,
     simulate,
+    _flat_schedule,
 )
 from mimap.datapath import compute_mi_map_fxp
-from mimap.grid import CellCoord, FcmiParams, OccupancyGrid, SensorConfig
+from mimap.grid import CellCoord, FcmiParams, OccupancyGrid, SensorConfig, line_family
 
 PARAMS = FcmiParams()
 
@@ -33,13 +33,19 @@ def small_grid(rng, size=33):
 
 
 def test_lower_bound_reference_values():
-    lb = lower_bound_latency(201, 60, 16, 1e8)
+    lb = lower_bound_latency((201, 201), 60, 16, 1e8)
     assert lb == 201 * 201 * 60 / (16 * 1e8)
     assert f"{lb * 1e3:.5f}" == "1.51504"
-    assert lower_bound_latency(256, 60, 16, 1e8) == 2.4576e-3
-    one = lower_bound_latency(128, 60, 1, 1e8)
-    sixteen = lower_bound_latency(128, 60, 16, 1e8)
+    assert lower_bound_latency((256, 256), 60, 16, 1e8) == 2.4576e-3
+    one = lower_bound_latency((128, 128), 60, 1, 1e8)
+    sixteen = lower_bound_latency((128, 128), 60, 16, 1e8)
     assert one / sixteen == 16.0
+
+
+def test_lower_bound_counts_every_cell_of_a_non_square_grid():
+    _, rep = simulate(OccupancyGrid.uniform((3, 40)), SensorConfig(60), PARAMS,
+                      ArchConfig(), compute_values=False)
+    assert rep.lower_bound_s == lower_bound_latency((3, 40), 60, 16, 1e8) == 4.5e-6
 
 
 # ---------------------------------------------------------------- banking
@@ -94,51 +100,58 @@ def test_energy_of_closed_form():
 # ---------------------------------------------------------------- schedule
 
 
+def dealt_units(bounds, sensor, config):
+    """Per-core dealt units of the kernel schedule as (heading index, flat
+    cells) pairs; a unit spans cells seg_start[unit_lo]:seg_start[unit_hi]
+    of the headings' concatenated line-family cells."""
+    _, seg_start, unit_lo, unit_hi, unit_ang, core_units, core_ptr, _ = \
+        _flat_schedule(bounds, sensor, config)
+    cells = np.concatenate([line_family(float(a), bounds).cells
+                            for a in sensor.angles])
+    return [[(int(unit_ang[u]), cells[seg_start[unit_lo[u]]:seg_start[unit_hi[u]]])
+             for u in core_units[core_ptr[i]:core_ptr[i + 1]]]
+            for i in range(config.n_cores)]
+
+
 def test_schedule_axis_family_is_balanced():
     for wrapping in (True, False):
         cfg = replace(ArchConfig(), wrapping=wrapping)
-        per_core = schedule((32, 32), SensorConfig(1), cfg)
-        units = [u for q in per_core for u in q]
+        per_core = dealt_units((32, 32), SensorConfig(1), cfg)
+        units = [cells for q in per_core for _, cells in q]
         assert len(units) == 32
-        assert all(u.total_cells == 32 for u in units)
-        totals = [sum(u.total_cells for u in q) for q in per_core]
+        assert all(len(cells) == 32 for cells in units)
+        totals = [sum(len(cells) for _, cells in q) for q in per_core]
         assert max(totals) == min(totals) == 64
 
 
 def test_schedule_covers_every_cell_once_per_heading():
-    cfg = ArchConfig()
     sensor = SensorConfig(8)
-    per_core = schedule((17, 17), sensor, cfg)
-    for angle in sensor.angles:
-        seen = np.zeros(17 * 17, dtype=int)
-        for q in per_core:
-            for u in q:
-                if u.angle == angle:
-                    for seg in u.segments:
-                        seen[seg] += 1
-        assert seen.min() == 1 and seen.max() == 1
+    for wrapping in (True, False):
+        cfg = replace(ArchConfig(), wrapping=wrapping)
+        per_core = dealt_units((17, 17), sensor, cfg)
+        for heading in range(sensor.ray_count):
+            seen = np.zeros(17 * 17, dtype=int)
+            for q in per_core:
+                for a, cells in q:
+                    if a == heading:
+                        seen[cells] += 1
+            assert seen.min() == 1 and seen.max() == 1
 
 
 def test_schedule_wrapped_oblique_units_equalize():
-    cfg = ArchConfig()
-    sensor = SensorConfig(8)
-    oblique = sensor.angles[1]  # the 45 degree diagonal family
-    per_core = schedule((33, 33), sensor, cfg)
-    totals = []
-    for q in per_core:
-        cells = sum(u.total_cells for u in q if u.angle == oblique)
-        totals.append(cells)
-    units = [u for q in per_core for u in q if u.angle == oblique]
-    assert all(u.total_cells == 33 for u in units)  # every chain is whole
+    oblique = 1  # the 45 degree diagonal family of 8 headings
+    per_core = dealt_units((33, 33), SensorConfig(8), ArchConfig())
+    totals = [sum(len(cells) for a, cells in q if a == oblique) for q in per_core]
+    units = [cells for q in per_core for a, cells in q if a == oblique]
+    assert all(len(cells) == 33 for cells in units)  # every chain is whole
     assert max(totals) - min(totals) <= 33  # at most one unit apart
 
 
 def test_schedule_unwrapped_oblique_is_imbalanced():
     cfg = replace(ArchConfig(), wrapping=False)
-    sensor = SensorConfig(8)
-    oblique = sensor.angles[1]
-    per_core = schedule((33, 33), sensor, cfg)
-    totals = [sum(u.total_cells for u in q if u.angle == oblique) for q in per_core]
+    oblique = 1
+    per_core = dealt_units((33, 33), SensorConfig(8), cfg)
+    totals = [sum(len(cells) for a, cells in q if a == oblique) for q in per_core]
     assert max(totals) / min(totals) > 1.0  # corner chords are short
 
 
@@ -221,19 +234,6 @@ def test_simulate_is_deterministic(rng):
     assert report_csv(a) == report_csv(b)
 
 
-def test_jit_and_interpreter_agree(rng):
-    pytest.importorskip("numba")
-    grid = small_grid(rng, 17)
-    _, jit = simulate(grid, SensorConfig(8), PARAMS, ArchConfig(),
-                      compute_values=False, use_jit=True)
-    _, plain = simulate(grid, SensorConfig(8), PARAMS, ArchConfig(),
-                        compute_values=False, use_jit=False)
-    assert jit.total_cycles == plain.total_cycles
-    assert jit.stall_cycles == plain.stall_cycles
-    np.testing.assert_array_equal(jit.memory_accesses["occ_reads"],
-                                  plain.memory_accesses["occ_reads"])
-
-
 # ---------------------------------------------------------------- sweep/report
 
 
@@ -244,7 +244,7 @@ def test_scaling_sweep_structure(rng):
     lats = [lat for _, lat, _ in rows]
     assert all(a > b for a, b in zip(lats, lats[1:]))  # more cores, faster
     for n, lat, energy in rows:
-        assert lat >= lower_bound_latency(33, 60, n, 1e8)
+        assert lat >= lower_bound_latency((33, 33), 60, n, 1e8)
         assert energy > 0.0
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mimap.cli import EXIT_ASSERT, EXIT_OK, EXIT_USAGE, main, normalize_map
+from mimap.cli import EXIT_ASSERT, EXIT_OK, EXIT_USAGE, main
 from mimap.datapath import compute_mi_map_fxp, dump_tables
 from mimap.grid import FcmiParams, MIMap, OccupancyGrid, SensorConfig
 from mimap.gridio import read_grid, read_mi_map, write_grid, write_mi_map
@@ -64,7 +64,7 @@ def test_mi_normalize_flag(grid_file, tmp_path, capsys):
         "--normalize")
     values = read_mi_map(norm).values
     assert values.min() == 0.0 and values.max() == 1.0
-    np.testing.assert_allclose(values, normalize_map(read_mi_map(raw).values),
+    np.testing.assert_allclose(values, read_mi_map(raw).normalized(),
                                rtol=0, atol=1e-15)
 
 
@@ -81,6 +81,16 @@ def test_missing_grid_names_path(tmp_path, capsys):
                        "--out", str(tmp_path / "x"))
     assert code == EXIT_USAGE
     assert "nope.grid" in err
+
+
+@pytest.mark.parametrize("resolution", ["inf", "nan"])
+def test_mi_rejects_non_finite_resolution(tmp_path, capsys, resolution):
+    g = tmp_path / "res.grid"
+    g.write_text(f"2 2 {resolution}\n0 50\n50 0\n")
+    code, _, err = run(capsys, "mi-fxp", "--grid", str(g), "--rays", "4",
+                       "--out", str(tmp_path / "x"))
+    assert code == EXIT_USAGE
+    assert f"{g}:1: resolution must be positive and finite" in err
 
 
 def test_mi_outputs_are_byte_identical(grid_file, tmp_path, capsys):
@@ -127,6 +137,16 @@ def test_compare_assert_max(tmp_path, capsys):
     code, _, err = run(capsys, "compare", str(pa), str(pb), "--assert-max", "0.2")
     assert code == EXIT_ASSERT
     assert "exceeds" in err
+
+
+def test_compare_nan_map_fails_assert_max(tmp_path, capsys):
+    # a map holding NaN normalizes to all zeros, so it cannot pass as equal
+    pa, pb = tmp_path / "a.mimap", tmp_path / "b.mimap"
+    write_mi_map(MIMap(np.array([[np.nan, 1.0]])), pa)
+    write_mi_map(MIMap(np.array([[0.0, 1.0]])), pb)
+    code, text, _ = run(capsys, "compare", str(pa), str(pb), "--assert-max", "0.01")
+    assert code == EXIT_ASSERT
+    assert text.splitlines()[0] == "max_abs_diff,1.000000000e+00"
 
 
 def test_compare_dim_mismatch(tmp_path, capsys):

@@ -27,6 +27,7 @@ from mimap.grid import (
     MIMap,
     OccupancyGrid,
     SensorConfig,
+    bresenham_line,
     cell_width,
 )
 from mimap.reference import scan_line
@@ -241,13 +242,32 @@ def test_map_fxp_deterministic(make_grid):
     np.testing.assert_array_equal(a.values, b.values)
 
 
-def test_map_fxp_jit_matches_interpreter(make_grid):
-    pytest.importorskip("numba")
-    for shape in ((13, 13), (9, 17)):
-        grid = make_grid(*shape)
-        jit = compute_mi_map_fxp(grid, SensorConfig(12), use_jit=True)
-        plain = compute_mi_map_fxp(grid, SensorConfig(12), use_jit=False)
-        np.testing.assert_array_equal(jit.raw, plain.raw)
+@pytest.mark.parametrize("shape,rays", [((13, 13), 12), ((9, 17), 12),
+                                        ((1, 11), 7), ((11, 1), 7)])
+def test_map_fxp_matches_scalar_beam_chain(make_grid, shape, rays):
+    # the lane-parallel sweep against one scalar beam per cell and heading:
+    # walk the beam from the grid edge back to its start cell, chaining the
+    # scalar step, and accumulate the start cell's contribution
+    grid = make_grid(*shape)
+    sensor = SensorConfig(rays)
+    k1 = FxpConstants.from_params(FcmiParams()).k1
+    dth = fx.encode(sensor.delta_theta)
+    want = np.zeros(shape, dtype=np.int64)
+    fx.reset_saturation()
+    for angle in sensor.angles:
+        w_raw = fx.encode(cell_width(float(angle), grid.resolution))
+        for r in range(shape[0]):
+            for c in range(shape[1]):
+                beam = bresenham_line(CellCoord(r, c), float(angle), shape)
+                state = (0, 0, 0, 0)
+                for cr, cc in reversed(beam.cells):
+                    state = step_expectations_fxp(state, int(grid.levels[cr, cc]), w_raw)
+                a1, b1 = state[0], state[1]
+                contrib = fx.mul_raw(fx.sub_raw(a1, fx.mul_raw(k1, b1)), dth)
+                want[r, c] = fx.add_raw(int(want[r, c]), contrib)
+    got = compute_mi_map_fxp(grid, sensor)
+    assert fx.saturation_count() == 0
+    np.testing.assert_array_equal(got.raw, want)
 
 
 def test_map_fxp_no_saturation_at_map_scale(make_grid):

@@ -41,8 +41,14 @@ def test_grid_rejects_out_of_range_levels():
         OccupancyGrid(np.array([[-1, 50]]))
     with pytest.raises(ValueError):
         OccupancyGrid(np.zeros((0, 4)))
-    with pytest.raises(ValueError):
-        OccupancyGrid(np.full((3, 3), 50), resolution=0.0)
+    for resolution in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            OccupancyGrid(np.full((3, 3), 50), resolution=resolution)
+    for levels in ([[np.nan, 50.0]], [[0.0, 50.7]], [[np.inf, 50.0]]):
+        with pytest.raises(ValueError):
+            OccupancyGrid(np.array(levels))
+    whole = OccupancyGrid(np.array([[0.0, 50.0, 100.0]]))
+    np.testing.assert_array_equal(whole.levels, [[0, 50, 100]])
 
 
 def test_grid_probabilities_and_uniform():
