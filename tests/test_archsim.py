@@ -2,6 +2,7 @@
 
 import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +222,37 @@ def test_interleave_depth_sensitivity(rng):
     # D=8 hides nearly all of it (residue comes from heading-tail windows)
     assert deep.stall_cycles["feedback_wait"] * 50 < shallow.stall_cycles["feedback_wait"]
     assert shallow.total_cycles > 4 * deep.total_cycles
+
+
+GOLDEN_REPORTS = Path(__file__).parent / "goldens" / "archsim_reports.txt"
+GOLDEN_CONFIGS = (("default", ArchConfig()),
+                  ("no-wrap", replace(ArchConfig(), wrapping=False)),
+                  ("depth1", replace(ArchConfig(), interleaving=False)),
+                  ("no-bank", replace(ArchConfig(), banking=False)))
+GOLDEN_CYCLES = {  # (shape, rays) -> total_cycles per GOLDEN_CONFIGS entry
+    ((21, 21), 8): (365, 365, 1839, 3562),
+    ((3, 40), 60): (780, 734, 3846, 7394),
+}
+
+
+def golden_reports() -> str:
+    """Every golden case as a '== HxW rays config' header, the full
+    report_csv text and the per-bank occupancy reads."""
+    out = []
+    for (shape, rays), cycles in GOLDEN_CYCLES.items():
+        for (name, cfg), want in zip(GOLDEN_CONFIGS, cycles):
+            _, rep = simulate(OccupancyGrid.uniform(shape), SensorConfig(rays),
+                              PARAMS, cfg, compute_values=False)
+            assert rep.total_cycles == want, (shape, rays, name)
+            reads = " ".join(str(int(v)) for v in rep.memory_accesses["occ_reads"])
+            out.append(f"== {shape[0]}x{shape[1]} {rays} {name}\n"
+                       f"{report_csv(rep)}occ_reads,{reads}\n")
+    return "".join(out)
+
+
+def test_reports_match_golden():
+    # pins the cycle model, not only its run-to-run determinism
+    assert golden_reports() == GOLDEN_REPORTS.read_text()
 
 
 def test_simulate_is_deterministic(rng):
