@@ -14,7 +14,7 @@ from .datapath import (FxpConstants, OccLutEntry, PwlExpTable, build_occ_lut,
 from .explore import (Environment, PlatformProfile, PLATFORMS, RobotState,
                       TrialLog, gbl_select, run_trial, simulate_scan,
                       update_occupancy)
-from .fixedpoint import FixedPoint, decode, encode
+from .fixedpoint import decode, encode
 from .grid import (CellCoord, FcmiParams, LineFamily, LineScan, MIMap,
                    OccupancyGrid, SensorConfig, bresenham_line, cell_width,
                    line_family)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArchConfig", "CellCoord", "EnergyParams", "Environment", "FcmiParams",
-    "FixedPoint", "FxpConstants", "GridFormatError", "LineFamily", "LineScan",
+    "FxpConstants", "GridFormatError", "LineFamily", "LineScan",
     "MIMap", "OccLutEntry", "OccupancyGrid", "PLATFORMS", "PipelineSpec",
     "PlatformProfile", "PwlExpTable", "RobotState", "SensorConfig",
     "SimReport", "TrialLog", "bank_of", "bresenham_line", "build_occ_lut",

@@ -195,203 +195,134 @@ def _unit_ranges(fam, config: ArchConfig) -> list[tuple[int, int]]:
     return [(int(s), int(s) + 1) for s in order]
 
 
-def _deal(total_units: int, n_cores: int) -> list[list[int]]:
-    """Deal unit ids round-robin to cores; the cursor persists across
-    headings so per-core totals stay balanced."""
-    queues: list[list[int]] = [[] for _ in range(n_cores)]
-    for uid in range(total_units):
-        queues[uid % n_cores].append(uid)
-    return queues
-
-
 def _flat_schedule(bounds: tuple[int, int], sensor: SensorConfig, config: ArchConfig):
-    """Kernel-ready arrays: per-cell bank stream, segment bounds, per-unit
-    segment ranges, and the per-core dealt unit queues."""
-    height, width = bounds
-    n = config.n_cores
+    """The kernel's three inputs, over the headings' concatenated line-family
+    cells: the bank of every cell, the start cell of every segment (plus a
+    closing end), and per core the queue of ``(heading, first_seg,
+    end_seg)`` units it is dealt.  Units go out round-robin in heading and
+    dispatch order, so the dealing cursor persists across headings and
+    per-core totals stay balanced."""
+    width = bounds[1]
     n_banks = config.eff_banks
-    bank_parts = []
-    seg_parts = [np.zeros(1, dtype=np.int64)]
-    unit_lo_parts, unit_hi_parts, unit_ang_parts = [], [], []
-    cell_base = 0
-    seg_base = 0
-    total_units = 0
-    for ai, angle in enumerate(sensor.angles):
+    banks: list[int] = []
+    seg_start = [0]
+    units = []
+    for heading, angle in enumerate(sensor.angles):
         fam = line_family(float(angle), bounds)
-        cells = fam.cells
-        bank_parts.append((((cells // width) + (cells % width)) % n_banks).astype(np.int16))
-        seg_parts.append(fam.seg_start[1:] + cell_base)
-        ranges = _unit_ranges(fam, config)
-        lo = np.array([r[0] for r in ranges], dtype=np.int64) + seg_base
-        hi = np.array([r[1] for r in ranges], dtype=np.int64) + seg_base
-        unit_lo_parts.append(lo)
-        unit_hi_parts.append(hi)
-        unit_ang_parts.append(np.full(len(ranges), ai, dtype=np.int64))
-        total_units += len(ranges)
-        cell_base += len(cells)
-        seg_base += fam.n_lines
-    bank_seq = np.concatenate(bank_parts)
-    seg_start = np.concatenate(seg_parts)
-    unit_lo = np.concatenate(unit_lo_parts)
-    unit_hi = np.concatenate(unit_hi_parts)
-    unit_ang = np.concatenate(unit_ang_parts)
-    queues = _deal(total_units, n)
-    core_units = np.array([uid for q in queues for uid in q], dtype=np.int64)
-    core_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(q) for q in queues], out=core_ptr[1:])
-    return (bank_seq, seg_start, unit_lo, unit_hi, unit_ang,
-            core_units, core_ptr, cell_base)
+        seg_base = len(seg_start) - 1
+        seg_start += (fam.seg_start[1:] + len(banks)).tolist()
+        banks += ((fam.cells // width + fam.cells % width) % n_banks).tolist()
+        units += [(heading, seg_base + lo, seg_base + hi)
+                  for lo, hi in _unit_ranges(fam, config)]
+    n = config.n_cores
+    return banks, seg_start, [units[i::n] for i in range(n)]
 
 
-def _sim_kernel(n_cores, window, n_banks, gap, chain_pen, mi_cap,
-                bank_seq, seg_start, unit_lo, unit_hi, unit_ang,
-                core_units, core_ptr,
-                busy, occ_reads, mi_reads, mi_writes, stalls, max_cycles):
-    """Cycle loop over all cores and ray contexts; fills the count arrays
-    and returns (last_issue_cycle, mi_backlog, status)."""
-    slot_pos = np.full((n_cores, window), -1, dtype=np.int64)
-    slot_end = np.zeros((n_cores, window), dtype=np.int64)
-    slot_seg = np.zeros((n_cores, window), dtype=np.int64)
-    slot_unit = np.zeros((n_cores, window), dtype=np.int64)
-    slot_ready = np.zeros((n_cores, window), dtype=np.int64)
-    rot = np.zeros(n_cores, dtype=np.int64)
-    nxt = core_ptr[:-1].copy()
-    occ_cnt = np.zeros(n_banks, dtype=np.int64)
-    mi_q = np.zeros(n_banks, dtype=np.int64)
-    last_issue = np.int64(-1)
-    t = np.int64(0)
-    while True:
-        all_done = True
-        for i in range(n_cores):
-            if nxt[i] < core_ptr[i + 1]:
-                all_done = False
-                break
-            for d in range(window):
-                if slot_pos[i, d] >= 0:
-                    all_done = False
-                    break
-            if not all_done:
-                break
-        if all_done:
-            break
-        for b in range(n_banks):
-            occ_cnt[b] = 0
-        for i in range(n_cores):
-            qhi = core_ptr[i + 1]
+def _sim_kernel(banks, seg_start, queues, n_banks, window, gap, chain_pen):
+    """Cycle loop over all cores and ray contexts until every dealt unit
+    has issued its last cell.
+
+    Returns ``(last_issue_cycle, mi_backlog, busy, per_bank, stalls)``:
+    issue cycles per core, accesses per bank (each issue reads one
+    occupancy word and reads and writes one MI word in the same bank), and
+    the bank-conflict, feedback-wait and drain stall counts.  Raises
+    RuntimeError if the run passes a cycle cap far above any real schedule.
+    """
+    n_cores = len(queues)
+    slots = range(window)
+    orders = [[(r + d) % window for d in slots] for r in slots]
+    pos = [[-1] * window for _ in queues]    # next cell of a context; -1 free
+    seg = [[0] * window for _ in queues]     # its current segment
+    end = [[0] * window for _ in queues]     # its unit's end segment
+    head = [[0] * window for _ in queues]    # its heading
+    ready = [[0] * window for _ in queues]   # first cycle it may issue again
+    rot = [0] * n_cores
+    nxt = [0] * n_cores
+    busy = [0] * n_cores
+    per_bank = [0] * n_banks
+    mi_q = [0] * n_banks
+    stalls = [0, 0, 0]
+    unfinished = sum(map(len, queues))
+    max_cycles = 16 * len(banks) + 1_000_000
+    last_issue = -1
+    t = 0
+    while unfinished:
+        occ = [0] * n_banks
+        for i, queue in enumerate(queues):
+            p, g, e, r = pos[i], seg[i], end[i], ready[i]
             # refill free contexts from the core's queue; a context only
             # accepts rays of the heading the core is currently scanning,
             # so a new heading starts once the previous one fully drains
-            if nxt[i] < qhi:
-                heading = np.int64(-1)
-                for d in range(window):
-                    if slot_pos[i, d] >= 0:
-                        heading = unit_ang[slot_unit[i, d]]
+            k = nxt[i]
+            if k < len(queue) and -1 in p:
+                hd = head[i]
+                heading = next((hd[d] for d in slots if p[d] >= 0), -1)
+                for d in slots:
+                    if k == len(queue):
                         break
-                for d in range(window):
-                    if nxt[i] >= qhi or slot_pos[i, d] >= 0:
+                    if p[d] >= 0:
                         continue
-                    u = core_units[nxt[i]]
-                    if heading >= 0 and unit_ang[u] != heading:
-                        # starvation trickle: when the tail of a heading
-                        # leaves fewer live rays than the feedback gap and
-                        # none is ready this cycle, admit one ray of the
-                        # next heading instead of idling the beat
-                        live = 0
-                        ready = 0
-                        for d2 in range(window):
-                            if slot_pos[i, d2] >= 0:
-                                live += 1
-                                if slot_ready[i, d2] <= t:
-                                    ready += 1
-                        if ready > 0 or live >= gap or live == 0:
-                            break
-                        nxt[i] += 1
-                        slot_unit[i, d] = u
-                        slot_seg[i, d] = unit_lo[u]
-                        slot_pos[i, d] = seg_start[unit_lo[u]]
-                        slot_end[i, d] = seg_start[unit_lo[u] + 1]
-                        slot_ready[i, d] = t
+                    h, lo, hi = queue[k]
+                    trickle = heading >= 0 and h != heading
+                    # starvation trickle: when the tail of a heading leaves
+                    # fewer live rays than the feedback gap and none is
+                    # ready this cycle, admit one ray of the next heading
+                    # instead of idling the beat
+                    if trickle and (window - p.count(-1) >= gap or any(
+                            r[d2] <= t for d2 in slots if p[d2] >= 0)):
                         break
-                    nxt[i] += 1
-                    slot_unit[i, d] = u
-                    slot_seg[i, d] = unit_lo[u]
-                    slot_pos[i, d] = seg_start[unit_lo[u]]
-                    slot_end[i, d] = seg_start[unit_lo[u] + 1]
-                    slot_ready[i, d] = t
-                    if heading < 0:
-                        heading = unit_ang[u]
+                    k += 1
+                    p[d], g[d], e[d], hd[d], r[d] = seg_start[lo], lo, hi, h, t
+                    if trickle:
+                        break
+                    heading = h
+                nxt[i] = k
             # candidate: first ready context in rotation order whose banks
             # are still free this cycle; the bank-busy bitmap is broadcast,
             # so a core passes over contended rays and issues another
-            cand = np.int64(-1)
-            first_blocked = np.int64(-1)
-            occupied_any = False
-            ready_any = False
-            for d in range(window):
-                s = (rot[i] + d) % window
-                if slot_pos[i, s] < 0:
+            blocked = -1
+            for s in orders[rot[i]]:
+                ps = p[s]
+                if ps < 0 or r[s] > t:
                     continue
-                occupied_any = True
-                if slot_ready[i, s] > t:
+                b = banks[ps]
+                if occ[b] >= 2 or mi_q[b] >= MI_QUEUE_DEPTH:
+                    if blocked < 0:
+                        blocked = s
                     continue
-                ready_any = True
-                b = bank_seq[slot_pos[i, s]]
-                if occ_cnt[b] >= 2 or mi_q[b] >= mi_cap:
-                    if first_blocked < 0:
-                        first_blocked = s
-                    continue
-                cand = s
                 break
-            if cand < 0:
-                if ready_any:
+            else:
+                if blocked >= 0:
                     stalls[0] += 1
-                elif occupied_any:
+                elif p.count(-1) < window:
                     stalls[1] += 1
                 else:
                     # core drained; it idles while the rest of the run ends
                     stalls[2] += 1
                 continue
-            s = cand
-            b = bank_seq[slot_pos[i, s]]
-            occ_cnt[b] += 1
+            occ[b] += 1
             mi_q[b] += 1
-            occ_reads[b] += 1
-            mi_reads[b] += 1
-            mi_writes[b] += 1
+            per_bank[b] += 1
             busy[i] += 1
             last_issue = t
-            pen = gap
-            pos = slot_pos[i, s] + 1
-            if pos >= slot_end[i, s]:
-                sg = slot_seg[i, s] + 1
-                if sg < unit_hi[slot_unit[i, s]]:
-                    slot_seg[i, s] = sg
-                    slot_pos[i, s] = seg_start[sg]
-                    slot_end[i, s] = seg_start[sg + 1]
-                    pen = gap + chain_pen
+            r[s] = t + gap
+            p[s] += 1
+            if p[s] == seg_start[g[s] + 1]:
+                g[s] += 1
+                if g[s] < e[s]:
+                    r[s] += chain_pen  # the unit chains on into its next line
                 else:
-                    slot_pos[i, s] = -1
-            else:
-                slot_pos[i, s] = pos
-            slot_ready[i, s] = t + pen
+                    p[s] = -1
+                    unfinished -= 1
             # resume the scan at the skipped slot if there was one: the
             # passed-over ray keeps its place at the head of the rotation
             # instead of waiting out a whole round
-            if first_blocked >= 0:
-                rot[i] = first_blocked
-            else:
-                rot[i] = (s + 1) % window
-        for b in range(n_banks):
-            if mi_q[b] > 0:
-                mi_q[b] -= 1
+            rot[i] = blocked if blocked >= 0 else (s + 1) % window
+        mi_q = [q - 1 if q else 0 for q in mi_q]
         t += 1
         if t > max_cycles:
-            return last_issue, np.int64(0), np.int64(1)
-    backlog = np.int64(0)
-    for b in range(n_banks):
-        if mi_q[b] > backlog:
-            backlog = mi_q[b]
-    return last_issue, backlog, np.int64(0)
+            raise RuntimeError("simulation exceeded the cycle safety cap")
+    return last_issue, max(mi_q), busy, per_bank, stalls
 
 
 def energy_of(busy_cycles: int, stall_cycles: int, mem_accesses: int,
@@ -420,28 +351,13 @@ def simulate(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
     depth = config.eff_depth
     window = CONTEXTS_PER_SLOT * depth if depth > 1 else 1
     chain_pen = pipe.feedback_depth if depth == 1 else 0
-    (bank_seq, seg_start, unit_lo, unit_hi, unit_ang,
-     core_units, core_ptr, total_cells) = _flat_schedule((height, width), sensor, config)
-    busy = np.zeros(n, dtype=np.int64)
-    occ_reads = np.zeros(n_banks, dtype=np.int64)
-    mi_reads = np.zeros(n_banks, dtype=np.int64)
-    mi_writes = np.zeros(n_banks, dtype=np.int64)
-    stalls = np.zeros(3, dtype=np.int64)
-    max_cycles = 16 * total_cells + 1_000_000
-    last_issue, backlog, status = _sim_kernel(
-        n, window, n_banks, pipe.feedback_depth, chain_pen,
-        MI_QUEUE_DEPTH, bank_seq, seg_start, unit_lo, unit_hi, unit_ang,
-        core_units, core_ptr, busy, occ_reads, mi_reads, mi_writes, stalls,
-        max_cycles)
-    if status != 0:
-        raise RuntimeError("simulation exceeded the cycle safety cap")
-    total_cycles = int(last_issue) + pipe.total_stages + 1 + int(backlog)
+    last_issue, backlog, busy, per_bank, stalls = _sim_kernel(
+        *_flat_schedule((height, width), sensor, config), n_banks, window,
+        pipe.feedback_depth, chain_pen)
+    total_cycles = last_issue + pipe.total_stages + 1 + backlog
     latency_s = total_cycles / config.clock_hz
-    stall_cycles = {"bank_conflict": int(stalls[0]),
-                    "feedback_wait": int(stalls[1]),
-                    "drain": int(stalls[2])}
-    accesses = int(occ_reads.sum() + mi_reads.sum() + mi_writes.sum())
-    energy = energy_of(int(busy.sum()), sum(stall_cycles.values()), accesses,
+    stall_cycles = dict(zip(("bank_conflict", "feedback_wait", "drain"), stalls))
+    energy = energy_of(sum(busy), sum(stalls), 3 * sum(per_bank),
                        latency_s, config.energy)
     report = SimReport(
         total_cycles=total_cycles,
@@ -449,10 +365,10 @@ def simulate(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
         lower_bound_s=lower_bound_latency((height, width), sensor.ray_count,
                                           n, config.clock_hz),
         stall_cycles=stall_cycles,
-        per_core_busy=[b / total_cycles for b in busy.tolist()],
+        per_core_busy=[b / total_cycles for b in busy],
         energy_j=energy,
-        memory_accesses={"occ_reads": occ_reads, "mi_reads": mi_reads,
-                         "mi_writes": mi_writes},
+        memory_accesses={key: np.array(per_bank, dtype=np.int64)
+                         for key in ("occ_reads", "mi_reads", "mi_writes")},
     )
     mi = compute_mi_map_fxp(grid, sensor, params) if compute_values else None
     return mi, report

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .grid import FcmiParams, MIMap, OccupancyGrid, SensorConfig, cell_width, line_family
-from .reference import _padded_lines
 
 PWL_SEGMENTS = 16
 PWL_LO = -8.0
@@ -237,7 +236,7 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
         w_raw = fx.encode(cell_width(float(angle), grid.resolution))
         rows = _level_rows(w_raw, params)
         w_arr = np.int64(w_raw)
-        idx, active = _padded_lines(fam)
+        idx, active = fam.lanes()
         n_lines = idx.shape[1]
         a1 = np.zeros(n_lines, dtype=np.int64)
         b1 = np.zeros(n_lines, dtype=np.int64)

@@ -6,12 +6,12 @@ operations round to nearest with ties to even and saturate at the range
 ends instead of wrapping.  Saturation is silent but counted; consumers can
 poll and reset the counter to confirm a workload never clipped.
 
-Scalar helpers work on plain-int raw words (the hot paths keep raws, not
-wrapper objects); the ``arr_*`` twins apply the identical semantics to
-whole int64 numpy arrays and are verified bit-equal in tests.
+Scalar helpers work on plain-int raw words; the ``arr_*`` twins apply the
+identical semantics to whole int64 numpy arrays and are verified bit-equal
+in tests.
 """
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -50,36 +50,18 @@ def _saturate(raw: int) -> int:
     return raw
 
 
-@dataclass(frozen=True)
-class FixedPoint:
-    """One Q20.12 word; thin wrapper used at API boundaries."""
-
-    raw: int
-
-    def __post_init__(self):
-        if not RAW_MIN <= self.raw <= RAW_MAX:
-            raise ValueError(f"raw {self.raw} outside 32-bit range")
-
-    @property
-    def value(self) -> float:
-        return self.raw / SCALE
-
-
 def encode(x: float) -> int:
-    """Real -> raw word, round-to-nearest-ties-even, saturating."""
-    return _saturate(round(float(x) * SCALE))
+    """Real -> raw word, round-to-nearest-ties-even, saturating.  A value
+    whose scaled word is not finite (NaN, infinity, or beyond about 4e304)
+    has no word to saturate to and raises ValueError."""
+    scaled = float(x) * SCALE
+    if not math.isfinite(scaled):
+        raise ValueError(f"cannot encode {x} as a Q20.12 word")
+    return _saturate(round(scaled))
 
 
 def decode(raw: int) -> float:
     return raw / SCALE
-
-
-def fxp_from_real(x: float) -> FixedPoint:
-    return FixedPoint(encode(x))
-
-
-def fxp_to_real(f: FixedPoint) -> float:
-    return f.raw / SCALE
 
 
 def add_raw(a: int, b: int) -> int:
@@ -102,10 +84,6 @@ def mul_raw(a: int, b: int) -> int:
     if r > HALF_ULP or (r == HALF_ULP and (q & 1)):
         q += 1
     return _saturate(q)
-
-
-def fxp_mul(a: FixedPoint, b: FixedPoint) -> FixedPoint:
-    return FixedPoint(mul_raw(a.raw, b.raw))
 
 
 def _arr_saturate(q: np.ndarray) -> np.ndarray:

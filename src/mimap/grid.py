@@ -252,6 +252,22 @@ class LineFamily:
         for i in range(self.n_lines):
             yield self.line_cells(i)
 
+    def lanes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Line cells as a (max_len, n_lines) index matrix, longest lines
+        first, plus the per-sweep-step count of still-active lines; the
+        engines sweep all lines of the family as lanes of this matrix.
+        Built on each call, not cached: held for every heading of a large
+        map it would cost more memory than it saves time."""
+        lengths = self.line_lengths()
+        order = np.argsort(-lengths, kind="stable")
+        max_len = int(lengths[order[0]])
+        idx = np.zeros((max_len, len(order)), dtype=np.int64)
+        for j, i in enumerate(order):
+            cells = self.line_cells(int(i))
+            idx[:len(cells), j] = cells
+        active = np.searchsorted(-lengths[order], -np.arange(max_len), side="left")
+        return idx, active
+
 
 @lru_cache(maxsize=512)
 def _family_cached(angle: float, height: int, width: int) -> LineFamily:

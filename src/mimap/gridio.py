@@ -2,7 +2,7 @@
 
 Grid file: first line ``H W resolution``, then H lines of W space-separated
 integer levels in 0..100.  MI map file: first line ``H W``, then H lines of
-W decimal reals.  Values are written with 17 significant digits so a
+W finite decimal reals.  Values are written with 17 significant digits so a
 write/read round trip reproduces the exact float64 bits.
 """
 
@@ -87,9 +87,13 @@ def read_mi_map(path) -> MIMap:
         if len(fields) != width:
             _fail(path, 2 + r, f"expected {width} values, found {len(fields)}")
         try:
-            values[r] = [float(tok) for tok in fields]
+            row = [float(tok) for tok in fields]
         except ValueError:
             _fail(path, 2 + r, "non-numeric value in row")
+        for c, val in enumerate(row):
+            if not math.isfinite(val):
+                _fail(path, 2 + r, f"field {c + 1}: non-finite value {fields[c]!r}")
+        values[r] = row
     return MIMap(values)
 
 

@@ -187,20 +187,6 @@ def _level_coeffs(w: float, params: FcmiParams) -> np.ndarray:
     return t
 
 
-def _padded_lines(fam) -> tuple[np.ndarray, np.ndarray]:
-    """Line cells as a (max_len, n_lines) index matrix, longest lines first,
-    plus the per-sweep-step count of still-active lines."""
-    lengths = fam.line_lengths()
-    order = np.argsort(-lengths, kind="stable")
-    max_len = int(lengths[order[0]])
-    idx = np.zeros((max_len, len(order)), dtype=np.int64)
-    for j, i in enumerate(order):
-        cells = fam.line_cells(int(i))
-        idx[:len(cells), j] = cells
-    active = np.searchsorted(-lengths[order], -np.arange(max_len), side="left")
-    return idx, active
-
-
 def compute_mi_map(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
                    params: FcmiParams = FcmiParams()) -> MIMap:
     """Map-wide MI: every heading's line family swept once, H*W*rays visits.
@@ -218,7 +204,7 @@ def compute_mi_map(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
         fam = line_family(float(angle), (height, width))
         w = cell_width(float(angle), grid.resolution)
         coeffs = _level_coeffs(w, params)
-        idx, active = _padded_lines(fam)
+        idx, active = fam.lanes()
         n_lines = idx.shape[1]
         a1 = np.zeros(n_lines)
         b1 = np.zeros(n_lines)

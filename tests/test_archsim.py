@@ -103,15 +103,15 @@ def test_energy_of_closed_form():
 
 def dealt_units(bounds, sensor, config):
     """Per-core dealt units of the kernel schedule as (heading index, flat
-    cells) pairs; a unit spans cells seg_start[unit_lo]:seg_start[unit_hi]
-    of the headings' concatenated line-family cells."""
-    _, seg_start, unit_lo, unit_hi, unit_ang, core_units, core_ptr, _ = \
-        _flat_schedule(bounds, sensor, config)
+    cells) pairs; a unit (heading, lo, hi) spans cells
+    seg_start[lo]:seg_start[hi] of the headings' concatenated line-family
+    cells."""
+    _, seg_start, queues = _flat_schedule(bounds, sensor, config)
     cells = np.concatenate([line_family(float(a), bounds).cells
                             for a in sensor.angles])
-    return [[(int(unit_ang[u]), cells[seg_start[unit_lo[u]]:seg_start[unit_hi[u]]])
-             for u in core_units[core_ptr[i]:core_ptr[i + 1]]]
-            for i in range(config.n_cores)]
+    return [[(heading, cells[seg_start[lo]:seg_start[hi]])
+             for heading, lo, hi in queue]
+            for queue in queues]
 
 
 def test_schedule_axis_family_is_balanced():

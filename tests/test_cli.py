@@ -93,6 +93,16 @@ def test_mi_rejects_non_finite_resolution(tmp_path, capsys, resolution):
     assert f"{g}:1: resolution must be positive and finite" in err
 
 
+def test_mi_fxp_rejects_resolution_beyond_the_datapath(tmp_path, capsys):
+    # finite, but the cell width overflows when scaled to a Q20.12 word
+    g = tmp_path / "huge.grid"
+    g.write_text("2 2 1e306\n0 50\n50 0\n")
+    code, _, err = run(capsys, "mi-fxp", "--grid", str(g), "--rays", "4",
+                       "--out", str(tmp_path / "x"))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: cannot encode") and "Traceback" not in err
+
+
 def test_mi_outputs_are_byte_identical(grid_file, tmp_path, capsys):
     a, b = tmp_path / "a.mimap", tmp_path / "b.mimap"
     for path in (a, b):
@@ -140,13 +150,14 @@ def test_compare_assert_max(tmp_path, capsys):
 
 
 def test_compare_nan_map_fails_assert_max(tmp_path, capsys):
-    # a map holding NaN normalizes to all zeros, so it cannot pass as equal
+    # a map holding NaN is rejected as input, so it cannot pass as equal
     pa, pb = tmp_path / "a.mimap", tmp_path / "b.mimap"
     write_mi_map(MIMap(np.array([[np.nan, 1.0]])), pa)
     write_mi_map(MIMap(np.array([[0.0, 1.0]])), pb)
-    code, text, _ = run(capsys, "compare", str(pa), str(pb), "--assert-max", "0.01")
-    assert code == EXIT_ASSERT
-    assert text.splitlines()[0] == "max_abs_diff,1.000000000e+00"
+    code, text, err = run(capsys, "compare", str(pa), str(pb), "--assert-max", "0.01")
+    assert code == EXIT_USAGE
+    assert text == ""
+    assert f"{pa}:2: field 1: non-finite value 'nan'" in err
 
 
 def test_compare_dim_mismatch(tmp_path, capsys):

@@ -45,6 +45,13 @@ def test_encode_saturates_out_of_range():
     assert not fx.saturation_occurred()
 
 
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan"), 1e306])
+def test_encode_rejects_values_without_a_word(x):
+    # the scaled value is not finite, so there is nothing to saturate to
+    with pytest.raises(ValueError, match="cannot encode"):
+        fx.encode(x)
+
+
 def test_decode_range_ends():
     assert fx.decode(fx.RAW_MAX) == 2.0 ** 19 - 2.0 ** -12
     assert fx.decode(fx.RAW_MIN) == -(2.0 ** 19)
@@ -62,29 +69,20 @@ def test_encode_round_trip_within_half_ulp(x):
     assert abs(fx.decode(raw) - x) <= 2.0 ** -13
 
 
-def test_fixed_point_wrapper():
-    f = fx.fxp_from_real(0.5)
-    assert f.raw == 2048
-    assert f.value == 0.5
-    assert fx.fxp_to_real(f) == 0.5
-    with pytest.raises(ValueError):
-        fx.FixedPoint(fx.RAW_MAX + 1)
-
-
 # ---------------------------------------------------------------- multiply
 
 
 def test_mul_examples():
-    one = fx.fxp_from_real(1.0)
-    half = fx.fxp_from_real(0.5)
-    third = fx.fxp_from_real(1.0 / 3.0)
-    three = fx.fxp_from_real(3.0)
-    assert fx.fxp_mul(one, one).raw == 4096
-    assert fx.fxp_mul(half, half).raw == 1024
-    assert third.raw == 1365
-    got = fx.fxp_mul(third, three)
-    assert got.raw == 4095  # 1365 * 12288 >> 12, exact
-    assert got.value == 0.999755859375
+    one = fx.encode(1.0)
+    half = fx.encode(0.5)
+    third = fx.encode(1.0 / 3.0)
+    three = fx.encode(3.0)
+    assert fx.mul_raw(one, one) == 4096
+    assert fx.mul_raw(half, half) == 1024
+    assert third == 1365
+    got = fx.mul_raw(third, three)
+    assert got == 4095  # 1365 * 12288 >> 12, exact
+    assert fx.decode(got) == 0.999755859375
 
 
 def test_mul_tie_cases_round_to_even():

@@ -250,6 +250,14 @@ def test_mi_map_round_trip_is_exact(tmp_path, rng):
     np.testing.assert_array_equal(back.values, values)  # %.17g round-trips
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+def test_read_mi_map_rejects_non_finite_values(tmp_path, token):
+    p = tmp_path / "m.mimap"
+    p.write_text(f"2 2\n0 1\n0.5 {token}\n")
+    with pytest.raises(GridFormatError, match=f"m.mimap:3: field 2: non-finite value '{token}'"):
+        read_mi_map(p)
+
+
 def test_write_pgm_normalizes_to_full_range(tmp_path):
     p = tmp_path / "m.pgm"
     write_pgm(np.array([[0.0, 0.5], [1.0, 0.25]]), p)
