@@ -6,8 +6,8 @@ accelerator, and an exploration harness that ties MI compute rates to how
 fast a robot's map entropy falls.
 """
 
-from .archsim import (ArchConfig, EnergyParams, PipelineSpec, SimReport,
-                      bank_of, lower_bound_latency, scaling_sweep, simulate)
+from .archsim import (ArchConfig, EnergyParams, SimReport, bank_of,
+                      lower_bound_latency, scaling_sweep, simulate)
 from .datapath import (FxpConstants, OccLutEntry, PwlExpTable, build_occ_lut,
                        build_pwl_exp, compute_mi_map_fxp, dump_tables, pwl_exp,
                        step_expectations_fxp)
@@ -20,22 +20,20 @@ from .grid import (CellCoord, FcmiParams, LineFamily, LineScan, MIMap,
                    line_family)
 from .gridio import (GridFormatError, read_grid, read_mi_map, write_grid,
                      write_mi_map, write_pgm)
-from .reference import (compute_mi_map, entropy_pair, gamma_lower, map_entropy,
-                        scan_line, step_expectations)
+from .reference import compute_mi_map, map_entropy
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArchConfig", "CellCoord", "EnergyParams", "Environment", "FcmiParams",
     "FxpConstants", "GridFormatError", "LineFamily", "LineScan",
-    "MIMap", "OccLutEntry", "OccupancyGrid", "PLATFORMS", "PipelineSpec",
+    "MIMap", "OccLutEntry", "OccupancyGrid", "PLATFORMS",
     "PlatformProfile", "PwlExpTable", "RobotState", "SensorConfig",
     "SimReport", "TrialLog", "bank_of", "bresenham_line", "build_occ_lut",
     "build_pwl_exp", "cell_width", "compute_mi_map", "compute_mi_map_fxp",
-    "decode", "dump_tables", "encode", "entropy_pair", "gamma_lower",
-    "gbl_select", "line_family", "lower_bound_latency", "map_entropy",
-    "pwl_exp", "read_grid", "read_mi_map", "run_trial", "scaling_sweep",
-    "scan_line", "simulate", "simulate_scan", "step_expectations",
+    "decode", "dump_tables", "encode", "gbl_select", "line_family",
+    "lower_bound_latency", "map_entropy", "pwl_exp", "read_grid",
+    "read_mi_map", "run_trial", "scaling_sweep", "simulate", "simulate_scan",
     "step_expectations_fxp", "update_occupancy", "write_grid", "write_mi_map",
     "write_pgm",
 ]

@@ -45,6 +45,7 @@ fixed-point map engine, which the interleaving order cannot perturb
 because the Q20.12 accumulator never saturates on in-range workloads.
 """
 
+from array import array
 from dataclasses import dataclass, field, replace
 from math import gcd
 
@@ -55,25 +56,8 @@ from .grid import CellCoord, FcmiParams, MIMap, OccupancyGrid, SensorConfig, lin
 
 CONTEXTS_PER_SLOT = 2  # live ray contexts per pipeline slot
 MI_QUEUE_DEPTH = 64    # per-bank accumulate FIFO entries
-
-
-@dataclass(frozen=True)
-class PipelineSpec:
-    total_stages: int = 19
-    preprocess: tuple[int, int] = (1, 10)
-    feedback: tuple[int, int] = (11, 18)
-    postprocess: tuple[int, int] = (19, 19)
-
-    def __post_init__(self):
-        pre, fb, post = self.preprocess, self.feedback, self.postprocess
-        if pre[0] != 1 or post[1] != self.total_stages:
-            raise ValueError("pipeline sections must cover stages 1..total")
-        if pre[1] + 1 != fb[0] or fb[1] + 1 != post[0]:
-            raise ValueError("pipeline sections must be contiguous")
-
-    @property
-    def feedback_depth(self) -> int:
-        return self.feedback[1] - self.feedback[0] + 1
+PIPELINE_STAGES = 19   # preprocess 1-10, feedback 11-18, postprocess 19
+FEEDBACK_DEPTH = 8     # stages 11-18: min issue spacing of one ray slot
 
 
 @dataclass(frozen=True)
@@ -107,7 +91,6 @@ class ArchConfig:
     interleaving: bool = True
     wrapping: bool = True
     max_map: int = 512
-    pipeline: PipelineSpec = field(default_factory=PipelineSpec)
     energy: EnergyParams = field(default_factory=EnergyParams)
 
     def __post_init__(self):
@@ -115,6 +98,8 @@ class ArchConfig:
             raise ValueError("cores and interleave_depth must be >= 1")
         if self.clock_hz <= 0:
             raise ValueError("clock_hz must be positive")
+        if self.n_banks is not None and self.n_banks < 1:
+            raise ValueError(f"banks must be >= 1, got {self.n_banks}")
 
     @property
     def eff_banks(self) -> int:
@@ -152,7 +137,8 @@ def lower_bound_latency(shape: tuple[int, int], ray_count: int, n_cores: int,
 
 def bank_of(coord: CellCoord, n_banks: int) -> int:
     """Diagonal banking: B consecutive cells along any row or column land
-    in B distinct banks."""
+    in B distinct banks.  Also maps a (rows, cols) pair of index arrays
+    elementwise."""
     if n_banks < 1:
         raise ValueError("bank count must be >= 1")
     return (coord[0] + coord[1]) % n_banks
@@ -204,14 +190,14 @@ def _flat_schedule(bounds: tuple[int, int], sensor: SensorConfig, config: ArchCo
     per-core totals stay balanced."""
     width = bounds[1]
     n_banks = config.eff_banks
-    banks: list[int] = []
+    banks = array("i")  # 4 bytes a cell; a list would hold 8-byte pointers
     seg_start = [0]
     units = []
     for heading, angle in enumerate(sensor.angles):
         fam = line_family(float(angle), bounds)
         seg_base = len(seg_start) - 1
         seg_start += (fam.seg_start[1:] + len(banks)).tolist()
-        banks += ((fam.cells // width + fam.cells % width) % n_banks).tolist()
+        banks.extend(bank_of((fam.cells // width, fam.cells % width), n_banks).tolist())
         units += [(heading, seg_base + lo, seg_base + hi)
                   for lo, hi in _unit_ranges(fam, config)]
     n = config.n_cores
@@ -345,16 +331,15 @@ def simulate(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
     if max(height, width) > config.max_map:
         raise ValueError(
             f"grid {height}x{width} exceeds configured capacity {config.max_map}")
-    pipe = config.pipeline
     n = config.n_cores
     n_banks = config.eff_banks
     depth = config.eff_depth
     window = CONTEXTS_PER_SLOT * depth if depth > 1 else 1
-    chain_pen = pipe.feedback_depth if depth == 1 else 0
+    chain_pen = FEEDBACK_DEPTH if depth == 1 else 0
     last_issue, backlog, busy, per_bank, stalls = _sim_kernel(
         *_flat_schedule((height, width), sensor, config), n_banks, window,
-        pipe.feedback_depth, chain_pen)
-    total_cycles = last_issue + pipe.total_stages + 1 + backlog
+        FEEDBACK_DEPTH, chain_pen)
+    total_cycles = last_issue + PIPELINE_STAGES + 1 + backlog
     latency_s = total_cycles / config.clock_hz
     stall_cycles = dict(zip(("bank_conflict", "feedback_wait", "drain"), stalls))
     energy = energy_of(sum(busy), sum(stalls), 3 * sum(per_bank),

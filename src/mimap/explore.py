@@ -92,7 +92,6 @@ PLATFORMS = {
 class RobotState:
     position: CellCoord
     trajectory_m: float = 0.0
-    elapsed_s: float = 0.0
 
 
 class TrialRow(NamedTuple):
@@ -322,7 +321,6 @@ def run_trial(env: Environment, sensor: SensorConfig = SensorConfig(),
         scan = simulate_scan(env, robot.position, sensor)
         grid = update_occupancy(grid, scan)
         step += 1
-        robot.elapsed_s = now
         if in_flight is None:
             in_flight = _MICompute(grid.levels.copy(), step,
                                    now + platform.mi_latency_s)

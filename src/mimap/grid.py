@@ -148,11 +148,12 @@ class MIMap:
 
 @dataclass
 class LineScan:
-    """One scan line: ordered cells plus the constant per-angle cell width.
+    """One beam from ``bresenham_line``: its cells from the start cell
+    outward, plus the constant per-angle cell width.
 
-    Cell order depends on the producer: ``bresenham_line`` yields beam
-    order (start cell outward), ``line_families`` yields scan order, which
-    is anti-parallel to the beam so the recursion can run in one pass.
+    The cells are a suffix of the ``line_family`` line through the start
+    cell, read backwards: family lines run in scan order, anti-parallel to
+    the beam, so the recursion covers every beam on a line in one pass.
     """
 
     angle: float
@@ -248,10 +249,6 @@ class LineFamily:
     def line_lengths(self) -> np.ndarray:
         return np.diff(self.seg_start)
 
-    def iter_lines(self):
-        for i in range(self.n_lines):
-            yield self.line_cells(i)
-
     def lanes(self) -> tuple[np.ndarray, np.ndarray]:
         """Line cells as a (max_len, n_lines) index matrix, longest lines
         first, plus the per-sweep-step count of still-active lines; the
@@ -304,16 +301,3 @@ def line_family(angle: float, bounds: tuple[int, int]) -> LineFamily:
     height, width = bounds
     return _family_cached(float(angle), int(height), int(width))
 
-
-def line_families(angle: float, bounds: tuple[int, int],
-                  resolution: float = 1.0) -> list[LineScan]:
-    """All scan lines of one heading, each in scan order, covering the grid
-    exactly once."""
-    fam = line_family(angle, bounds)
-    width = bounds[1]
-    w = cell_width(angle, resolution)
-    out = []
-    for cells in fam.iter_lines():
-        coords = [CellCoord(int(f) // width, int(f) % width) for f in cells]
-        out.append(LineScan(fam.angle, coords, w))
-    return out

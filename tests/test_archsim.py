@@ -9,8 +9,9 @@ import pytest
 
 from mimap.archsim import (
     ArchConfig,
+    FEEDBACK_DEPTH,
+    PIPELINE_STAGES,
     EnergyParams,
-    PipelineSpec,
     bank_of,
     energy_of,
     lower_bound_latency,
@@ -74,14 +75,17 @@ def test_bank_of_consecutive_cells_hit_distinct_banks():
 
 
 def test_pipeline_spec_sections():
-    pipe = PipelineSpec()
-    assert pipe.total_stages == 19
-    assert pipe.preprocess == (1, 10)
-    assert pipe.feedback == (11, 18)
-    assert pipe.postprocess == (19, 19)
-    assert pipe.feedback_depth == 8
-    with pytest.raises(ValueError):
-        PipelineSpec(preprocess=(1, 9), feedback=(11, 18))  # gap at stage 10
+    # 19 stages: preprocess 1-10, feedback 11-18, postprocess 19
+    assert (PIPELINE_STAGES, FEEDBACK_DEPTH) == (19, 8)
+    one_core = ArchConfig(n_cores=1)
+    _, rep = simulate(OccupancyGrid.uniform((1, 1)), SensorConfig(1), PARAMS,
+                      one_core, compute_values=False)
+    assert rep.total_cycles == PIPELINE_STAGES + 1
+    # one ray alone: each cell waits out the feedback section of the last
+    _, rep = simulate(OccupancyGrid.uniform((1, 5)), SensorConfig(1), PARAMS,
+                      one_core, compute_values=False)
+    assert rep.total_cycles == 4 * FEEDBACK_DEPTH + PIPELINE_STAGES + 1
+    assert rep.stall_cycles["feedback_wait"] == 4 * (FEEDBACK_DEPTH - 1)
 
 
 def test_energy_params_validation():
@@ -334,3 +338,8 @@ def test_parse_config_errors(tmp_path):
     no_eq.write_text("cores 8\n")
     with pytest.raises(ValueError, match="key = value"):
         parse_config(no_eq)
+    for banks in (0, -2):
+        no_banks = tmp_path / "banks.cfg"
+        no_banks.write_text(f"banks = {banks}\n")
+        with pytest.raises(ValueError, match=f"banks must be >= 1, got {banks}"):
+            parse_config(no_banks)

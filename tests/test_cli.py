@@ -205,6 +205,18 @@ def test_bad_config_line_number(grid_file, tmp_path, capsys):
     assert "bad.cfg:2" in err
 
 
+def test_simulate_rejects_zero_banks(tmp_path, capsys):
+    grid = tmp_path / "g.grid"
+    write_grid(OccupancyGrid.uniform((2, 2)), grid)
+    cfg = tmp_path / "banks.cfg"
+    cfg.write_text("banks = 0\n")
+    code, out, err = run(capsys, "simulate", "--grid", str(grid), "--rays", "4",
+                         "--config", str(cfg))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: banks must be >= 1, got 0\n"
+
+
 def test_sweep_csv(grid_file, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, "sweep", "--grid", str(grid_file), "--rays", "8",

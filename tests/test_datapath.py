@@ -23,14 +23,12 @@ from mimap.datapath import (
 from mimap.grid import (
     CellCoord,
     FcmiParams,
-    LineScan,
-    MIMap,
     OccupancyGrid,
     SensorConfig,
     bresenham_line,
     cell_width,
 )
-from mimap.reference import scan_line
+from mimap.reference import compute_mi_map
 
 GOLDEN = Path(__file__).parent / "goldens"
 
@@ -203,19 +201,15 @@ def test_step_fxp_chain_tracks_float_reference():
     assert n == 201
     resolution = 0.1
     grid = OccupancyGrid(np.array([levels], dtype=np.uint8), resolution)
-    sensor = SensorConfig(60)
-    cells = [CellCoord(0, c) for c in range(n - 1, -1, -1)]  # scan order
-    mi = MIMap(np.zeros((1, n)))
-    scan_line(LineScan(0.0, cells, cell_width(0.0, resolution)), grid, sensor,
-              FcmiParams(), mi)
-    ref = mi.values[0]
+    # one heading (angle 0) sweeps the row once, over the full circle
+    ref = compute_mi_map(grid, SensorConfig(1), FcmiParams()).values[0] / 60
 
     w_raw = fx.encode(cell_width(0.0, resolution))
-    dth_raw = fx.encode(sensor.delta_theta)
+    dth_raw = fx.encode(SensorConfig(60).delta_theta)
     k1 = fx.encode(1.0 - math.log(1e7))
     state = (0, 0, 0, 0)
     out = np.zeros(n)
-    for _, c in cells:
+    for c in range(n - 1, -1, -1):  # scan order
         state = step_expectations_fxp(state, levels[c], w_raw)
         contrib = fx.mul_raw(
             fx.add_raw(state[0], fx.neg_raw(fx.mul_raw(k1, state[1]))), dth_raw

@@ -16,7 +16,6 @@ from mimap.grid import (
     SensorConfig,
     bresenham_line,
     cell_width,
-    line_families,
     line_family,
 )
 from mimap.gridio import (
@@ -179,13 +178,20 @@ def test_family_wrap_units_have_equal_totals():
         assert unit_tot.min() == unit_tot.max() == 33
 
 
+def family_lines(angle, bounds):
+    """The lines of one heading's family as (row, col) lists in scan order."""
+    fam = line_family(angle, bounds)
+    width = bounds[1]
+    return [[divmod(int(f), width) for f in fam.line_cells(i)]
+            for i in range(fam.n_lines)]
+
+
 def test_beam_is_suffix_of_its_family_line():
     angle = math.atan2(3.0, 7.0)
     bounds = (16, 16)
     for start in [(0, 0), (5, 11), (15, 3), (8, 8)]:
         beam = [tuple(c) for c in bresenham_line(CellCoord(*start), angle, bounds).cells]
-        for line in line_families(angle, bounds):
-            cells = [tuple(c) for c in line.cells]
+        for cells in family_lines(angle, bounds):
             if start in cells:
                 # family lines run anti-beam, so the beam reads as a
                 # reversed prefix ending at the pose
@@ -197,11 +203,14 @@ def test_beam_is_suffix_of_its_family_line():
 
 
 def test_scan_lines_cover_grid_and_share_width():
-    lines = line_families(0.3, (9, 13), resolution=0.5)
+    # each line, read as the beam from its last scan cell, is the whole
+    # line and carries the heading's cell width
     seen = set()
-    for line in lines:
-        assert line.cell_width == pytest.approx(cell_width(0.3, 0.5))
-        for cell in line.cells:
+    for cells in family_lines(0.3, (9, 13)):
+        beam = bresenham_line(CellCoord(*cells[-1]), 0.3, (9, 13), resolution=0.5)
+        assert [tuple(c) for c in beam.cells] == cells[::-1]
+        assert beam.cell_width == pytest.approx(cell_width(0.3, 0.5))
+        for cell in cells:
             assert cell not in seen
             seen.add(cell)
     assert len(seen) == 9 * 13

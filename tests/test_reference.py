@@ -1,4 +1,4 @@
-"""Floating-point MI reference: recursion steps, entropies, map sweeps."""
+"""Floating-point MI reference: step coefficients, emission, map sweeps."""
 
 import math
 
@@ -8,108 +8,104 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from mimap.grid import (
-    CellCoord,
-    FcmiParams,
-    LineScan,
-    MIMap,
-    OccupancyGrid,
-    SensorConfig,
-)
-from mimap.reference import (
-    ZERO_STATE,
-    CellParams,
-    ExpectationState,
-    compute_mi_map,
-    entropy_pair,
-    gamma_lower,
-    map_entropy,
-    scan_line,
-    step_expectations,
-)
+from mimap.grid import FcmiParams, OccupancyGrid, SensorConfig
+from mimap.reference import _level_coeffs, compute_mi_map, map_entropy
 
 CAP = FcmiParams()  # lambda cap 1e7
 LN_CAP = CAP.log_lambda_cap
-DTH60 = 2.0 * math.pi / 60.0
+K1 = 1.0 - LN_CAP
+TWO_PI = 2.0 * math.pi  # delta_theta of SensorConfig(1)
+LEVELS = np.arange(1, 100)  # interior occupancy levels
+LAMBDAS = -np.log1p(-LEVELS / 100.0)
+
+
+def apply(row, state):
+    """One recursion step: the affine update ``_level_coeffs`` documents."""
+    a1, b1, a0, b0 = state
+    return (float(row[0] * a1 + row[1] * b1 + row[2] * a0 + row[3] * b0 + row[5]),
+            float(row[0] * b1 + row[2] * b0 + row[6]),
+            float(row[0] * a0 + row[4] * b0 + row[7]),
+            float(row[0] * b0 + row[8]))
+
+
+def line_mi(levels, resolution=1.0):
+    """MI of a 1xN grid under one heading (angle 0): every cell's beam runs
+    toward the last column, so the row is swept from column N-1 to 0."""
+    grid = OccupancyGrid(np.array([levels], dtype=np.uint8), resolution)
+    return compute_mi_map(grid, SensorConfig(1), CAP).values[0]
 
 
 # ---------------------------------------------------------------- gammas
+# Interior rows carry g1 = gamma(1, x) in T8 and g2 / lam = gamma(2, x) / lam
+# in T6, with x = lam * w; g3 = gamma(3, x) enters through T5.
 
 
 def test_gamma_endpoints():
-    assert gamma_lower(1, 0.0) == 0.0
-    assert gamma_lower(2, 0.0) == 0.0
-    assert gamma_lower(3, 0.0) == 0.0
-    # complete-gamma limits: (s-1)!
-    assert gamma_lower(1, 50.0) == pytest.approx(1.0, rel=1e-15)
-    assert gamma_lower(2, 50.0) == pytest.approx(1.0, rel=1e-15)
-    assert gamma_lower(3, 50.0) == pytest.approx(2.0, rel=1e-15)
+    # lam -> 0 (the free row): every gamma term vanishes
+    np.testing.assert_array_equal(_level_coeffs(0.7, CAP)[0, 5:], 0.0)
+    # complete-gamma limits (s-1)!: x >= 50 on every interior level
+    t = _level_coeffs(5e3, CAP)[1:100]
+    ln_lam = np.log(LAMBDAS)
+    np.testing.assert_allclose(t[:, 8], 1.0, rtol=1e-15)
+    np.testing.assert_allclose(t[:, 6] * LAMBDAS, 1.0, rtol=1e-15)
+    np.testing.assert_allclose(t[:, 7], 1.0 - ln_lam, rtol=1e-15)
+    np.testing.assert_allclose(t[:, 5], (2.0 - ln_lam) / LAMBDAS, rtol=1e-15)
 
 
 def test_gamma_closed_forms_match_quadrature():
-    assert gamma_lower(1, 1.0) == pytest.approx(0.632120559, abs=1e-9)
-    assert gamma_lower(2, 1.0) == pytest.approx(0.264241118, abs=1e-9)
-    for s in (1, 2, 3):
-        for x in (0.01, 0.5, 1.0, 3.0, 7.5, 20.0):
-            assert gamma_lower(s, x) == pytest.approx(
-                oracles.quad_gamma_lower(s, x), rel=1e-12, abs=1e-13
-            )
+    lam = LAMBDAS[49]  # level 50; this width puts it at x = 1
+    t = _level_coeffs(1.0 / lam, CAP)[50]
+    assert t[8] == pytest.approx(0.632120559, abs=1e-9)
+    assert t[6] * lam == pytest.approx(0.264241118, abs=1e-9)
+    for w in (0.05, 0.1, 1.5, 4.0):
+        t = _level_coeffs(w, CAP)
+        for level, lam in zip(LEVELS, LAMBDAS):
+            x = lam * w
+            g1, g2, g3 = (oracles.quad_gamma_lower(s, x) for s in (1, 2, 3))
+            ln_lam = math.log(lam)
+            want = {8: g1, 6: g2 / lam, 7: g2 - g1 * ln_lam, 5: (g3 - g2 * ln_lam) / lam}
+            for col, value in want.items():
+                assert t[level, col] == pytest.approx(value, rel=1e-12, abs=1e-13)
 
 
-def test_gamma_domain_errors():
-    with pytest.raises(ValueError):
-        gamma_lower(4, 1.0)
-    with pytest.raises(ValueError):
-        gamma_lower(1, -0.5)
-
-
-@given(st.integers(1, 3), st.floats(0.0, 30.0), st.floats(0.0, 30.0))
-def test_gamma_monotone_in_x(s, x, y):
-    lo, hi = sorted((x, y))
-    assert gamma_lower(s, lo) <= gamma_lower(s, hi) + 1e-15
+@given(st.floats(0.01, 30.0))
+def test_gamma_monotone_in_x(width):
+    # x = lam * width grows with the level, and so must gamma(s, x)
+    t = _level_coeffs(width, CAP)[1:100]
+    assert np.all(np.diff(t[:, 8]) >= -1e-15)
+    assert np.all(np.diff(t[:, 6] * LAMBDAS) >= -1e-15)
 
 
 # ---------------------------------------------------------------- recursion
 
 
 def test_step_free_cell_closed_form():
-    prev = ExpectationState(0.25, 0.5, -1.5, 2.0)
-    cell = CellParams.from_probability(0.0, 0.7)
-    out = step_expectations(prev, cell)
-    assert out == ExpectationState(0.25 + 0.7 * -1.5, 0.5 + 0.7 * 2.0, -1.5, 2.0)
-
-
-def test_step_free_limit_is_continuous():
-    # lambda -> 0+: outputs converge on the o=0 closed form
-    prev = ExpectationState(0.25, 0.5, -1.5, 2.0)
-    free = np.array(step_expectations(prev, CellParams.from_probability(0.0, 0.7)))
-
-    def gap(o):
-        out = step_expectations(prev, CellParams.from_probability(o, 0.7))
-        return float(np.abs(np.array(out) - free).max())
-
-    tiny = -math.expm1(-1e-9)  # lambda = 1e-9 exactly
-    assert gap(tiny) < 1e-7
-    assert gap(tiny) < gap(0.0001) < gap(0.001) < 0.05
+    row = _level_coeffs(0.7, CAP)[0]
+    np.testing.assert_array_equal(row, [1.0, 0.0, 0.7, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    out = apply(row, (0.25, 0.5, -1.5, 2.0))
+    assert out == (0.25 + 0.7 * -1.5, 0.5 + 0.7 * 2.0, -1.5, 2.0)
 
 
 def test_step_occupied_cell_erases_history():
-    for prev in (ZERO_STATE, ExpectationState(9.0, 9.0, 9.0, 9.0)):
-        out = step_expectations(prev, CellParams.from_probability(1.0, 1.0), CAP)
-        assert out.a1 == pytest.approx((2.0 - LN_CAP) / 1e7, rel=1e-12)
-        assert out.a1 == pytest.approx(-1.4118e-6, abs=1e-10)
-        assert out.b1 == 1e-7
-        assert out.a0 == pytest.approx(1.0 - LN_CAP, rel=1e-12)
-        assert out.a0 == pytest.approx(-15.1181, abs=1e-4)
-        assert out.b0 == 1.0
+    row = _level_coeffs(1.0, CAP)[100]
+    np.testing.assert_array_equal(row[:5], 0.0)
+    for prev in ((0.0, 0.0, 0.0, 0.0), (9.0, 9.0, 9.0, 9.0)):
+        a1, b1, a0, b0 = apply(row, prev)
+        assert a1 == pytest.approx((2.0 - LN_CAP) / 1e7, rel=1e-12)
+        assert a1 == pytest.approx(-1.4118e-6, abs=1e-10)
+        assert b1 == 1e-7
+        assert a0 == pytest.approx(1.0 - LN_CAP, rel=1e-12)
+        assert a0 == pytest.approx(-15.1181, abs=1e-4)
+        assert b0 == 1.0
 
 
 def test_step_half_occupied_from_zero():
-    out = step_expectations(ZERO_STATE, CellParams.from_probability(0.5, 1.0))
+    out = apply(_level_coeffs(1.0, CAP)[50], (0.0, 0.0, 0.0, 0.0))
     lam = math.log(2.0)
-    assert out.b0 == pytest.approx(gamma_lower(1, lam), rel=1e-15)
-    assert out.b0 == pytest.approx(0.5, rel=1e-12)
-    assert out.b1 == pytest.approx(gamma_lower(2, lam) / lam, rel=1e-14)
+    e = math.exp(-lam)
+    assert out[3] == pytest.approx(1.0 - e, rel=1e-15)  # gamma(1, lam)
+    assert out[3] == pytest.approx(0.5, rel=1e-12)
+    assert out[1] == pytest.approx((1.0 - e * (1.0 + lam)) / lam, rel=1e-14)
     mp_out = oracles.mp_step((0, 0, 0, 0), oracles.mpmath.mpf(1) / 2, 1)
     for got, want in zip(out, mp_out):
         assert got == pytest.approx(float(want), rel=1e-13)
@@ -119,12 +115,11 @@ def test_step_matches_mp_oracle_along_random_chains(rng):
     for _ in range(5):
         levels = rng.integers(0, 101, size=12)
         w = float(rng.uniform(0.05, 1.5))
-        state = ZERO_STATE
+        coeffs = _level_coeffs(w, CAP)
+        state = (0.0, 0.0, 0.0, 0.0)
         mp_state = (0, 0, 0, 0)
         for lv in levels:
-            state = step_expectations(
-                state, CellParams.from_level(int(lv), w, CAP), CAP
-            )
+            state = apply(coeffs[lv], state)
             mp_state = oracles.mp_step(mp_state, oracles.mpmath.mpf(int(lv)) / 100, w)
             for got, want in zip(state, mp_state):
                 assert got == pytest.approx(float(want), rel=1e-11, abs=1e-18)
@@ -135,98 +130,76 @@ def test_step_matches_mp_oracle_along_random_chains(rng):
     st.floats(0.01, 2.0),
 )
 def test_beta_terms_stay_nonnegative(levels, width):
-    state = ZERO_STATE
+    coeffs = _level_coeffs(width, CAP)
+    state = (0.0, 0.0, 0.0, 0.0)
     for lv in levels:
-        state = step_expectations(state, CellParams.from_level(lv, width, CAP), CAP)
-        assert state.b0 >= 0.0
-        assert state.b1 >= 0.0
+        state = apply(coeffs[lv], state)
+        assert state[3] >= 0.0
+        assert state[1] >= 0.0
         assert all(math.isfinite(v) for v in state)
 
 
-def test_cell_params_validation():
-    with pytest.raises(ValueError):
-        CellParams.from_probability(1.5, 1.0)
-    cell = CellParams.from_probability(0.3, 0.25)
-    assert cell.lam == pytest.approx(-math.log1p(-0.3), rel=1e-15)
-    assert cell.lam_m == cell.lam  # below the cap
-    assert CellParams.from_probability(1.0, 1.0).lam_m == CAP.lambda_cap
-
-
 # ---------------------------------------------------------------- entropies
+# Each cell emits H - H_cond = (a1 - (1 - ln cap) * b1) * delta_theta.
 
 
 def test_entropy_pair_zero_state():
-    assert entropy_pair(ZERO_STATE, SensorConfig(60), CAP) == (0.0, 0.0)
+    # a free cell with nothing beyond it leaves the state at zero: H = H_cond = 0
+    assert line_mi([0]).tolist() == [0.0]
 
 
 def test_entropy_pair_conditional_term():
-    state = ExpectationState(0.0, 1e-7, 0.0, 0.0)
-    h, h_cond = entropy_pair(state, SensorConfig(60), CAP)
-    assert h == 0.0
-    assert h_cond == pytest.approx((1.0 - LN_CAP) * 1e-7 * DTH60, rel=1e-15)
-    assert h_cond == pytest.approx(-1.5832e-7, abs=1e-11)
+    # an Nx1 grid at angle 0 is N one-cell lines, so every cell emits the
+    # constant terms of its level's row: H = C1 * dth, H_cond = K1 * C2 * dth
+    grid = OccupancyGrid(np.arange(101, dtype=np.uint8)[:, None], resolution=0.3)
+    got = compute_mi_map(grid, SensorConfig(1), CAP).values[:, 0]
+    t = _level_coeffs(0.3, CAP)
+    np.testing.assert_array_equal(got, (t[:, 5] - K1 * t[:, 6]) * TWO_PI)
+    h_cond = K1 * t[100, 6] * TWO_PI
+    assert h_cond == pytest.approx(K1 * 1e-7 * TWO_PI, rel=1e-15)
+    assert h_cond == pytest.approx(-9.4990e-6, abs=6e-10)
 
 
 def test_occupied_cell_mi_is_dtheta_over_cap():
-    state = step_expectations(ZERO_STATE, CellParams.from_probability(1.0, 1.0), CAP)
-    h, h_cond = entropy_pair(state, SensorConfig(60), CAP)
-    assert h - h_cond == pytest.approx(DTH60 / 1e7, rel=1e-12)
-    assert h - h_cond == pytest.approx(1.0472e-8, abs=1e-12)
+    mi = line_mi([100])[0]
+    assert mi == pytest.approx(TWO_PI / 1e7, rel=1e-12)
+    assert mi == pytest.approx(6.2832e-7, abs=6e-11)
 
 
 # ---------------------------------------------------------------- line sweeps
 
 
-def _line(cells, angle=0.0, resolution=1.0):
-    from mimap.grid import cell_width
-
-    return LineScan(angle, [CellCoord(*c) for c in cells], cell_width(angle, resolution))
-
-
 def test_scan_line_all_free_stays_zero():
-    grid = OccupancyGrid(np.zeros((1, 8), dtype=np.uint8))
-    mi = MIMap(np.zeros((1, 8)))
-    scan_line(_line([(0, c) for c in range(8)]), grid, SensorConfig(60), CAP, mi)
-    np.testing.assert_array_equal(mi.values, 0.0)
+    np.testing.assert_array_equal(line_mi([0] * 8), 0.0)
 
 
 def test_scan_line_single_occupied_cell():
-    grid = OccupancyGrid(np.array([[100]], dtype=np.uint8))
-    mi = MIMap(np.zeros((1, 1)))
-    scan_line(_line([(0, 0)]), grid, SensorConfig(60), CAP, mi)
-    assert mi.values[0, 0] == pytest.approx(DTH60 / 1e7, rel=1e-12)
+    # the cells beyond the wall see only free space; the wall emits dth / cap
+    mi = line_mi([100, 0, 0, 0])
+    np.testing.assert_array_equal(mi[1:], 0.0)
+    assert mi[0] == pytest.approx(TWO_PI / 1e7, rel=1e-12)
 
 
 def test_scan_line_three_cells_match_unrolled_oracle():
-    grid = OccupancyGrid(np.full((1, 3), 50, dtype=np.uint8), resolution=0.1)
-    mi = MIMap(np.zeros((1, 3)))
-    scan_line(_line([(0, 2), (0, 1), (0, 0)], resolution=0.1), grid,
-              SensorConfig(60), CAP, mi)
+    mi = line_mi([50, 50, 50], resolution=0.1)
     mp_state = (0, 0, 0, 0)
     w = oracles.mpmath.mpf(1) / 10
     half = oracles.mpmath.mpf(1) / 2
     for col in (2, 1, 0):
         mp_state = oracles.mp_step(mp_state, half, w)
         a1, b1 = mp_state[0], mp_state[1]
-        want = float((a1 - (1 - oracles.mpmath.log(1e7)) * b1) * DTH60)
-        assert mi.values[0, col] == pytest.approx(want, rel=1e-12)
+        want = float((a1 - (1 - oracles.mpmath.log(1e7)) * b1) * TWO_PI)
+        assert mi[col] == pytest.approx(want, rel=1e-12)
 
 
 def test_scan_order_locality():
     # contributions already emitted must not depend on cells folded later
     rng = np.random.default_rng(7)
-    levels = rng.integers(0, 101, size=(1, 10), dtype=np.uint8)
-    cells = [(0, c) for c in range(9, -1, -1)]  # scan order, beam points +x
-
-    def sweep(lv):
-        mi = MIMap(np.zeros((1, 10)))
-        scan_line(_line(cells), OccupancyGrid(lv), SensorConfig(60), CAP, mi)
-        return mi.values[0]
-
-    base = sweep(levels)
+    levels = rng.integers(0, 101, size=10)
+    base = line_mi(levels)
     mutated = levels.copy()
-    mutated[0, 4] = 100 - mutated[0, 4]
-    changed = sweep(mutated)
+    mutated[4] = 100 - mutated[4]
+    changed = line_mi(mutated)
     np.testing.assert_array_equal(changed[5:], base[5:])  # beyond the mutation
     assert np.any(changed[:5] != base[:5])
 
