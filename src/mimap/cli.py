@@ -47,6 +47,8 @@ def _cmd_mi(args) -> int:
         mi = compute_mi_map(grid, sensor, FcmiParams())
     else:
         mi = compute_mi_map_fxp(grid, sensor, FcmiParams())
+    if mi.saturations:
+        print(f"warning: {mi.saturations} saturations", file=sys.stderr)
     values = mi.normalized() if args.normalize else mi.values
     write_mi_map(MIMap(values, mi.resolution), args.out)
     if args.pgm:

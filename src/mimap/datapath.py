@@ -11,10 +11,17 @@ The dataflow mirrors the hardware split:
                 read-modify-write into the MI accumulator
 
 Preprocess outputs depend only on (occupancy level, heading), so the map
-engine computes them once per level per heading with the scalar ops and
-streams the feedback/postprocess over whole line families; every array op
-carries the exact scalar rounding semantics, keeping the vector path
-bit-identical to chaining ``step_expectations_fxp`` cell by cell.
+engine computes them once per level per heading with the scalar ops into
+one table keyed by ``heading*101 + level``.  It then runs feedback and
+postprocess over blocks of consecutive headings (``grid.lane_blocks``),
+every scan line of a block one lane of a single step loop, much as the
+hardware interleaves independent rays through one pipeline.  Each
+(heading, cell) contribution waits in its own slot of a block buffer
+until the block is done; the buffer is then added into the accumulator
+one heading at a time, in heading order.  Every array op carries the
+exact scalar rounding semantics and every cell sums in heading order, so
+the map is bit-identical, saturation events included, to chaining
+``step_expectations_fxp`` cell by cell and heading by heading.
 """
 
 import math
@@ -25,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fixedpoint as fx
-from .grid import FcmiParams, MIMap, OccupancyGrid, SensorConfig, cell_width, line_family
+from .grid import FcmiParams, MIMap, OccupancyGrid, SensorConfig, cell_width, lane_blocks
 
 PWL_SEGMENTS = 16
 PWL_LO = -8.0
@@ -220,47 +227,58 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
                        params: FcmiParams = FcmiParams()) -> MIMap:
     """Map-wide MI on the fixed-point datapath; accumulator also Q20.12.
 
-    Sweeps the same line families as the reference engine, with every
-    arithmetic op replaced by the saturating fixed-point primitives.  The
-    returned map carries both the raw accumulator words and their decoded
-    float values.
+    Sweeps the same heading blocks as the reference engine, with every
+    arithmetic op replaced by the saturating fixed-point primitives; each
+    lane takes its heading's preprocess rows and cell width.  The block
+    buffer is folded into the accumulator with ``arr_add`` one heading at a
+    time, in heading order, so every cell saturates exactly where a sweep
+    of one heading after another would.  The returned map carries the raw
+    accumulator words, their decoded float values and the number of
+    saturation events of the call.
     """
+    sat0 = fx.saturation_count()
     height, width = grid.shape
-    levels_flat = grid.levels.reshape(-1).astype(np.int64)
-    mi_flat = np.zeros(height * width, dtype=np.int64)
+    n_cells = height * width
+    levels_flat = grid.levels.reshape(-1)
+    w_raws = np.array([fx.encode(cell_width(float(a), grid.resolution))
+                       for a in sensor.angles], dtype=np.int64)
+    # (6, headings*101), key heading*101 + level
+    rows = np.concatenate([_level_rows(int(w), params) for w in w_raws]).T.copy()
+    mi_flat = np.zeros(n_cells, dtype=np.int64)
     _, _, consts = _tables_cached(params.lambda_cap)
     k1 = np.int64(consts.k1)
     dth_raw = np.int64(fx.encode(sensor.delta_theta))
-    for angle in sensor.angles:
-        fam = line_family(float(angle), (height, width))
-        w_raw = fx.encode(cell_width(float(angle), grid.resolution))
-        rows = _level_rows(w_raw, params)
-        w_arr = np.int64(w_raw)
-        idx, active = fam.lanes()
-        n_lines = idx.shape[1]
-        a1 = np.zeros(n_lines, dtype=np.int64)
-        b1 = np.zeros(n_lines, dtype=np.int64)
-        a0 = np.zeros(n_lines, dtype=np.int64)
-        b0 = np.zeros(n_lines, dtype=np.int64)
-        for t in range(idx.shape[0]):
-            na = int(active[t])
-            ix = idx[t, :na]
-            rr = rows[levels_flat[ix]]
-            e, x, c1, c2, c3, c4 = (rr[:, 0], rr[:, 1], rr[:, 2],
-                                    rr[:, 3], rr[:, 4], rr[:, 5])
+    for block in lane_blocks(sensor.angles, grid.shape):
+        lane_key = 101 * block.lane_heading
+        lane_w = w_raws[block.lane_heading]
+        buf = np.empty(len(block.cells), dtype=np.int32)  # saturated words fit
+        n_lanes = len(block.lane_start)
+        a1 = np.zeros(n_lanes, dtype=np.int64)
+        b1 = np.zeros(n_lanes, dtype=np.int64)
+        a0 = np.zeros(n_lanes, dtype=np.int64)
+        b0 = np.zeros(n_lanes, dtype=np.int64)
+        for t, na in enumerate(block.active.tolist()):
+            pos = block.lane_start[:na] + t
+            e, x, c1, c2, c3, c4 = rows[:, lane_key[:na] + levels_flat[block.cells[pos]]]
+            w = lane_w[:na]
             pa1, pb1, pa0, pb0 = a1[:na], b1[:na], a0[:na], b0[:na]
             t_a1 = fx.arr_add(pa1, fx.arr_mul(x, pb1))
             t_a0 = fx.arr_add(pa0, fx.arr_mul(x, pb0))
-            t_b1 = fx.arr_add(pb1, fx.arr_mul(w_arr, pb0))
-            na1 = fx.arr_add(fx.arr_mul(e, fx.arr_add(t_a1, fx.arr_mul(w_arr, t_a0))), c1)
+            t_b1 = fx.arr_add(pb1, fx.arr_mul(w, pb0))
+            na1 = fx.arr_add(fx.arr_mul(e, fx.arr_add(t_a1, fx.arr_mul(w, t_a0))), c1)
             nb1 = fx.arr_add(fx.arr_mul(e, t_b1), c2)
             na0 = fx.arr_add(fx.arr_mul(e, t_a0), c3)
             nb0 = fx.arr_add(fx.arr_mul(e, pb0), c4)
             a1[:na], b1[:na], a0[:na], b0[:na] = na1, nb1, na0, nb0
-            contrib = fx.arr_mul(fx.arr_sub(na1, fx.arr_mul(k1, nb1)), dth_raw)
-            mi_flat[ix] = fx.arr_add(mi_flat[ix], contrib)
+            buf[pos] = fx.arr_mul(fx.arr_sub(na1, fx.arr_mul(k1, nb1)), dth_raw)
+        for k in range(block.n_headings):
+            at = slice(k * n_cells, (k + 1) * n_cells)
+            cells = block.cells[at]
+            mi_flat[cells] = fx.arr_add(mi_flat[cells], buf[at])
+        del block, buf  # free them before the next block is built
     raw = mi_flat.reshape(height, width).astype(np.int32)
-    return MIMap(raw.astype(np.float64) / fx.SCALE, grid.resolution, raw=raw)
+    return MIMap(raw.astype(np.float64) / fx.SCALE, grid.resolution, raw=raw,
+                 saturations=fx.saturation_count() - sat0)
 
 
 def dump_tables(params: FcmiParams = FcmiParams()) -> str:

@@ -20,11 +20,14 @@ discretization, which is what makes suffix sharing exact.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-OCC_LEVELS = 101  # occupancy stored as integer percent, 0..100
+# Cells per heading block of the map engines' sweep.  A block's buffers
+# hold a few words per cell, so this bounds their memory; larger blocks
+# mean fewer, longer steps of the sweep loop.
+LANE_BLOCK_CELLS = 1 << 19
 
 
 class CellCoord(NamedTuple):
@@ -99,14 +102,6 @@ class OccupancyGrid:
     def shape(self) -> tuple[int, int]:
         return self.levels.shape
 
-    @property
-    def height(self) -> int:
-        return self.levels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.levels.shape[1]
-
     def probabilities(self) -> np.ndarray:
         return self.levels.astype(np.float64) / 100.0
 
@@ -121,11 +116,14 @@ class MIMap:
 
     ``raw`` carries the Q20.12 accumulator words when the map came off the
     fixed-point path; it is None for the floating-point reference.
+    ``saturations`` counts the fixed-point saturation events of the call
+    that made the map; a map with any was clipped somewhere.
     """
 
     values: np.ndarray
     resolution: float = 1.0
     raw: np.ndarray | None = None
+    saturations: int = 0
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -249,22 +247,6 @@ class LineFamily:
     def line_lengths(self) -> np.ndarray:
         return np.diff(self.seg_start)
 
-    def lanes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Line cells as a (max_len, n_lines) index matrix, longest lines
-        first, plus the per-sweep-step count of still-active lines; the
-        engines sweep all lines of the family as lanes of this matrix.
-        Built on each call, not cached: held for every heading of a large
-        map it would cost more memory than it saves time."""
-        lengths = self.line_lengths()
-        order = np.argsort(-lengths, kind="stable")
-        max_len = int(lengths[order[0]])
-        idx = np.zeros((max_len, len(order)), dtype=np.int64)
-        for j, i in enumerate(order):
-            cells = self.line_cells(int(i))
-            idx[:len(cells), j] = cells
-        active = np.searchsorted(-lengths[order], -np.arange(max_len), side="left")
-        return idx, active
-
 
 @lru_cache(maxsize=512)
 def _family_cached(angle: float, height: int, width: int) -> LineFamily:
@@ -293,7 +275,7 @@ def _family_cached(angle: float, height: int, width: int) -> LineFamily:
     segs_per_unit = brk.sum(axis=1)
     unit_first_seg = np.concatenate(([0], np.cumsum(segs_per_unit))).astype(np.int64)
     return LineFamily(angle, (height, width), major_is_col, step, slope,
-                      np.ascontiguousarray(flat.ravel(), dtype=np.int64),
+                      np.ascontiguousarray(flat.ravel(), dtype=np.int32),
                       seg_start, unit_first_seg, seg_phase)
 
 
@@ -301,3 +283,48 @@ def line_family(angle: float, bounds: tuple[int, int]) -> LineFamily:
     height, width = bounds
     return _family_cached(float(angle), int(height), int(width))
 
+
+class LaneBlock(NamedTuple):
+    """Consecutive headings laid out as one set of lanes for the engines.
+
+    ``cells`` concatenates the ``line_family`` cells of headings
+    ``first .. first + n_headings - 1``, H*W of them per heading, so each
+    (heading, cell) pair of the block has one position p in it, with
+    heading ``first + p // (H*W)``.  Every line of those families is a
+    lane: lane j of heading ``lane_heading[j]`` reads
+    ``cells[lane_start[j] + t]`` at sweep step t.  Lanes run longest
+    first, so the lanes still active at step t are the first ``active[t]``.
+    """
+
+    first: int
+    n_headings: int
+    cells: np.ndarray
+    lane_start: np.ndarray
+    lane_heading: np.ndarray
+    active: np.ndarray
+
+
+def lane_blocks(angles, bounds: tuple[int, int]) -> Iterator[LaneBlock]:
+    """The headings at ``angles`` in consecutive blocks of at most
+    ``LANE_BLOCK_CELLS`` cells (at least one heading each), in heading
+    order.  Each block is built when it is asked for, so a caller that
+    drops a block before taking the next holds one at a time."""
+    n_cells = int(bounds[0]) * int(bounds[1])
+    per = max(1, LANE_BLOCK_CELLS // n_cells)
+    for first in range(0, len(angles), per):
+        yield _lane_block(angles[first:first + per], first, bounds)
+
+
+def _lane_block(angles, first: int, bounds: tuple[int, int]) -> LaneBlock:
+    fams = [line_family(float(a), bounds) for a in angles]
+    n_cells = int(bounds[0]) * int(bounds[1])
+    lengths = np.concatenate([f.line_lengths() for f in fams])
+    starts = np.concatenate([f.seg_start[:-1] + k * n_cells
+                             for k, f in enumerate(fams)])
+    headings = np.repeat(np.arange(first, first + len(fams)),
+                         [f.n_lines for f in fams])
+    order = np.argsort(-lengths, kind="stable")
+    by_length = lengths[order]
+    active = np.searchsorted(-by_length, -np.arange(by_length[0]), side="left")
+    return LaneBlock(first, len(fams), np.concatenate([f.cells for f in fams]),
+                     starts[order], headings[order], active)

@@ -24,7 +24,7 @@ exactly once, here.
 import numpy as np
 
 from .grid import (FcmiParams, MIMap, OccupancyGrid, SensorConfig, cell_width,
-                   line_family)
+                   lane_blocks)
 
 __all__ = ["compute_mi_map", "map_entropy"]
 
@@ -76,35 +76,45 @@ def compute_mi_map(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
                    params: FcmiParams = FcmiParams()) -> MIMap:
     """Map-wide MI: every heading's line family swept once, H*W*rays visits.
 
-    Vectorized across the lines of each family: each sweep step applies
-    the ``_level_coeffs`` row of every lane's cell as one affine update.
+    Headings are swept in blocks (``lane_blocks``): every line of a block
+    is a lane of one step loop, and each step applies, to every active
+    lane, the ``_level_coeffs`` row of its heading and its cell's level as
+    one affine update.  Each (heading, cell) contribution goes to its own
+    slot of a block buffer, which is then added into the map one heading
+    at a time, in heading order, so each cell sums its contributions in
+    the same order as a sweep of one heading after another.
     """
     height, width = grid.shape
-    levels_flat = grid.levels.reshape(-1).astype(np.int64)
-    mi_flat = np.zeros(height * width)
+    n_cells = height * width
+    levels_flat = grid.levels.reshape(-1)
+    # (9, headings*101), key heading*101 + level
+    coeffs = np.concatenate([_level_coeffs(cell_width(float(a), grid.resolution), params)
+                             for a in sensor.angles]).T.copy()
+    mi_flat = np.zeros(n_cells)
     k1 = 1.0 - params.log_lambda_cap
     dth = sensor.delta_theta
-    for angle in sensor.angles:
-        fam = line_family(float(angle), (height, width))
-        w = cell_width(float(angle), grid.resolution)
-        coeffs = _level_coeffs(w, params)
-        idx, active = fam.lanes()
-        n_lines = idx.shape[1]
-        a1 = np.zeros(n_lines)
-        b1 = np.zeros(n_lines)
-        a0 = np.zeros(n_lines)
-        b0 = np.zeros(n_lines)
-        for t in range(idx.shape[0]):
-            na = int(active[t])
-            ix = idx[t, :na]
-            tt = coeffs[levels_flat[ix]]
+    for block in lane_blocks(sensor.angles, grid.shape):
+        lane_key = 101 * block.lane_heading
+        buf = np.empty(len(block.cells))
+        n_lanes = len(block.lane_start)
+        a1 = np.zeros(n_lanes)
+        b1 = np.zeros(n_lanes)
+        a0 = np.zeros(n_lanes)
+        b0 = np.zeros(n_lanes)
+        for t, na in enumerate(block.active.tolist()):
+            pos = block.lane_start[:na] + t
+            tt = coeffs[:, lane_key[:na] + levels_flat[block.cells[pos]]]
             pa1, pb1, pa0, pb0 = a1[:na], b1[:na], a0[:na], b0[:na]
-            n_a1 = tt[:, 0] * pa1 + tt[:, 1] * pb1 + tt[:, 2] * pa0 + tt[:, 3] * pb0 + tt[:, 5]
-            n_b1 = tt[:, 0] * pb1 + tt[:, 2] * pb0 + tt[:, 6]
-            n_a0 = tt[:, 0] * pa0 + tt[:, 4] * pb0 + tt[:, 7]
-            n_b0 = tt[:, 0] * pb0 + tt[:, 8]
+            n_a1 = tt[0] * pa1 + tt[1] * pb1 + tt[2] * pa0 + tt[3] * pb0 + tt[5]
+            n_b1 = tt[0] * pb1 + tt[2] * pb0 + tt[6]
+            n_a0 = tt[0] * pa0 + tt[4] * pb0 + tt[7]
+            n_b0 = tt[0] * pb0 + tt[8]
             a1[:na], b1[:na], a0[:na], b0[:na] = n_a1, n_b1, n_a0, n_b0
-            mi_flat[ix] += (n_a1 - k1 * n_b1) * dth
+            buf[pos] = (n_a1 - k1 * n_b1) * dth
+        for k in range(block.n_headings):
+            at = slice(k * n_cells, (k + 1) * n_cells)
+            mi_flat[block.cells[at]] += buf[at]
+        del block, buf  # free them before the next block is built
     return MIMap(mi_flat.reshape(height, width), grid.resolution)
 
 

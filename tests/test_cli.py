@@ -103,6 +103,26 @@ def test_mi_fxp_rejects_resolution_beyond_the_datapath(tmp_path, capsys):
     assert err.startswith("error: cannot encode") and "Traceback" not in err
 
 
+def test_mi_fxp_warns_of_saturation_on_stderr_only(tmp_path, capsys, rng):
+    grid = OccupancyGrid(rng.integers(0, 101, size=(9, 13), dtype=np.uint8), 1e9)
+    g = tmp_path / "wide.grid"
+    write_grid(grid, g)
+    out, want = tmp_path / "m.mimap", tmp_path / "want.mimap"
+    code, stdout, err = run(capsys, "mi-fxp", "--grid", str(g), "--rays", "10",
+                            "--out", str(out))
+    mi = compute_mi_map_fxp(read_grid(g), SensorConfig(10))
+    assert code == EXIT_OK and mi.saturations > 0
+    assert err == f"warning: {mi.saturations} saturations\n" and stdout == ""
+    write_mi_map(mi, want)
+    assert out.read_bytes() == want.read_bytes()
+
+
+def test_mi_fxp_on_bundled_snapshot_is_silent(data_dir, tmp_path, capsys):
+    code, stdout, err = run(capsys, "mi-fxp", "--grid", str(data_dir / "explore_a.grid"),
+                            "--out", str(tmp_path / "m.mimap"))
+    assert code == EXIT_OK and stdout == "" and err == ""
+
+
 def test_mi_outputs_are_byte_identical(grid_file, tmp_path, capsys):
     a, b = tmp_path / "a.mimap", tmp_path / "b.mimap"
     for path in (a, b):

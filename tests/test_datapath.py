@@ -266,8 +266,21 @@ def test_map_fxp_matches_scalar_beam_chain(make_grid, shape, rays):
 
 def test_map_fxp_no_saturation_at_map_scale(make_grid):
     fx.reset_saturation()
-    compute_mi_map_fxp(make_grid(21, 21), SensorConfig(16))
+    mi = compute_mi_map_fxp(make_grid(21, 21), SensorConfig(16))
     assert fx.saturation_count() == 0
+    assert mi.saturations == 0
+
+
+def test_map_fxp_reports_its_own_saturations(make_grid):
+    # at 1e9 m per cell the widths clip; each map counts only its own call
+    grid = make_grid(9, 13, resolution=1e9)
+    sat0 = fx.saturation_count()
+    first = compute_mi_map_fxp(grid, SensorConfig(10))
+    second = compute_mi_map_fxp(grid, SensorConfig(10))
+    assert first.saturations > 0
+    assert second.saturations == first.saturations
+    assert fx.saturation_count() - sat0 == 2 * first.saturations
+    assert compute_mi_map(grid, SensorConfig(10)).saturations == 0
 
 
 def test_map_fxp_values_decode_raw(make_grid):

@@ -4,9 +4,12 @@ import hashlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import mimap.fixedpoint as fx
+from mimap import grid as grid_module
 from mimap.datapath import compute_mi_map_fxp
-from mimap.grid import OccupancyGrid, SensorConfig
+from mimap.grid import OccupancyGrid, SensorConfig, lane_blocks
 from mimap.gridio import read_grid
 from mimap.reference import compute_mi_map
 
@@ -19,9 +22,11 @@ RANDOM_CASES = (  # (seed, shape, rays): full-range levels at 0.1 m
 )
 
 
-def random_grid(seed: int, shape: tuple[int, int]) -> OccupancyGrid:
+def random_grid(seed: int, shape: tuple[int, int],
+                resolution: float = 0.1) -> OccupancyGrid:
     rng = np.random.default_rng(seed)
-    return OccupancyGrid(rng.integers(0, 101, size=shape, dtype=np.uint8), 0.1)
+    return OccupancyGrid(rng.integers(0, 101, size=shape, dtype=np.uint8),
+                         resolution)
 
 
 def golden_cases(data_dir):
@@ -47,3 +52,25 @@ def golden_digests(data_dir) -> str:
 def test_engine_outputs_match_golden(data_dir):
     # pins every bit: a reordered float sum or a moved saturation shows here
     assert golden_digests(data_dir) == GOLDEN_DIGESTS.read_text()
+
+
+@pytest.mark.parametrize("shape,rays,resolution", [
+    ((3, 40), 13, 0.1), ((17, 9), 7, 0.1), ((1, 11), 6, 0.1), ((11, 1), 5, 0.1),
+    ((9, 13), 10, 1e9),  # widths this large saturate the datapath
+])
+def test_block_size_leaves_outputs_unchanged(monkeypatch, shape, rays, resolution):
+    # one heading per block, three (with a shorter last block), all at once
+    grid = random_grid(5, shape, resolution)
+    sensor = SensorConfig(rays)
+    n_cells = shape[0] * shape[1]
+    runs = []
+    for per_block in (1, 3, rays):
+        monkeypatch.setattr(grid_module, "LANE_BLOCK_CELLS", per_block * n_cells)
+        assert len(list(lane_blocks(sensor.angles, shape))) == -(-rays // per_block)
+        sat0 = fx.saturation_count()
+        fxp = compute_mi_map_fxp(grid, sensor)
+        assert fxp.saturations == fx.saturation_count() - sat0
+        runs.append((compute_mi_map(grid, sensor).values.tobytes(),
+                     fxp.raw.tobytes(), fxp.saturations))
+    assert runs[0] == runs[1] == runs[2]
+    assert (runs[0][2] > 0) == (resolution == 1e9)

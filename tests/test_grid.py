@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from mimap import grid as grid_module
 from mimap.grid import (
     CellCoord,
     FcmiParams,
@@ -16,6 +17,7 @@ from mimap.grid import (
     SensorConfig,
     bresenham_line,
     cell_width,
+    lane_blocks,
     line_family,
 )
 from mimap.gridio import (
@@ -176,6 +178,31 @@ def test_family_wrap_units_have_equal_totals():
         fam = line_family(angle, (33, 33))
         unit_tot = np.add.reduceat(fam.line_lengths(), fam.unit_first_seg[:-1])
         assert unit_tot.min() == unit_tot.max() == 33
+
+
+def test_lane_blocks_lay_out_every_line_of_every_heading(monkeypatch):
+    bounds, sensor = (7, 12), SensorConfig(10)
+    n_cells = 7 * 12
+    monkeypatch.setattr(grid_module, "LANE_BLOCK_CELLS", 4 * n_cells)
+    blocks = list(lane_blocks(sensor.angles, bounds))
+    assert [(b.first, b.n_headings) for b in blocks] == [(0, 4), (4, 4), (8, 2)]
+    for b in blocks:
+        lines = {}
+        for k in range(b.n_headings):
+            fam = line_family(sensor.angles[b.first + k], bounds)
+            np.testing.assert_array_equal(b.cells[k * n_cells:(k + 1) * n_cells],
+                                          fam.cells)
+            lines[b.first + k] = sorted(fam.line_cells(i).tolist()
+                                        for i in range(fam.n_lines))
+        # lane j is active at the steps t with j < active[t]
+        lane_len = np.bincount(np.concatenate([np.arange(n) for n in b.active]),
+                               minlength=len(b.lane_start))
+        assert np.all(np.diff(lane_len) <= 0)  # longest lane first
+        got = {h: [] for h in lines}
+        for start, heading, n in zip(b.lane_start, b.lane_heading, lane_len):
+            assert start // n_cells == heading - b.first
+            got[int(heading)].append(b.cells[start:start + n].tolist())
+        assert {h: sorted(v) for h, v in got.items()} == lines
 
 
 def family_lines(angle, bounds):
