@@ -211,8 +211,9 @@ def bresenham_line(start: CellCoord, angle: float, bounds: tuple[int, int],
 class LineFamily:
     """Flat-array form of all scan lines of one heading over one grid shape.
 
-    ``cells`` holds flat indices (row*W + col) for every grid cell exactly
-    once, in scan order within each line (far end of the beam first).
+    ``cells`` holds flat int32 indices (row*W + col) for every grid cell
+    exactly once, in scan order within each line (far end of the beam
+    first).
     Lines are grouped into wrap units: phases congruent modulo the minor
     extent M form the modular continuation of a single beam across the map
     boundary, and each unit covers every major coordinate exactly once, so
@@ -287,16 +288,15 @@ def line_family(angle: float, bounds: tuple[int, int]) -> LineFamily:
 class LaneBlock(NamedTuple):
     """Consecutive headings laid out as one set of lanes for the engines.
 
-    ``cells`` concatenates the ``line_family`` cells of headings
-    ``first .. first + n_headings - 1``, H*W of them per heading, so each
-    (heading, cell) pair of the block has one position p in it, with
-    heading ``first + p // (H*W)``.  Every line of those families is a
-    lane: lane j of heading ``lane_heading[j]`` reads
-    ``cells[lane_start[j] + t]`` at sweep step t.  Lanes run longest
-    first, so the lanes still active at step t are the first ``active[t]``.
+    ``cells`` concatenates the ``line_family`` cells of the block's
+    ``n_headings`` headings in heading order, H*W of them per heading, so
+    each (heading, cell) pair of the block has its own position in it.
+    Every line of those families is a lane: lane j, of heading
+    ``lane_heading[j]``, reads ``cells[lane_start[j] + t]`` at sweep step
+    t.  Lanes run longest first, so the lanes still active at step t are
+    the first ``active[t]``.
     """
 
-    first: int
     n_headings: int
     cells: np.ndarray
     lane_start: np.ndarray
@@ -326,5 +326,5 @@ def _lane_block(angles, first: int, bounds: tuple[int, int]) -> LaneBlock:
     order = np.argsort(-lengths, kind="stable")
     by_length = lengths[order]
     active = np.searchsorted(-by_length, -np.arange(by_length[0]), side="left")
-    return LaneBlock(first, len(fams), np.concatenate([f.cells for f in fams]),
+    return LaneBlock(len(fams), np.concatenate([f.cells for f in fams]),
                      starts[order], headings[order], active)
