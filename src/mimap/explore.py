@@ -14,13 +14,14 @@ import io
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .datapath import compute_mi_map_fxp
 from .grid import (CellCoord, FcmiParams, MIMap, OccupancyGrid, SensorConfig,
-                   bresenham_line)
+                   cell_width, line_family)
 from .reference import map_entropy
 
 UNKNOWN_LO = 40        # level band treated as unexplored
@@ -43,8 +44,9 @@ class Environment:
         occ = np.ascontiguousarray(np.asarray(self.occupied, dtype=bool))
         if occ.ndim != 2 or occ.size == 0:
             raise ValueError("ground truth must be a non-empty 2-D array")
-        if not self.resolution > 0:
-            raise ValueError("resolution must be positive")
+        if not 0 < self.resolution < math.inf:
+            raise ValueError(
+                f"resolution must be positive and finite, got {self.resolution}")
         object.__setattr__(self, "occupied", occ)
 
     @property
@@ -136,34 +138,58 @@ class ScanRay(NamedTuple):
     hit: CellCoord | None              # first occupied cell, None = max range
 
 
+@lru_cache(maxsize=512)
+def _family_position(angle: float, height: int, width: int) -> np.ndarray:
+    """Position of every flat cell in the cells of its heading's line
+    family: the inverse of the permutation ``line_family(...).cells``."""
+    fam = line_family(angle, (height, width))
+    pos = np.empty(height * width, dtype=np.int32)
+    pos[fam.cells] = np.arange(height * width, dtype=np.int32)
+    return pos
+
+
 def simulate_scan(env: Environment, pose: CellCoord,
                   sensor: SensorConfig = SensorConfig()) -> list[ScanRay]:
-    """Cast every sensor ray from the pose through the hidden scene."""
+    """Cast every sensor ray from the pose through the hidden scene.
+
+    Each beam is read from the cached ``line_family`` of its heading: the
+    family line through the pose, from its first scan cell up to the pose,
+    read backwards (family lines run anti-parallel to the beam).  A beam
+    holds at most ``int(max_range / cell_width) + 1`` cells and ends at
+    its first occupied cell.
+    """
     r, c = pose
     height, width = env.shape
     if not (0 <= r < height and 0 <= c < width):
         raise ValueError(f"pose {pose} outside {height}x{width} scene")
     if env.occupied[r, c]:
         raise ValueError(f"pose {pose} is on an occupied ground-truth cell")
+    occupied = env.occupied.ravel()
     rays = []
     for k, ang in enumerate(sensor.angles):
-        scan = bresenham_line(pose, float(ang), env.shape, env.resolution)
-        max_cells = len(scan.cells)
+        ang = float(ang)
+        fam = line_family(ang, env.shape)
+        p = int(_family_position(ang, height, width)[r * width + c])
+        line_start = fam.seg_start[np.searchsorted(fam.seg_start, p, "right") - 1]
+        beam = fam.cells[line_start:p + 1][::-1]
         if math.isfinite(sensor.max_range):
-            max_cells = min(max_cells,
-                            int(sensor.max_range / scan.cell_width) + 1)
-        traversed = []
-        hit = None
-        for cell in scan.cells[:max_cells]:
-            if env.occupied[cell.row, cell.col]:
-                hit = cell
-                break
-            traversed.append(cell)
-        rays.append(ScanRay(k, tuple(traversed), hit))
+            beam = beam[:int(sensor.max_range / cell_width(ang, env.resolution)) + 1]
+        blocked = np.flatnonzero(occupied[beam])
+        n = int(blocked[0]) if blocked.size else len(beam)
+        rows, cols = np.divmod(beam[:n + 1], width)
+        cells = list(map(CellCoord, rows.tolist(), cols.tolist()))
+        rays.append(ScanRay(k, tuple(cells[:n]),
+                            cells[n] if blocked.size else None))
     return rays
 
 
 def _requantize(level: int, delta: float) -> int:
+    # levels 0 and 100 sit at infinite log-odds, which no finite delta
+    # moves; the formula's limit there is the clamp band's edge
+    if level == 0:
+        return LEVEL_FLOOR
+    if level == 100:
+        return LEVEL_CEIL
     p = level / 100.0
     odds = math.log(p / (1.0 - p)) + delta
     q = round(100.0 / (1.0 + math.exp(-odds)))

@@ -4,7 +4,9 @@ Map-level algorithms in this package do not cast an independent ray from
 every cell.  Instead, each beam angle gets one family of parallel scan
 lines that covers the grid exactly once; the beam leaving any cell is then
 a suffix of the scan line through that cell, so a single sweep of each
-line serves every cell on it.
+line serves every cell on it.  The exploration scan reads its beams from
+the same families, so this module holds the only implementation of the
+line rounding rule below.
 
 A line is parameterized along its major axis u (the axis with the larger
 direction component; columns win ties) as
@@ -117,7 +119,10 @@ class MIMap:
     ``raw`` carries the Q20.12 accumulator words when the map came off the
     fixed-point path; it is None for the floating-point reference.
     ``saturations`` counts the fixed-point saturation events of the call
-    that made the map; a map with any was clipped somewhere.
+    that made the map: those of encoding each heading's cell width, of
+    preprocessing, once per heading, each occupancy level the grid holds,
+    and of the sweep and the accumulate.  A map with any was clipped
+    somewhere.
     """
 
     values: np.ndarray
@@ -144,21 +149,6 @@ class MIMap:
         return np.zeros_like(self.values)
 
 
-@dataclass
-class LineScan:
-    """One beam from ``bresenham_line``: its cells from the start cell
-    outward, plus the constant per-angle cell width.
-
-    The cells are a suffix of the ``line_family`` line through the start
-    cell, read backwards: family lines run in scan order, anti-parallel to
-    the beam, so the recursion covers every beam on a line in one pass.
-    """
-
-    angle: float
-    cells: list[CellCoord]
-    cell_width: float
-
-
 def cell_width(angle: float, resolution: float) -> float:
     """Per-step beam advance at this heading: the major-axis chord length."""
     if not resolution > 0:
@@ -173,38 +163,6 @@ def _axes(angle: float) -> tuple[bool, int, float]:
     if abs(dc) >= abs(dr):
         return True, (1 if dc > 0 else -1), dr / dc
     return False, (1 if dr > 0 else -1), dc / dr
-
-
-def bresenham_line(start: CellCoord, angle: float, bounds: tuple[int, int],
-                   resolution: float = 1.0) -> LineScan:
-    """Cells covered by the beam leaving ``start`` at ``angle``, start first.
-
-    The traversal follows the shared line-family phase (module docstring),
-    so the result is exactly the suffix, from ``start`` to the grid edge,
-    of the family line through ``start``.
-    """
-    height, width = bounds
-    r0, c0 = start
-    if not (0 <= r0 < height and 0 <= c0 < width):
-        raise ValueError(f"start cell {(r0, c0)} outside {height}x{width} grid")
-    major_is_col, step, slope = _axes(angle)
-    if major_is_col:
-        u, v_max = c0, height
-        u_max = width
-        v0 = r0
-    else:
-        u, v_max = r0, width
-        u_max = height
-        v0 = c0
-    phase = v0 - math.floor(slope * u + 0.5)
-    cells = []
-    while 0 <= u < u_max:
-        v = phase + math.floor(slope * u + 0.5)
-        if not (0 <= v < v_max):
-            break  # minor coord is monotone in u: once out, never back
-        cells.append(CellCoord(v, u) if major_is_col else CellCoord(u, v))
-        u += step
-    return LineScan(angle, cells, cell_width(angle, resolution))
 
 
 @dataclass(frozen=True, eq=False)

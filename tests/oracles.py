@@ -2,9 +2,10 @@
 
 Everything here is implemented from the defining math, deliberately not
 sharing code with the package: scan-line enumeration as a scalar walk of
-the rounding rule, beam MI as a from-scratch recursion per pose, gammas by
-adaptive quadrature, table constants at 50-digit precision, and the
-piecewise exponential fit by numeric normal equations.
+the rounding rule (the package's line families are its only twin), beam
+MI as a from-scratch recursion per pose, gammas by adaptive quadrature,
+table constants at 50-digit precision, and the piecewise exponential fit
+by numeric normal equations.
 """
 
 import math
@@ -53,6 +54,22 @@ def oracle_beam_cells(start: tuple[int, int], angle: float,
         out.append((v, u) if major_is_col else (u, v))
         u += step
     return out
+
+
+def oracle_scan_ray(occupied: np.ndarray, pose: tuple[int, int],
+                    angle: float, resolution: float, max_range: float
+                    ) -> tuple[list[tuple[int, int]], tuple[int, int] | None]:
+    """One range-sensor ray: (free cells from the pose, first occupied
+    cell or None).  The beam holds int(max_range / w) + 1 cells at most,
+    w being the major-axis chord resolution / max(|cos|, |sin|)."""
+    beam = oracle_beam_cells(pose, angle, occupied.shape)
+    if math.isfinite(max_range):
+        w = resolution / max(abs(math.cos(angle)), abs(math.sin(angle)))
+        beam = beam[:int(max_range / w) + 1]
+    for n, cell in enumerate(beam):
+        if occupied[cell]:
+            return beam[:n], cell
+    return beam, None
 
 
 def dda_beam_cells(start: tuple[int, int], angle: float,

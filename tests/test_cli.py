@@ -117,6 +117,18 @@ def test_mi_fxp_warns_of_saturation_on_stderr_only(tmp_path, capsys, rng):
     assert out.read_bytes() == want.read_bytes()
 
 
+def test_mi_fxp_exact_zero_map_is_silent(tmp_path, capsys):
+    # 1e5 m widths would clip the preprocess of occupied levels, but an
+    # all-free grid holds none, so its exact zero map raises no warning
+    g = tmp_path / "free.grid"
+    g.write_text("2 2 1e5\n0 0\n0 0\n")
+    out = tmp_path / "m.mimap"
+    code, stdout, err = run(capsys, "mi-fxp", "--grid", str(g), "--rays", "4",
+                            "--out", str(out))
+    assert code == EXIT_OK and stdout == "" and err == ""
+    np.testing.assert_array_equal(read_mi_map(out).values, np.zeros((2, 2)))
+
+
 def test_mi_fxp_on_bundled_snapshot_is_silent(data_dir, tmp_path, capsys):
     code, stdout, err = run(capsys, "mi-fxp", "--grid", str(data_dir / "explore_a.grid"),
                             "--out", str(tmp_path / "m.mimap"))

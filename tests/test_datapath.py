@@ -20,14 +20,7 @@ from mimap.datapath import (
     pwl_segment,
     step_expectations_fxp,
 )
-from mimap.grid import (
-    CellCoord,
-    FcmiParams,
-    OccupancyGrid,
-    SensorConfig,
-    bresenham_line,
-    cell_width,
-)
+from mimap.grid import FcmiParams, OccupancyGrid, SensorConfig, cell_width
 from mimap.reference import compute_mi_map
 
 GOLDEN = Path(__file__).parent / "goldens"
@@ -252,9 +245,9 @@ def test_map_fxp_matches_scalar_beam_chain(make_grid, shape, rays):
         w_raw = fx.encode(cell_width(float(angle), grid.resolution))
         for r in range(shape[0]):
             for c in range(shape[1]):
-                beam = bresenham_line(CellCoord(r, c), float(angle), shape)
+                beam = oracles.oracle_beam_cells((r, c), float(angle), shape)
                 state = (0, 0, 0, 0)
-                for cr, cc in reversed(beam.cells):
+                for cr, cc in reversed(beam):
                     state = step_expectations_fxp(state, int(grid.levels[cr, cc]), w_raw)
                 a1, b1 = state[0], state[1]
                 contrib = fx.mul_raw(fx.sub_raw(a1, fx.mul_raw(k1, b1)), dth)
@@ -281,6 +274,16 @@ def test_map_fxp_reports_its_own_saturations(make_grid):
     assert second.saturations == first.saturations
     assert fx.saturation_count() - sat0 == 2 * first.saturations
     assert compute_mi_map(grid, SensorConfig(10)).saturations == 0
+
+
+def test_map_fxp_counts_only_levels_the_grid_holds():
+    # an all-free grid reads only the level-0 rows, which clip at no width;
+    # at 1e9 m the four cell-width encodes are all that saturate
+    free = np.zeros((2, 2), dtype=np.uint8)
+    for resolution, want in ((1e5, 0), (1e9, 4)):
+        mi = compute_mi_map_fxp(OccupancyGrid(free, resolution), SensorConfig(4))
+        assert mi.saturations == want
+        np.testing.assert_array_equal(mi.raw, 0)
 
 
 def test_map_fxp_values_decode_raw(make_grid):

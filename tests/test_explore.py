@@ -37,8 +37,9 @@ def box_env(size=9, extra=()):
 def test_environment_validation():
     with pytest.raises(ValueError):
         Environment(np.zeros((0, 3), bool))
-    with pytest.raises(ValueError):
-        Environment(np.zeros((3, 3), bool), resolution=0.0)
+    for resolution in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="resolution must be positive and finite"):
+            Environment(np.zeros((3, 3), bool), resolution=resolution)
 
 
 def test_environment_grid_round_trip():
@@ -136,6 +137,15 @@ def test_update_repeated_hits_converge_to_ceiling():
     for _ in range(10):
         grid = update_occupancy(grid, scan)
     assert grid.levels[0, 0] == 99
+
+
+@pytest.mark.parametrize("level,want", [(0, 1), (100, 99)])
+def test_update_certain_levels_enter_the_clamp_band(level, want):
+    # levels 0 and 100 sit at infinite log-odds; either observation maps
+    # them to the formula's limit, the nearest edge of the clamp band
+    grid = OccupancyGrid(np.full((1, 2), level, np.uint8))
+    out = update_occupancy(grid, [ScanRay(0, (CellCoord(0, 0),), CellCoord(0, 1))])
+    np.testing.assert_array_equal(out.levels, [[want, want]])
 
 
 def test_update_each_cell_once_per_scan():

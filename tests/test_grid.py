@@ -1,4 +1,9 @@
-"""Grid containers, scan-line geometry, and the on-disk formats."""
+"""Grid containers, scan-line geometry, and the on-disk formats.
+
+The exploration scan is the only caster of single beams, so the beam
+tests run it on all-free (or random) scenes and check what it reads from
+the line families against the scalar oracle.
+"""
 
 import math
 
@@ -9,13 +14,13 @@ from hypothesis import strategies as st
 
 import oracles
 from mimap import grid as grid_module
+from mimap.explore import Environment, simulate_scan
 from mimap.grid import (
     CellCoord,
     FcmiParams,
     MIMap,
     OccupancyGrid,
     SensorConfig,
-    bresenham_line,
     cell_width,
     lane_blocks,
     line_family,
@@ -116,50 +121,79 @@ def test_cell_width_bounds(angle, resolution):
 # ---------------------------------------------------------------- beams
 
 
+def free_env(bounds, resolution=1.0):
+    return Environment(np.zeros(bounds, bool), resolution)
+
+
+def scan_ray(env, pose, sensor, k):
+    """Ray ``k`` of the scan from ``pose`` as plain (row, col) tuples: the
+    traversed cells, then the hit cell if there is one."""
+    ray = simulate_scan(env, CellCoord(*pose), sensor)[k]
+    cells = [tuple(c) for c in ray.traversed]
+    return cells + [tuple(ray.hit)] if ray.hit is not None else cells
+
+
 def test_beam_along_a_row():
-    scan = bresenham_line(CellCoord(0, 0), 0.0, (1, 6), 1.0)
-    assert scan.cells == [CellCoord(0, c) for c in range(6)]
-    assert scan.cell_width == 1.0
+    assert scan_ray(free_env((1, 6)), (0, 0), SensorConfig(4), 0) == [
+        (0, c) for c in range(6)]
 
 
 def test_beam_along_the_main_diagonal():
-    scan = bresenham_line(CellCoord(0, 0), math.pi / 4, (4, 4))
-    assert scan.cells == [CellCoord(k, k) for k in range(4)]
+    assert scan_ray(free_env((4, 4)), (0, 0), SensorConfig(8), 1) == [
+        (k, k) for k in range(4)]
 
 
 @pytest.mark.parametrize("bounds", [(5, 5), (3, 5), (6, 10)])
 def test_beam_matches_incremental_dda_at_shallow_angle(bounds):
     # the anchored DDA agrees with the family rule when the pose sits at
-    # major coordinate zero
-    angle = math.atan2(1.0, 2.0)
-    scan = bresenham_line(CellCoord(0, 0), angle, bounds)
-    assert [tuple(c) for c in scan.cells] == oracles.dda_beam_cells((0, 0), angle, bounds)
+    # major coordinate zero: ray 5 of 60 (30 degrees) cast by the scan, and
+    # the family line through (0, 0) at slope 1/2, whose odd columns land
+    # on exact rounding ties
+    sensor = SensorConfig(60)
+    angle = float(sensor.angles[5])
+    assert scan_ray(free_env(bounds), (0, 0), sensor, 5) == oracles.dda_beam_cells(
+        (0, 0), angle, bounds)
+    tie = math.atan2(1.0, 2.0)
+    assert family_beam(tie, bounds, (0, 0)) == oracles.dda_beam_cells((0, 0), tie, bounds)
 
 
-def test_beam_rejects_out_of_grid_start():
-    with pytest.raises(ValueError):
-        bresenham_line(CellCoord(4, 0), 0.0, (4, 4))
+@st.composite
+def scenes(draw):
+    """A random scene of 1..12 rows and columns with a free pose on it."""
+    height = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 12))
+    occupied = np.array(draw(st.lists(st.booleans(), min_size=height * width,
+                                      max_size=height * width)),
+                        bool).reshape(height, width)
+    pose = (draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1)))
+    occupied[pose] = False
+    return occupied, pose
 
 
 @given(
-    st.integers(0, 11),
-    st.integers(0, 11),
-    st.floats(0.0, 2.0 * math.pi, exclude_max=True),
-    st.integers(4, 12),
-    st.integers(4, 12),
+    scenes(),
+    st.integers(1, 13),
+    st.sampled_from([0.1, 0.37, 1.0]),
+    st.one_of(st.just(math.inf), st.floats(0.05, 20.0)),
 )
-def test_beam_properties(r0, c0, angle, height, width):
-    r0, c0 = r0 % height, c0 % width
-    scan = bresenham_line(CellCoord(r0, c0), angle, (height, width))
-    cells = scan.cells
-    assert cells[0] == (r0, c0)
-    assert [tuple(c) for c in cells] == oracles.oracle_beam_cells((r0, c0), angle, (height, width))
-    rows = np.array([c.row for c in cells])
-    cols = np.array([c.col for c in cells])
-    assert rows.min() >= 0 and rows.max() < height
-    assert cols.min() >= 0 and cols.max() < width
-    major = cols if abs(math.cos(angle)) >= abs(math.sin(angle)) else rows
-    assert np.all(np.abs(np.diff(major)) == 1)  # one major step per cell
+def test_beam_properties(scene, ray_count, resolution, max_range):
+    # every ray equals the oracle beam, cut at max_range and at the first
+    # occupied cell; 1xN, Nx1 and ray counts not divisible by 4 included
+    occupied, pose = scene
+    sensor = SensorConfig(ray_count, max_range)
+    rays = simulate_scan(Environment(occupied, resolution), CellCoord(*pose), sensor)
+    assert [ray.ray for ray in rays] == list(range(ray_count))
+    for ray, angle in zip(rays, sensor.angles):
+        traversed, hit = oracles.oracle_scan_ray(occupied, pose, float(angle),
+                                                 resolution, max_range)
+        assert [tuple(c) for c in ray.traversed] == traversed
+        assert (None if ray.hit is None else tuple(ray.hit)) == hit
+        cells = traversed + ([hit] if hit is not None else [])
+        assert cells[0] == pose  # the pose is free, so the beam starts there
+        rows = np.array([c[0] for c in cells])
+        cols = np.array([c[1] for c in cells])
+        major = cols if abs(math.cos(angle)) >= abs(math.sin(angle)) else rows
+        assert np.all(np.abs(np.diff(major)) == 1)  # one major step per cell
 
 
 # ---------------------------------------------------------------- families
@@ -215,30 +249,38 @@ def family_lines(angle, bounds):
             for i in range(fam.n_lines)]
 
 
+def family_beam(angle, bounds, start):
+    """The beam from ``start``: its family line read backwards from it."""
+    for cells in family_lines(angle, bounds):
+        if start in cells:
+            # family lines run anti-beam, so the beam reads as a reversed
+            # prefix ending at the pose
+            return cells[: cells.index(start) + 1][::-1]
+    pytest.fail("start cell not covered by the family")
+
+
 def test_beam_is_suffix_of_its_family_line():
-    angle = math.atan2(3.0, 7.0)
+    sensor = SensorConfig(60)  # ray 4: 24 degrees, slope about 3/7
+    angle = float(sensor.angles[4])
     bounds = (16, 16)
+    env = free_env(bounds)
     for start in [(0, 0), (5, 11), (15, 3), (8, 8)]:
-        beam = [tuple(c) for c in bresenham_line(CellCoord(*start), angle, bounds).cells]
-        for cells in family_lines(angle, bounds):
-            if start in cells:
-                # family lines run anti-beam, so the beam reads as a
-                # reversed prefix ending at the pose
-                k = cells.index(start)
-                assert beam == cells[: k + 1][::-1]
-                break
-        else:
-            pytest.fail("start cell not covered by the family")
+        assert scan_ray(env, start, sensor, 4) == family_beam(angle, bounds, start)
 
 
 def test_scan_lines_cover_grid_and_share_width():
     # each line, read as the beam from its last scan cell, is the whole
-    # line and carries the heading's cell width
+    # line; a range of two cell widths cuts every line to three cells, as
+    # all lines of a heading share its cell width
+    sensor = SensorConfig(20)  # ray 1: 18 degrees
+    angle = float(sensor.angles[1])
+    bounds = (9, 13)
+    env = free_env(bounds, resolution=0.5)
+    short = SensorConfig(20, max_range=2 * cell_width(angle, 0.5))
     seen = set()
-    for cells in family_lines(0.3, (9, 13)):
-        beam = bresenham_line(CellCoord(*cells[-1]), 0.3, (9, 13), resolution=0.5)
-        assert [tuple(c) for c in beam.cells] == cells[::-1]
-        assert beam.cell_width == pytest.approx(cell_width(0.3, 0.5))
+    for cells in family_lines(angle, bounds):
+        assert scan_ray(env, cells[-1], sensor, 1) == cells[::-1]
+        assert scan_ray(env, cells[-1], short, 1) == cells[::-1][:3]
         for cell in cells:
             assert cell not in seen
             seen.add(cell)
