@@ -1,6 +1,8 @@
 """Exploration harness: scan casting, map updates, planning, trials."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,9 @@ from mimap.explore import (
     update_occupancy,
 )
 from mimap.grid import CellCoord, MIMap, OccupancyGrid, SensorConfig
+from mimap.gridio import read_grid
+
+GOLDEN_TRIALS = Path(__file__).parent / "goldens" / "trial_digests.txt"
 
 
 def box_env(size=9, extra=()):
@@ -237,6 +242,28 @@ def test_gbl_none_when_exploration_complete():
 
 def trial_env():
     return box_env(15, extra=[(7, c) for c in range(2, 9)] + [(r, 10) for r in range(2, 6)])
+
+
+def golden_trials(data_dir):
+    sensor = SensorConfig(12)
+    for scene, platform in (("scene_a", "fpga"), ("scene_b", "gpu"), ("scene_c", "fpga")):
+        env = Environment.from_grid(read_grid(data_dir / f"{scene}.grid"))
+        yield (f"{scene} {platform} seed 3 max_steps 40",
+               run_trial(env, sensor, platform=PLATFORMS[platform], seed=3, max_steps=40))
+    for seed in (0, 1):
+        yield f"trial_env fpga seed {seed}", run_trial(trial_env(), sensor, seed=seed)
+
+
+def golden_trial_digests(data_dir) -> str:
+    """One line per trial: the sha256 of its ``TrialLog.to_csv()`` text."""
+    return "".join(f"{name} {hashlib.sha256(log.to_csv().encode()).hexdigest()}\n"
+                   for name, log in golden_trials(data_dir))
+
+
+def test_trial_csvs_match_golden(data_dir):
+    # pins every byte of the logs: one scan, update or planning step that
+    # moves the robot or a level shows here
+    assert golden_trial_digests(data_dir) == GOLDEN_TRIALS.read_text()
 
 
 def test_trial_log_invariants():
