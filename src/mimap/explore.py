@@ -12,7 +12,6 @@ downstream of the seed is deterministic.
 import csv
 import io
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -156,7 +155,9 @@ def simulate_scan(env: Environment, pose: CellCoord,
     family line through the pose, from its first scan cell up to the pose,
     read backwards (family lines run anti-parallel to the beam).  A beam
     holds at most ``int(max_range / cell_width) + 1`` cells and ends at
-    its first occupied cell.
+    its first occupied cell.  The cut is made only where that quotient is
+    below the beam's length, so an infinite range, or a finite one whose
+    quotient overflows to infinity, keeps the whole beam.
     """
     r, c = pose
     height, width = env.shape
@@ -172,8 +173,9 @@ def simulate_scan(env: Environment, pose: CellCoord,
         p = int(_family_position(ang, height, width)[r * width + c])
         line_start = fam.seg_start[np.searchsorted(fam.seg_start, p, "right") - 1]
         beam = fam.cells[line_start:p + 1][::-1]
-        if math.isfinite(sensor.max_range):
-            beam = beam[:int(sensor.max_range / cell_width(ang, env.resolution)) + 1]
+        reach = sensor.max_range / cell_width(ang, env.resolution)
+        if reach < len(beam):
+            beam = beam[:int(reach) + 1]
         blocked = np.flatnonzero(occupied[beam])
         n = int(blocked[0]) if blocked.size else len(beam)
         rows, cols = np.divmod(beam[:n + 1], width)
@@ -196,21 +198,32 @@ def _requantize(level: int, delta: float) -> int:
     return min(LEVEL_CEIL, max(LEVEL_FLOOR, q))
 
 
+# level after one free or one hit observation, indexed by the level before
+_FREE_TABLE = np.array([_requantize(v, L_FREE) for v in range(101)], np.uint8)
+_HIT_TABLE = np.array([_requantize(v, L_OCC) for v in range(101)], np.uint8)
+
+
+def _cell_mask(shape: tuple[int, int], cells: list[CellCoord]) -> np.ndarray:
+    mask = np.zeros(shape, dtype=bool)
+    if cells:
+        mask[tuple(zip(*cells))] = True
+    return mask
+
+
 def update_occupancy(grid: OccupancyGrid, scan: list[ScanRay]) -> OccupancyGrid:
-    """Fold one scan into the map; each observed cell updates once."""
+    """Fold one scan into the map; each observed cell updates once.
+
+    The scan's traversed and hit cells are marked in two boolean masks.
+    Every traversed cell then takes its new level from ``_FREE_TABLE``,
+    and every hit cell afterwards from ``_HIT_TABLE``: 101-entry tables of
+    ``_requantize(level, L_FREE)`` and ``_requantize(level, L_OCC)``,
+    built once at import.
+    """
     levels = grid.levels.copy()
-    free: set[CellCoord] = set()
-    hits: set[CellCoord] = set()
-    for ray in scan:
-        free.update(ray.traversed)
-        if ray.hit is not None:
-            hits.add(ray.hit)
-    for cell in free:
-        levels[cell.row, cell.col] = _requantize(
-            int(levels[cell.row, cell.col]), L_FREE)
-    for cell in hits:
-        levels[cell.row, cell.col] = _requantize(
-            int(levels[cell.row, cell.col]), L_OCC)
+    free = _cell_mask(levels.shape, [cell for ray in scan for cell in ray.traversed])
+    hits = _cell_mask(levels.shape, [ray.hit for ray in scan if ray.hit is not None])
+    levels[free] = _FREE_TABLE[levels[free]]
+    levels[hits] = _HIT_TABLE[levels[hits]]
     return OccupancyGrid(levels, grid.resolution)
 
 
@@ -218,25 +231,35 @@ def _free_mask(levels: np.ndarray) -> np.ndarray:
     return levels < UNKNOWN_LO
 
 
-def _bfs_distances(levels: np.ndarray, start: CellCoord) -> np.ndarray:
+def _bfs_distances(levels: np.ndarray, start: CellCoord,
+                   stop: CellCoord | None = None) -> np.ndarray:
     """4-connected hop counts through believed-free cells; -1 unreachable.
 
     The start cell is traversable regardless of its level: the robot is
-    standing on it.
+    standing on it.  The search is a wavefront over the whole grid: hop
+    ``d`` ORs the four one-cell shifts of the hop ``d - 1`` frontier, keeps
+    the passable cells not reached yet, and writes ``d`` into them.  With
+    ``stop`` given, the search ends after the hop that reaches that cell:
+    every cell at most that many hops away is final by then, and farther
+    cells read -1.
     """
-    height, width = levels.shape
-    passable = _free_mask(levels)
-    dist = np.full((height, width), -1, dtype=np.int32)
-    dist[start.row, start.col] = 0
-    queue = deque([start])
-    while queue:
-        r, c = queue.popleft()
-        d = dist[r, c] + 1
-        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if (0 <= nr < height and 0 <= nc < width
-                    and dist[nr, nc] < 0 and passable[nr, nc]):
-                dist[nr, nc] = d
-                queue.append((nr, nc))
+    dist = np.full(levels.shape, -1, dtype=np.int32)
+    dist[start] = 0
+    unreached = _free_mask(levels)
+    unreached[start] = False
+    front = np.zeros_like(unreached)
+    front[start] = True
+    hop = 0
+    while front.any() and (stop is None or dist[stop] < 0):
+        hop += 1
+        reach = np.zeros_like(front)
+        reach[1:, :] |= front[:-1, :]
+        reach[:-1, :] |= front[1:, :]
+        reach[:, 1:] |= front[:, :-1]
+        reach[:, :-1] |= front[:, 1:]
+        front = reach & unreached
+        unreached &= ~front
+        dist[front] = hop
     return dist
 
 
@@ -276,8 +299,12 @@ def gbl_select(mi_map: MIMap, grid: OccupancyGrid,
 
 def _step_toward(levels: np.ndarray, pos: CellCoord,
                  goal: CellCoord) -> CellCoord | None:
-    """First move of a shortest free-space path, None if unreachable."""
-    dist = _bfs_distances(levels, goal)
+    """First move of a shortest free-space path, None if unreachable.
+
+    The search runs from the goal and stops once it reaches ``pos``: the
+    neighbours one hop nearer the goal are final by then.
+    """
+    dist = _bfs_distances(levels, goal, stop=pos)
     if dist[pos.row, pos.col] < 0:
         return None
     height, width = levels.shape

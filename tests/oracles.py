@@ -2,13 +2,15 @@
 
 Everything here is implemented from the defining math, deliberately not
 sharing code with the package: scan-line enumeration as a scalar walk of
-the rounding rule (the package's line families are its only twin), beam
-MI as a from-scratch recursion per pose, gammas by adaptive quadrature,
-table constants at 50-digit precision, and the piecewise exponential fit
-by numeric normal equations.
+the rounding rule (the package's line families are its only twin), the
+log-odds map update as a per-cell fold over sets of observed cells,
+hop counts by a breadth-first queue, beam MI as a from-scratch recursion
+per pose, gammas by adaptive quadrature, table constants at 50-digit
+precision, and the piecewise exponential fit by numeric normal equations.
 """
 
 import math
+from collections import deque
 
 import mpmath
 import numpy as np
@@ -96,6 +98,59 @@ def dda_beam_cells(start: tuple[int, int], angle: float,
         minor_real += slope * step  # minor advance per major step
         k += 1
     return out
+
+
+# ---------------------------------------------------------------- maps
+
+def oracle_update_levels(levels: np.ndarray, scans, l_free: float,
+                         l_occ: float, floor: int, ceil: int) -> np.ndarray:
+    """Fold scans into a level grid one scan at a time, cell by cell.
+
+    Per scan, the set of traversed cells moves by ``l_free`` in log-odds
+    and then the set of hit cells by ``l_occ``, so a cell seen by several
+    rays of one scan moves once per kind.  Each new level is the rounded
+    probability, clamped to ``floor..ceil``; levels 0 and 100 (infinite
+    log-odds) go to the nearest clamp edge.
+    """
+    out = levels.copy()
+
+    def move(level: int, delta: float) -> int:
+        if level == 0:
+            return floor
+        if level == 100:
+            return ceil
+        p = level / 100.0
+        q = round(100.0 / (1.0 + math.exp(-(math.log(p / (1.0 - p)) + delta))))
+        return min(ceil, max(floor, q))
+
+    for scan in scans:
+        free = {tuple(cell) for ray in scan for cell in ray.traversed}
+        hits = {tuple(ray.hit) for ray in scan if ray.hit is not None}
+        for delta, cells in ((l_free, free), (l_occ, hits)):
+            for cell in cells:
+                out[cell] = move(int(out[cell]), delta)
+    return out
+
+
+# ---------------------------------------------------------------- paths
+
+def oracle_bfs_distances(passable: np.ndarray,
+                         start: tuple[int, int]) -> np.ndarray:
+    """4-connected hop counts from ``start`` through passable cells, by a
+    breadth-first queue; -1 where unreachable.  The start cell counts as
+    traversable whatever the mask says."""
+    height, width = passable.shape
+    dist = np.full((height, width), -1, dtype=np.int32)
+    dist[start] = 0
+    queue = deque([start])
+    while queue:
+        r, c = queue.popleft()
+        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if (0 <= nr < height and 0 <= nc < width
+                    and dist[nr, nc] < 0 and passable[nr, nc]):
+                dist[nr, nc] = dist[r, c] + 1
+                queue.append((nr, nc))
+    return dist
 
 
 # ---------------------------------------------------------------- gammas

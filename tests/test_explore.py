@@ -6,15 +6,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from mimap.explore import (
+    _FREE_TABLE,
+    _HIT_TABLE,
+    L_FREE,
+    L_OCC,
+    LEVEL_CEIL,
+    LEVEL_FLOOR,
     PLATFORMS,
+    UNKNOWN_LO,
     Environment,
     PlatformProfile,
     RobotState,
     ScanRay,
     TrialLog,
     TrialRow,
+    _bfs_distances,
+    _requantize,
+    _step_toward,
     frontier_cells,
     gbl_select,
     run_trial,
@@ -75,6 +88,13 @@ def test_scan_max_range_truncates():
     for ray in rays:
         assert ray.hit is None
         assert len(ray.traversed) == 3  # int(range/width) + 1 cells
+
+
+def test_scan_range_too_large_to_divide_keeps_whole_beam():
+    # 1e308 / 0.1 overflows to inf, like an unlimited range
+    env = Environment(np.zeros((3, 3), bool), resolution=0.1)
+    rays = simulate_scan(env, CellCoord(1, 1), SensorConfig(4, max_range=1e308))
+    assert rays == simulate_scan(env, CellCoord(1, 1), SensorConfig(4))
 
 
 def test_scan_adjacent_wall_hits_at_distance_one():
@@ -163,6 +183,63 @@ def test_update_each_cell_once_per_scan():
     assert out.levels[0, 1] == 30
 
 
+def test_update_cell_both_traversed_and_hit_moves_free_then_hit():
+    # a simulated scan never reports a cell both ways, but the update takes
+    # any rays: the free step goes first, so 0 -> 1 -> 6 and 100 -> 99 -> 99
+    # (hit first would give 0 -> 1 -> 1 and 100 -> 99 -> 98)
+    grid = OccupancyGrid(np.array([[0, 100]], np.uint8))
+    scan = [ScanRay(0, (CellCoord(0, 0), CellCoord(0, 1)), None),
+            ScanRay(1, (), CellCoord(0, 0)),
+            ScanRay(2, (), CellCoord(0, 1))]
+    out = update_occupancy(grid, scan)
+    assert out.levels.tolist() == [[6, 99]]
+    np.testing.assert_array_equal(out.levels, oracles.oracle_update_levels(
+        grid.levels, [scan], L_FREE, L_OCC, LEVEL_FLOOR, LEVEL_CEIL))
+
+
+def test_update_tables_match_requantize():
+    assert _FREE_TABLE.dtype == _HIT_TABLE.dtype == np.uint8
+    assert _FREE_TABLE.tolist() == [_requantize(v, L_FREE) for v in range(101)]
+    assert _HIT_TABLE.tolist() == [_requantize(v, L_OCC) for v in range(101)]
+
+
+def cells_of(height, width):
+    return st.tuples(st.integers(0, height - 1), st.integers(0, width - 1))
+
+
+@st.composite
+def scanned_maps(draw):
+    """Prior levels 0..100 on a 1..12 x 1..12 map, and the scans of a
+    random scene of that shape from one to three free poses."""
+    height, width = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    # two bytes a cell: a quarter of the scene occupied, any prior level
+    n = height * width
+    raw = np.frombuffer(draw(st.binary(min_size=2 * n, max_size=2 * n)),
+                        np.uint8).reshape(2, height, width)
+    occupied = raw[0] < 64
+    prior = raw[1] % 101
+    poses = draw(st.lists(cells_of(height, width), min_size=1, max_size=3))
+    for pose in poses:
+        occupied[pose] = False
+    resolution = draw(st.sampled_from([0.1, 1.0]))
+    sensor = SensorConfig(draw(st.integers(1, 13)),
+                          draw(st.one_of(st.just(math.inf), st.floats(0.05, 20.0))))
+    env = Environment(occupied, resolution)
+    scans = [simulate_scan(env, CellCoord(*pose), sensor) for pose in poses]
+    return OccupancyGrid(prior, resolution), scans
+
+
+@given(scanned_maps())
+def test_update_matches_set_fold_oracle(case):
+    prior, scans = case
+    grid = prior
+    for scan in scans:
+        grid = update_occupancy(grid, scan)
+    want = oracles.oracle_update_levels(prior.levels, scans, L_FREE, L_OCC,
+                                        LEVEL_FLOOR, LEVEL_CEIL)
+    np.testing.assert_array_equal(grid.levels, want)
+
+
 # ---------------------------------------------------------------- planning
 
 
@@ -185,6 +262,49 @@ def test_frontier_cells_band():
     mask = frontier_cells(levels)
     # unknown band is 40..60; frontiers are free cells touching it
     assert list(np.flatnonzero(mask[0])) == [1, 3]
+
+
+@st.composite
+def level_maps(draw):
+    """Levels 0..100 on 1..16 rows and columns, about 70 % of them
+    passable, and two cells anywhere on the map, passable or not."""
+    height, width = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    # one byte a cell: the low half picks a passable level, the high half
+    # any level
+    raw = np.frombuffer(draw(st.binary(min_size=height * width,
+                                       max_size=height * width)), np.uint8)
+    levels = np.where(raw < 128, raw % UNKNOWN_LO, raw % 101).astype(np.uint8)
+    levels = levels.reshape(height, width)
+    cell = cells_of(height, width)
+    return levels, CellCoord(*draw(cell)), CellCoord(*draw(cell))
+
+
+@given(level_maps())
+def test_bfs_matches_queue_oracle(case):
+    levels, start, stop = case
+    want = oracles.oracle_bfs_distances(levels < UNKNOWN_LO, start)
+    np.testing.assert_array_equal(_bfs_distances(levels, start), want)
+    # stopped at a reachable cell, the search holds every count up to the
+    # stop's and none beyond it; an unreachable stop changes nothing
+    cut = want[stop] if want[stop] >= 0 else want.max()
+    np.testing.assert_array_equal(_bfs_distances(levels, start, stop=stop),
+                                  np.where(want <= cut, want, -1))
+
+
+@given(level_maps())
+def test_step_toward_takes_first_nearer_neighbour(case):
+    levels, pos, goal = case
+    height, width = levels.shape
+    dist = oracles.oracle_bfs_distances(levels < UNKNOWN_LO, goal)
+    r, c = pos
+    here = dist[pos]
+    want = None
+    if here >= 0:
+        want = next((CellCoord(nr, nc) for nr, nc in
+                     ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+                     if 0 <= nr < height and 0 <= nc < width
+                     and 0 <= dist[nr, nc] < here), None)
+    assert _step_toward(levels, pos, goal) == want
 
 
 def test_gbl_prefers_higher_mi_at_equal_distance():
