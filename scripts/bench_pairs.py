@@ -1,0 +1,131 @@
+"""Paired benchmark runs of a parent commit and this checkout.
+
+Runs ``perfbench/run.py --trace 0`` on a detached ``git worktree`` of the
+parent commit and on this checkout's working tree, alternating which side
+goes first in each pair, and writes per workload and end-to-end metric
+the medians and quartiles of both sides and how many pairs the change
+won.  The run length, the end-to-end metrics and whether lower or higher
+is better come from ``BENCHMARK.json``.  The worktree is removed when the
+runs end.
+
+Run from anywhere in the repository:
+
+    python3 scripts/bench_pairs.py --out BENCH_N.json --workload explore_trial
+    python3 scripts/bench_pairs.py --out BENCH_N.json --workload explore_trial \\
+        --trial-seed 1 --pairs 6
+
+An existing ``--out`` file keeps its other entries; each run replaces
+the entries of the workloads it ran.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def git(*args: str, cwd: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def run_once(tree: Path, args: list[str], timeout: float) -> dict:
+    """One benchmark run in ``tree``; its JSON result line."""
+    out = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"),
+                          *args, "--trace", "0"], cwd=tree, check=True,
+                         capture_output=True, text=True, timeout=timeout)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def summary(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3,
+            "runs": values}
+
+
+def compare(results: dict, metrics: dict) -> dict:
+    """Per metric: both sides' summaries and the pairs the change won."""
+    out = {}
+    for name, better in metrics.items():
+        sides = {side: [r["metrics"][name]["value"] for r in results[side]]
+                 for side in ("parent", "change")}
+        sign = 1 if better == "lower" else -1
+        wins = sum(sign * (p - c) > 0 for p, c in zip(sides["parent"], sides["change"]))
+        out[name] = {"better": better, "wins": wins, "pairs": len(sides["parent"]),
+                     "parent": summary(sides["parent"]),
+                     "change": summary(sides["change"])}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    parser.add_argument("--parent", default="HEAD",
+                        help="commit to compare against (default HEAD)")
+    parser.add_argument("--workload", action="append", required=True,
+                        choices=("mi_snapshot", "sim_cycle", "explore_trial"))
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--trial-seed", type=int, default=None,
+                        help="start seed of explore_trial (perfbench default 3)")
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
+    parent = git("rev-parse", args.parent)
+    change = git("rev-parse", "HEAD")
+    if git("status", "--porcelain", "--untracked-files=no"):
+        change += " + working tree"
+    record = json.loads(args.out.read_text()) if args.out.is_file() else {}
+    record["env"] = {"python": platform.python_version(), "numpy": numpy.__version__,
+                     "cpus": os.cpu_count()}
+    entries = record.setdefault("workloads", {})
+    timeout = 20 * seconds + 600
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        tree = Path(tmp) / "parent"
+        git("worktree", "add", "--detach", str(tree), parent)
+        try:
+            for workload in args.workload:
+                run_args = ["--workload", workload, "--seconds", str(seconds)]
+                key = workload
+                if workload == "explore_trial" and args.trial_seed is not None:
+                    run_args += ["--trial-seed", str(args.trial_seed)]
+                    key += f" --trial-seed {args.trial_seed}"
+                results = {"parent": [], "change": []}
+                for i in range(args.pairs):
+                    order = [("parent", tree), ("change", ROOT)]
+                    for side, where in order if i % 2 == 0 else order[::-1]:
+                        results[side].append(run_once(where, run_args, timeout))
+                    walls = {side: rs[-1]["metrics"]["wall_s"]["value"]
+                             for side, rs in results.items()}
+                    print(f"# {key} pair {i + 1}/{args.pairs}: wall_s parent "
+                          f"{walls['parent']:.3f} change {walls['change']:.3f}",
+                          flush=True)
+                entries[key] = {
+                    "parent": parent, "change": change,
+                    "args": run_args + ["--trace", "0"],
+                    "failed": {side: sum(r["failed"] for r in rs)
+                               for side, rs in results.items()},
+                    "attempted": {side: sum(r["attempted"] for r in rs)
+                                  for side, rs in results.items()},
+                    "metrics": compare(results, metrics),
+                }
+                args.out.write_text(json.dumps(record, indent=1) + "\n")
+        finally:
+            git("worktree", "remove", "--force", str(tree))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,18 +11,24 @@ The dataflow mirrors the hardware split:
                 read-modify-write into the MI accumulator
 
 Preprocess outputs depend only on (occupancy level, heading), so the map
-engine computes them once per heading for each level the grid holds, with
-the scalar ops, into one table keyed by ``heading*101 + level``.  It then
+engine computes them for each heading and each level the grid holds in
+one pass of the array ops over (heading, level), into one table keyed by
+``heading*101 + level``; levels 0 and 100 take constant rows.  It then
 runs feedback and postprocess over blocks of consecutive headings
 (``grid.lane_blocks``), every scan line of a block one lane of a single
 step loop, much as the hardware interleaves independent rays through one
-pipeline.  Each
-(heading, cell) contribution waits in its own slot of a block buffer
-until the block is done; the buffer is then added into the accumulator
-one heading at a time, in heading order.  Every array op carries the
-exact scalar rounding semantics and every cell sums in heading order, so
-the map is bit-identical to chaining ``step_expectations_fxp`` cell by
-cell and heading by heading.
+pipeline.  The four running expectations of all lanes are one stacked
+array, so a step updates them with a few ops on stacked operands, as the
+hardware's parallel lanes do.  Each (heading, cell) contribution waits in
+its own slot of a block buffer until the block is done; the buffer is
+then added into the accumulator one heading at a time, in heading order.
+Every array op carries the exact scalar rounding and saturation
+semantics, each element passes through the ops of the scalar chain in
+its order, and every cell sums in heading order, so the map and its
+saturation count are those of chaining ``step_expectations_fxp`` cell by
+cell and heading by heading, with preprocess once per (heading, level).
+The scalar ops (``_preprocess``, ``pwl_exp``, ``step_expectations_fxp``)
+stay as that bit-exact reference.
 """
 
 import math
@@ -215,14 +221,44 @@ def step_expectations_fxp(prev: tuple[int, int, int, int], level: int,
     return _feedback(prev, row, w_raw)
 
 
-def _level_rows(w_raw: int, params: FcmiParams, levels: list[int]) -> np.ndarray:
-    """(101, 6) int64 matrix of _CellRow fields for one heading.  Only the
-    rows of ``levels`` are computed; the others stay zero."""
+def _preprocess_rows(w_raws: np.ndarray, levels: list[int],
+                     params: FcmiParams = FcmiParams()) -> np.ndarray:
+    """(6, headings*101) int64 matrix of _CellRow fields, column
+    ``heading*101 + level``, for the headings' int64 cell-width words
+    ``w_raws``.
+
+    Only the columns of ``levels`` are filled; the others stay zero.  The
+    interior levels of every heading run the ``_preprocess`` op chain as
+    one array pass, each element through the same saturating ops as the
+    scalar chain; levels 0 and 100 take their constant rows and pass
+    through no op.
+    """
     lut, table, consts = _tables_cached(params.lambda_cap)
-    rows = np.zeros((101, 6), dtype=np.int64)
-    for level in levels:
-        rows[level] = _preprocess(lut[level], w_raw, table, consts)
-    return rows
+    rows = np.zeros((6, len(w_raws), 101), dtype=np.int64)
+    if 0 in levels:
+        rows[:, :, 0] = np.array(_preprocess(lut[0], 0, table, consts))[:, None]
+    if 100 in levels:
+        rows[:, :, 100] = np.array(_preprocess(lut[100], 0, table, consts))[:, None]
+    mid = [level for level in levels if 0 < level < 100]
+    if not mid:
+        return rows.reshape(6, -1)
+    lam, neg_log_lam, inv_lam = np.array([lut[level][:3] for level in mid],
+                                         dtype=np.int64).T
+    # (heading, level) arrays from here on
+    x = fx.arr_mul(lam, w_raws[:, None])
+    xc = np.minimum(np.maximum(fx.arr_sub(0, x), PWL_LO_RAW), 0)
+    k = np.minimum((xc - PWL_LO_RAW) // PWL_SEG_RAW, PWL_SEGMENTS - 1)
+    e = fx.arr_add(fx.arr_mul(table.m_raw[k], xc), table.c_raw[k])
+    g1 = fx.arr_sub(fx.ONE_RAW, e)
+    g2 = fx.arr_sub(fx.ONE_RAW, fx.arr_mul(e, fx.arr_add(fx.ONE_RAW, x)))
+    xx = fx.arr_mul(x, x)
+    poly = fx.arr_add(xx, fx.arr_add(fx.arr_add(x, x), fx.TWO_RAW))
+    g3 = fx.arr_sub(fx.TWO_RAW, fx.arr_mul(e, poly))
+    c1 = fx.arr_mul(inv_lam, fx.arr_add(g3, fx.arr_mul(g2, neg_log_lam)))
+    c2 = fx.arr_mul(inv_lam, g2)
+    c3 = fx.arr_add(g2, fx.arr_mul(g1, neg_log_lam))
+    rows[:, :, mid] = (e, x, c1, c2, c3, g1)
+    return rows.reshape(6, -1)
 
 
 def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
@@ -231,12 +267,17 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
 
     Sweeps the same heading blocks as the reference engine, with every
     arithmetic op replaced by the saturating fixed-point primitives; each
-    lane takes its heading's preprocess rows and cell width.  The block
-    buffer is folded into the accumulator with ``arr_add`` one heading at a
-    time, in heading order, so every cell saturates exactly where a sweep
-    of one heading after another would.  The returned map carries the raw
-    accumulator words, their decoded float values and the number of
-    saturation events of the call.
+    lane takes its heading's preprocess rows and cell width.  The lanes'
+    recursion state is one (4, lanes) array of (a1, b1, a0, b0), so each
+    sweep step runs the update as a few ops on stacked operands:
+    ``(a1, a0) += x*(b1, b0)``, then ``(a1, b1) += w*(a0, b0)``, then
+    ``E*state + (C1, C2, C3, C4)``, then the contribution.  Every element
+    passes through the same op sequence as in ``step_expectations_fxp``.
+    The block buffer is folded into the accumulator with ``arr_add`` one
+    heading at a time, in heading order, so every cell saturates exactly
+    where a sweep of one heading after another would.  The returned map
+    carries the raw accumulator words, their decoded float values and the
+    number of saturation events of the call.
     """
     sat0 = fx.saturation_count()
     height, width = grid.shape
@@ -244,12 +285,11 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
     levels_flat = grid.levels.reshape(-1)
     w_raws = np.array([fx.encode(cell_width(float(a), grid.resolution))
                        for a in sensor.angles], dtype=np.int64)
-    # (6, headings*101), key heading*101 + level; the sweep reads only the
-    # rows of levels the grid holds, so only those are preprocessed.  The
-    # first np.unique call raises peak RSS by about 1 MB; bincount does not.
+    # the sweep reads only the rows of levels the grid holds, so only
+    # those are preprocessed.  The first np.unique call raises peak RSS by
+    # about 1 MB; bincount does not.
     present = np.flatnonzero(np.bincount(levels_flat, minlength=101)).tolist()
-    rows = np.concatenate([_level_rows(int(w), params, present)
-                           for w in w_raws]).T.copy()
+    rows = _preprocess_rows(w_raws, present, params)
     mi_flat = np.zeros(n_cells, dtype=np.int64)
     _, _, consts = _tables_cached(params.lambda_cap)
     k1 = np.int64(consts.k1)
@@ -258,25 +298,15 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
         lane_key = 101 * block.lane_heading
         lane_w = w_raws[block.lane_heading]
         buf = np.empty(len(block.cells), dtype=np.int32)  # saturated words fit
-        n_lanes = len(block.lane_start)
-        a1 = np.zeros(n_lanes, dtype=np.int64)
-        b1 = np.zeros(n_lanes, dtype=np.int64)
-        a0 = np.zeros(n_lanes, dtype=np.int64)
-        b0 = np.zeros(n_lanes, dtype=np.int64)
+        state = np.zeros((4, len(block.lane_start)), dtype=np.int64)  # a1, b1, a0, b0
         for t, na in enumerate(block.active.tolist()):
             pos = block.lane_start[:na] + t
-            e, x, c1, c2, c3, c4 = rows[:, lane_key[:na] + levels_flat[block.cells[pos]]]
-            w = lane_w[:na]
-            pa1, pb1, pa0, pb0 = a1[:na], b1[:na], a0[:na], b0[:na]
-            t_a1 = fx.arr_add(pa1, fx.arr_mul(x, pb1))
-            t_a0 = fx.arr_add(pa0, fx.arr_mul(x, pb0))
-            t_b1 = fx.arr_add(pb1, fx.arr_mul(w, pb0))
-            na1 = fx.arr_add(fx.arr_mul(e, fx.arr_add(t_a1, fx.arr_mul(w, t_a0))), c1)
-            nb1 = fx.arr_add(fx.arr_mul(e, t_b1), c2)
-            na0 = fx.arr_add(fx.arr_mul(e, t_a0), c3)
-            nb0 = fx.arr_add(fx.arr_mul(e, pb0), c4)
-            a1[:na], b1[:na], a0[:na], b0[:na] = na1, nb1, na0, nb0
-            buf[pos] = fx.arr_mul(fx.arr_sub(na1, fx.arr_mul(k1, nb1)), dth_raw)
+            row = rows.take(lane_key[:na] + levels_flat[block.cells[pos]], axis=1)
+            s = state[:, :na]
+            s[0::2] = fx.arr_add(s[0::2], fx.arr_mul(row[1], s[1::2]))
+            s[:2] = fx.arr_add(s[:2], fx.arr_mul(lane_w[:na], s[2:]))
+            s[:] = fx.arr_add(fx.arr_mul(row[0], s), row[2:])
+            buf[pos] = fx.arr_mul(fx.arr_sub(s[0], fx.arr_mul(k1, s[1])), dth_raw)
         for k in range(block.n_headings):
             at = slice(k * n_cells, (k + 1) * n_cells)
             cells = block.cells[at]

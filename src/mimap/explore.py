@@ -132,9 +132,11 @@ class TrialLog:
 
 
 class ScanRay(NamedTuple):
+    """One beam of a scan; cells are flat indices ``row*W + col``."""
+
     ray: int
-    traversed: tuple[CellCoord, ...]   # ground-truth-free cells, pose first
-    hit: CellCoord | None              # first occupied cell, None = max range
+    traversed: np.ndarray   # int32 ground-truth-free cells, pose first
+    hit: int | None         # first occupied cell, None = max range
 
 
 @lru_cache(maxsize=512)
@@ -157,7 +159,9 @@ def simulate_scan(env: Environment, pose: CellCoord,
     holds at most ``int(max_range / cell_width) + 1`` cells and ends at
     its first occupied cell.  The cut is made only where that quotient is
     below the beam's length, so an infinite range, or a finite one whose
-    quotient overflows to infinity, keeps the whole beam.
+    quotient overflows to infinity, keeps the whole beam.  Beams hold flat
+    cell indices; ``traversed`` is a fresh array, not a view of the cached
+    family.
     """
     r, c = pose
     height, width = env.shape
@@ -171,17 +175,17 @@ def simulate_scan(env: Environment, pose: CellCoord,
         ang = float(ang)
         fam = line_family(ang, env.shape)
         p = int(_family_position(ang, height, width)[r * width + c])
-        line_start = fam.seg_start[np.searchsorted(fam.seg_start, p, "right") - 1]
+        line_start = fam.seg_start[fam.seg_start.searchsorted(p, "right") - 1]
         beam = fam.cells[line_start:p + 1][::-1]
         reach = sensor.max_range / cell_width(ang, env.resolution)
         if reach < len(beam):
             beam = beam[:int(reach) + 1]
-        blocked = np.flatnonzero(occupied[beam])
-        n = int(blocked[0]) if blocked.size else len(beam)
-        rows, cols = np.divmod(beam[:n + 1], width)
-        cells = list(map(CellCoord, rows.tolist(), cols.tolist()))
-        rays.append(ScanRay(k, tuple(cells[:n]),
-                            cells[n] if blocked.size else None))
+        blocked = occupied[beam]
+        n = int(blocked.argmax())   # first occupied cell, or 0 if none
+        if blocked[n]:
+            rays.append(ScanRay(k, beam[:n].copy(), int(beam[n])))
+        else:
+            rays.append(ScanRay(k, beam.copy(), None))
     return rays
 
 
@@ -203,27 +207,24 @@ _FREE_TABLE = np.array([_requantize(v, L_FREE) for v in range(101)], np.uint8)
 _HIT_TABLE = np.array([_requantize(v, L_OCC) for v in range(101)], np.uint8)
 
 
-def _cell_mask(shape: tuple[int, int], cells: list[CellCoord]) -> np.ndarray:
-    mask = np.zeros(shape, dtype=bool)
-    if cells:
-        mask[tuple(zip(*cells))] = True
-    return mask
-
-
 def update_occupancy(grid: OccupancyGrid, scan: list[ScanRay]) -> OccupancyGrid:
     """Fold one scan into the map; each observed cell updates once.
 
-    The scan's traversed and hit cells are marked in two boolean masks.
-    Every traversed cell then takes its new level from ``_FREE_TABLE``,
-    and every hit cell afterwards from ``_HIT_TABLE``: 101-entry tables of
-    ``_requantize(level, L_FREE)`` and ``_requantize(level, L_OCC)``,
-    built once at import.
+    The scan's traversed and hit cells are marked, by flat index, in two
+    boolean masks.  Every traversed cell then takes its new level from
+    ``_FREE_TABLE``, and every hit cell afterwards from ``_HIT_TABLE``:
+    101-entry tables of ``_requantize(level, L_FREE)`` and
+    ``_requantize(level, L_OCC)``, built once at import.
     """
     levels = grid.levels.copy()
-    free = _cell_mask(levels.shape, [cell for ray in scan for cell in ray.traversed])
-    hits = _cell_mask(levels.shape, [ray.hit for ray in scan if ray.hit is not None])
-    levels[free] = _FREE_TABLE[levels[free]]
-    levels[hits] = _HIT_TABLE[levels[hits]]
+    flat = levels.reshape(-1)
+    free = np.zeros(flat.size, dtype=bool)
+    hits = np.zeros(flat.size, dtype=bool)
+    if scan:
+        free[np.concatenate([ray.traversed for ray in scan])] = True
+        hits[[ray.hit for ray in scan if ray.hit is not None]] = True
+    flat[free] = _FREE_TABLE[flat[free]]
+    flat[hits] = _HIT_TABLE[flat[hits]]
     return OccupancyGrid(levels, grid.resolution)
 
 

@@ -107,7 +107,10 @@ def arr_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def arr_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # int64 is safe: |a|,|b| <= 2^31 so |a*b| <= 2^62
     p = a * b
-    q = p >> FRAC_BITS
-    r = p & (SCALE - 1)
-    q = q + ((r > HALF_ULP) | ((r == HALF_ULP) & ((q & 1) == 1)))
-    return _arr_saturate(q)
+    # half-to-even in one pass on the product: adding HALF_ULP - 1 plus
+    # the kept word's low bit carries exactly when the dropped bits exceed
+    # HALF_ULP, or equal it with that bit set
+    p += (p >> FRAC_BITS) & 1
+    p += HALF_ULP - 1
+    p >>= FRAC_BITS
+    return _arr_saturate(p)

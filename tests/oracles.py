@@ -74,6 +74,14 @@ def oracle_scan_ray(occupied: np.ndarray, pose: tuple[int, int],
     return beam, None
 
 
+def ray_coords(ray, width: int
+               ) -> tuple[list[tuple[int, int]], tuple[int, int] | None]:
+    """A scan ray's flat cell indices as (row, col) pairs, in the form
+    ``oracle_scan_ray`` returns: (traversed cells, hit cell or None)."""
+    traversed = [divmod(int(cell), width) for cell in ray.traversed]
+    return traversed, None if ray.hit is None else divmod(int(ray.hit), width)
+
+
 def dda_beam_cells(start: tuple[int, int], angle: float,
                    bounds: tuple[int, int]) -> list[tuple[int, int]]:
     """Incremental DDA anchored at the pose: accumulate the real minor
@@ -106,11 +114,13 @@ def oracle_update_levels(levels: np.ndarray, scans, l_free: float,
                          l_occ: float, floor: int, ceil: int) -> np.ndarray:
     """Fold scans into a level grid one scan at a time, cell by cell.
 
-    Per scan, the set of traversed cells moves by ``l_free`` in log-odds
-    and then the set of hit cells by ``l_occ``, so a cell seen by several
-    rays of one scan moves once per kind.  Each new level is the rounded
-    probability, clamped to ``floor..ceil``; levels 0 and 100 (infinite
-    log-odds) go to the nearest clamp edge.
+    Each scan is a list of rays, each ray a pair of (traversed (row, col)
+    cells, hit cell or None) as ``ray_coords`` gives.  Per scan, the set
+    of traversed cells moves by ``l_free`` in log-odds and then the set of
+    hit cells by ``l_occ``, so a cell seen by several rays of one scan
+    moves once per kind.  Each new level is the rounded probability,
+    clamped to ``floor..ceil``; levels 0 and 100 (infinite log-odds) go
+    to the nearest clamp edge.
     """
     out = levels.copy()
 
@@ -124,8 +134,8 @@ def oracle_update_levels(levels: np.ndarray, scans, l_free: float,
         return min(ceil, max(floor, q))
 
     for scan in scans:
-        free = {tuple(cell) for ray in scan for cell in ray.traversed}
-        hits = {tuple(ray.hit) for ray in scan if ray.hit is not None}
+        free = {tuple(cell) for traversed, _ in scan for cell in traversed}
+        hits = {tuple(hit) for _, hit in scan if hit is not None}
         for delta, cells in ((l_free, free), (l_occ, hits)):
             for cell in cells:
                 out[cell] = move(int(out[cell]), delta)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import mimap.fixedpoint as fx
@@ -12,6 +14,8 @@ from mimap.datapath import (
     PWL_LO_RAW,
     PWL_SEGMENTS,
     FxpConstants,
+    _preprocess,
+    _preprocess_rows,
     build_occ_lut,
     build_pwl_exp,
     compute_mi_map_fxp,
@@ -146,6 +150,30 @@ def test_pwl_clamps_out_of_domain():
     assert pwl_exp(fx.encode(3.0), table) == pwl_exp(0, table)
 
 
+# ---------------------------------------------------------------- preprocess
+
+
+@pytest.mark.parametrize("resolution", [0.1, 1.0, 1e5, 1e9])
+def test_preprocess_rows_match_scalar_chain(resolution):
+    # all 101 levels of every heading of a 60-ray sensor against the
+    # scalar chain, saturation count included; at 1e5 and 1e9 m the
+    # products clip
+    lut, table = build_occ_lut(), build_pwl_exp()
+    consts = FxpConstants.from_params(FcmiParams())
+    w_raws = [fx.encode(cell_width(float(a), resolution))
+              for a in SensorConfig(60).angles]
+    sat0 = fx.saturation_count()
+    want = [[_preprocess(lut[level], w, table, consts) for level in range(101)]
+            for w in w_raws]
+    scalar_sats = fx.saturation_count() - sat0
+    sat0 = fx.saturation_count()
+    rows = _preprocess_rows(np.array(w_raws), list(range(101)))
+    assert fx.saturation_count() - sat0 == scalar_sats
+    assert (scalar_sats > 0) == (resolution > 1.0)
+    assert rows.dtype == np.int64
+    np.testing.assert_array_equal(rows, np.array(want).reshape(-1, 6).T)
+
+
 # ---------------------------------------------------------------- step
 
 
@@ -229,32 +257,80 @@ def test_map_fxp_deterministic(make_grid):
     np.testing.assert_array_equal(a.values, b.values)
 
 
+def scalar_map_fxp(grid: OccupancyGrid, sensor: SensorConfig) -> tuple[np.ndarray, int]:
+    """The fxp map by the scalar chain, and the saturations the map engine
+    should report for it.
+
+    For each heading and cell, the oracle beam is walked from the grid
+    edge back to the cell, chaining ``step_expectations_fxp``, and the
+    cell's contribution is added into its word, heading after heading.
+    The engine runs each (heading, cell) step once, so a beam's count is
+    taken only from its last step, the one at its own cell, and its
+    contribution and add.  The step preprocesses on every call, the
+    engine once per heading and level the grid holds: the last step's
+    preprocess saturations are taken out and those counted instead.
+    """
+    lut, table = build_occ_lut(), build_pwl_exp()
+    consts = FxpConstants.from_params(FcmiParams())
+    dth = fx.encode(sensor.delta_theta)
+    want = np.zeros(grid.shape, dtype=np.int64)
+    sats = 0
+    for angle in sensor.angles:
+        sat0 = fx.saturation_count()
+        w_raw = fx.encode(cell_width(float(angle), grid.resolution))
+        for level in np.unique(grid.levels).tolist():
+            _preprocess(lut[level], w_raw, table, consts)
+        sats += fx.saturation_count() - sat0
+        for (r, c), level in np.ndenumerate(grid.levels):
+            beam = oracles.oracle_beam_cells((r, c), float(angle), grid.shape)
+            state = (0, 0, 0, 0)
+            for cr, cc in reversed(beam[1:]):
+                state = step_expectations_fxp(state, int(grid.levels[cr, cc]), w_raw)
+            sat0 = fx.saturation_count()
+            _preprocess(lut[level], w_raw, table, consts)
+            pre = fx.saturation_count() - sat0
+            sat0 = fx.saturation_count()
+            state = step_expectations_fxp(state, int(level), w_raw)
+            a1, b1 = state[0], state[1]
+            contrib = fx.mul_raw(fx.sub_raw(a1, fx.mul_raw(consts.k1, b1)), dth)
+            want[r, c] = fx.add_raw(int(want[r, c]), contrib)
+            sats += fx.saturation_count() - sat0 - pre
+    return want, sats
+
+
 @pytest.mark.parametrize("shape,rays", [((13, 13), 12), ((9, 17), 12),
                                         ((1, 11), 7), ((11, 1), 7)])
 def test_map_fxp_matches_scalar_beam_chain(make_grid, shape, rays):
-    # the lane-parallel sweep against one scalar beam per cell and heading:
-    # walk the beam from the grid edge back to its start cell, chaining the
-    # scalar step, and accumulate the start cell's contribution
+    # the lane-parallel sweep against one scalar beam per cell and heading
     grid = make_grid(*shape)
     sensor = SensorConfig(rays)
-    k1 = FxpConstants.from_params(FcmiParams()).k1
-    dth = fx.encode(sensor.delta_theta)
-    want = np.zeros(shape, dtype=np.int64)
     fx.reset_saturation()
-    for angle in sensor.angles:
-        w_raw = fx.encode(cell_width(float(angle), grid.resolution))
-        for r in range(shape[0]):
-            for c in range(shape[1]):
-                beam = oracles.oracle_beam_cells((r, c), float(angle), shape)
-                state = (0, 0, 0, 0)
-                for cr, cc in reversed(beam):
-                    state = step_expectations_fxp(state, int(grid.levels[cr, cc]), w_raw)
-                a1, b1 = state[0], state[1]
-                contrib = fx.mul_raw(fx.sub_raw(a1, fx.mul_raw(k1, b1)), dth)
-                want[r, c] = fx.add_raw(int(want[r, c]), contrib)
+    want, _ = scalar_map_fxp(grid, sensor)
     got = compute_mi_map_fxp(grid, sensor)
     assert fx.saturation_count() == 0
     np.testing.assert_array_equal(got.raw, want)
+
+
+@st.composite
+def small_grids(draw):
+    """Random 1..9 x 1..9 level grids at 0.1 m, 1 m or 1e9 m a cell."""
+    height, width = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    levels = draw(st.lists(st.integers(0, 100), min_size=height * width,
+                           max_size=height * width))
+    resolution = draw(st.sampled_from([0.1, 1.0, 1e9]))
+    return OccupancyGrid(np.array(levels, np.uint8).reshape(height, width), resolution)
+
+
+@settings(max_examples=40)
+@given(small_grids(), st.integers(1, 13))
+def test_map_fxp_matches_scalar_chain_with_saturations(grid, rays):
+    # any shape and ray count, and at 1e9 m saturating grids: the words
+    # and the saturation count both equal the scalar chain's
+    sensor = SensorConfig(rays)
+    want, want_sats = scalar_map_fxp(grid, sensor)
+    got = compute_mi_map_fxp(grid, sensor)
+    np.testing.assert_array_equal(got.raw, want)
+    assert got.saturations == want_sats
 
 
 def test_map_fxp_no_saturation_at_map_scale(make_grid):

@@ -40,6 +40,11 @@ from mimap.gridio import read_grid
 GOLDEN_TRIALS = Path(__file__).parent / "goldens" / "trial_digests.txt"
 
 
+def flat(*cells):
+    """A hand-made ray's traversed cells: flat indices, as int32."""
+    return np.array(cells, dtype=np.int32)
+
+
 def box_env(size=9, extra=()):
     """Bordered square scene with optional extra occupied cells."""
     occ = np.zeros((size, size), bool)
@@ -78,8 +83,9 @@ def test_scan_empty_environment_all_max_range():
     rays = simulate_scan(env, CellCoord(3, 3), SensorConfig(4))
     assert [ray.hit for ray in rays] == [None, None, None, None]
     for ray in rays:
-        assert ray.traversed[0] == CellCoord(3, 3)
-        assert len(ray.traversed) == 4  # pose to grid edge
+        traversed, _ = oracles.ray_coords(ray, 7)
+        assert traversed[0] == CellCoord(3, 3)
+        assert len(traversed) == 4  # pose to grid edge
 
 
 def test_scan_max_range_truncates():
@@ -94,15 +100,17 @@ def test_scan_range_too_large_to_divide_keeps_whole_beam():
     # 1e308 / 0.1 overflows to inf, like an unlimited range
     env = Environment(np.zeros((3, 3), bool), resolution=0.1)
     rays = simulate_scan(env, CellCoord(1, 1), SensorConfig(4, max_range=1e308))
-    assert rays == simulate_scan(env, CellCoord(1, 1), SensorConfig(4))
+    want = simulate_scan(env, CellCoord(1, 1), SensorConfig(4))
+    assert ([oracles.ray_coords(ray, 3) for ray in rays]
+            == [oracles.ray_coords(ray, 3) for ray in want])
 
 
 def test_scan_adjacent_wall_hits_at_distance_one():
     env = box_env(5, extra=[(2, 3)])
     rays = simulate_scan(env, CellCoord(2, 2), SensorConfig(4))
-    east = rays[0]
-    assert east.traversed == (CellCoord(2, 2),)
-    assert east.hit == CellCoord(2, 3)
+    traversed, hit = oracles.ray_coords(rays[0], 5)  # east
+    assert traversed == [CellCoord(2, 2)]
+    assert hit == CellCoord(2, 3)
 
 
 def test_scan_corridor_hand_traced():
@@ -120,8 +128,9 @@ def test_scan_corridor_hand_traced():
         ([(4, 4), (3, 5), (2, 6), (1, 7)], (0, 8)),
     ]
     for ray, (cells, hit) in zip(rays, want):
-        assert ray.traversed == tuple(CellCoord(r, c) for r, c in cells)
-        assert ray.hit == CellCoord(*hit)
+        got_cells, got_hit = oracles.ray_coords(ray, 9)
+        assert got_cells == [CellCoord(r, c) for r, c in cells]
+        assert got_hit == CellCoord(*hit)
 
 
 def test_scan_pose_errors():
@@ -137,7 +146,7 @@ def test_scan_pose_errors():
 
 def test_update_free_hit_from_prior():
     grid = OccupancyGrid.uniform((1, 3), 50)
-    scan = [ScanRay(0, (CellCoord(0, 0),), CellCoord(0, 1))]
+    scan = [ScanRay(0, flat(0), 1)]   # traversed (0, 0), hit (0, 1)
     out = update_occupancy(grid, scan)
     assert out.levels[0, 0] == 30   # sigma(-0.85) = 0.2994
     assert out.levels[0, 1] == 86   # sigma(+1.80) = 0.8581
@@ -147,7 +156,7 @@ def test_update_free_hit_from_prior():
 
 def test_update_repeated_free_converges_to_floor():
     grid = OccupancyGrid.uniform((1, 1), 50)
-    scan = [ScanRay(0, (CellCoord(0, 0),), None)]
+    scan = [ScanRay(0, flat(0), None)]
     seen = []
     for _ in range(10):
         grid = update_occupancy(grid, scan)
@@ -158,7 +167,7 @@ def test_update_repeated_free_converges_to_floor():
 
 def test_update_repeated_hits_converge_to_ceiling():
     grid = OccupancyGrid.uniform((1, 1), 50)
-    scan = [ScanRay(0, (), CellCoord(0, 0))]
+    scan = [ScanRay(0, flat(), 0)]
     for _ in range(10):
         grid = update_occupancy(grid, scan)
     assert grid.levels[0, 0] == 99
@@ -169,15 +178,15 @@ def test_update_certain_levels_enter_the_clamp_band(level, want):
     # levels 0 and 100 sit at infinite log-odds; either observation maps
     # them to the formula's limit, the nearest edge of the clamp band
     grid = OccupancyGrid(np.full((1, 2), level, np.uint8))
-    out = update_occupancy(grid, [ScanRay(0, (CellCoord(0, 0),), CellCoord(0, 1))])
+    out = update_occupancy(grid, [ScanRay(0, flat(0), 1)])
     np.testing.assert_array_equal(out.levels, [[want, want]])
 
 
 def test_update_each_cell_once_per_scan():
     # two rays crossing the same cell must not double-count it
     grid = OccupancyGrid.uniform((1, 2), 50)
-    scan = [ScanRay(0, (CellCoord(0, 0),), None),
-            ScanRay(1, (CellCoord(0, 0), CellCoord(0, 1)), None)]
+    scan = [ScanRay(0, flat(0), None),
+            ScanRay(1, flat(0, 1), None)]
     out = update_occupancy(grid, scan)
     assert out.levels[0, 0] == 30
     assert out.levels[0, 1] == 30
@@ -188,13 +197,14 @@ def test_update_cell_both_traversed_and_hit_moves_free_then_hit():
     # any rays: the free step goes first, so 0 -> 1 -> 6 and 100 -> 99 -> 99
     # (hit first would give 0 -> 1 -> 1 and 100 -> 99 -> 98)
     grid = OccupancyGrid(np.array([[0, 100]], np.uint8))
-    scan = [ScanRay(0, (CellCoord(0, 0), CellCoord(0, 1)), None),
-            ScanRay(1, (), CellCoord(0, 0)),
-            ScanRay(2, (), CellCoord(0, 1))]
+    scan = [ScanRay(0, flat(0, 1), None),
+            ScanRay(1, flat(), 0),
+            ScanRay(2, flat(), 1)]
     out = update_occupancy(grid, scan)
     assert out.levels.tolist() == [[6, 99]]
+    coords = [oracles.ray_coords(ray, 2) for ray in scan]
     np.testing.assert_array_equal(out.levels, oracles.oracle_update_levels(
-        grid.levels, [scan], L_FREE, L_OCC, LEVEL_FLOOR, LEVEL_CEIL))
+        grid.levels, [coords], L_FREE, L_OCC, LEVEL_FLOOR, LEVEL_CEIL))
 
 
 def test_update_tables_match_requantize():
@@ -235,7 +245,9 @@ def test_update_matches_set_fold_oracle(case):
     grid = prior
     for scan in scans:
         grid = update_occupancy(grid, scan)
-    want = oracles.oracle_update_levels(prior.levels, scans, L_FREE, L_OCC,
+    width = prior.shape[1]
+    coords = [[oracles.ray_coords(ray, width) for ray in scan] for scan in scans]
+    want = oracles.oracle_update_levels(prior.levels, coords, L_FREE, L_OCC,
                                         LEVEL_FLOOR, LEVEL_CEIL)
     np.testing.assert_array_equal(grid.levels, want)
 

@@ -130,6 +130,22 @@ def test_array_ops_match_scalar_ops(pairs):
     )
 
 
+def test_array_mul_ties_and_extremes_match_scalar():
+    # exact ties round to the even word from both sides of zero (0.5 and
+    # 1.5 ulp), and of the extremes only RAW_MAX^2 saturates
+    pairs = [(1, fx.HALF_ULP), (-1, fx.HALF_ULP), (3, fx.HALF_ULP),
+             (-3, fx.HALF_ULP), (fx.RAW_MIN, fx.HALF_ULP), (fx.RAW_MAX, fx.RAW_MAX)]
+    want = [0, 0, 2, -2, fx.RAW_MIN // 2, fx.RAW_MAX]
+    sat0 = fx.saturation_count()
+    assert [fx.mul_raw(a, b) for a, b in pairs] == want
+    assert fx.saturation_count() - sat0 == 1
+    a = np.array([p[0] for p in pairs], dtype=np.int64)
+    b = np.array([p[1] for p in pairs], dtype=np.int64)
+    sat0 = fx.saturation_count()
+    np.testing.assert_array_equal(fx.arr_mul(a, b), want)
+    assert fx.saturation_count() - sat0 == 1
+
+
 def test_array_saturation_is_counted():
     fx.reset_saturation()
     out = fx.arr_add(np.array([fx.RAW_MAX, 0, fx.RAW_MIN], dtype=np.int64),

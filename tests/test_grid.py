@@ -129,8 +129,8 @@ def scan_ray(env, pose, sensor, k):
     """Ray ``k`` of the scan from ``pose`` as plain (row, col) tuples: the
     traversed cells, then the hit cell if there is one."""
     ray = simulate_scan(env, CellCoord(*pose), sensor)[k]
-    cells = [tuple(c) for c in ray.traversed]
-    return cells + [tuple(ray.hit)] if ray.hit is not None else cells
+    cells, hit = oracles.ray_coords(ray, env.shape[1])
+    return cells + [hit] if hit is not None else cells
 
 
 def test_beam_along_a_row():
@@ -186,8 +186,11 @@ def test_beam_properties(scene, ray_count, resolution, max_range):
     for ray, angle in zip(rays, sensor.angles):
         traversed, hit = oracles.oracle_scan_ray(occupied, pose, float(angle),
                                                  resolution, max_range)
-        assert [tuple(c) for c in ray.traversed] == traversed
-        assert (None if ray.hit is None else tuple(ray.hit)) == hit
+        assert ray.traversed.dtype == np.int32
+        assert ray.hit is None or type(ray.hit) is int
+        got_traversed, got_hit = oracles.ray_coords(ray, occupied.shape[1])
+        assert got_traversed == traversed
+        assert got_hit == hit
         cells = traversed + ([hit] if hit is not None else [])
         assert cells[0] == pose  # the pose is free, so the beam starts there
         rows = np.array([c[0] for c in cells])
