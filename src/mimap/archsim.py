@@ -47,7 +47,7 @@ because the Q20.12 accumulator never saturates on in-range workloads.
 
 from array import array
 from dataclasses import dataclass, field, replace
-from math import gcd
+from math import gcd, inf
 
 import numpy as np
 
@@ -77,8 +77,9 @@ class EnergyParams:
 
     def __post_init__(self):
         for name in ("e_core_cycle", "e_stall_cycle", "e_mem_access", "e_static_per_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not 0 <= value < inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,8 @@ class ArchConfig:
     def __post_init__(self):
         if self.n_cores < 1 or self.interleave_depth < 1:
             raise ValueError("cores and interleave_depth must be >= 1")
-        if self.clock_hz <= 0:
-            raise ValueError("clock_hz must be positive")
+        if not 0 < self.clock_hz < inf:
+            raise ValueError(f"clock_hz must be positive and finite, got {self.clock_hz}")
         if self.n_banks is not None and self.n_banks < 1:
             raise ValueError(f"banks must be >= 1, got {self.n_banks}")
 
@@ -114,6 +115,14 @@ class ArchConfig:
 
 @dataclass
 class SimReport:
+    """Timing, stalls and energy of one cycle-model run.
+
+    ``memory_accesses["occ_reads"]`` holds the occupancy reads per bank.
+    Each issued cell also reads and writes one MI word in the same bank,
+    so the MI reads and writes per bank are the same numbers, and the
+    energy charges three accesses per issued cell.
+    """
+
     total_cycles: int
     latency_s: float
     lower_bound_s: float
@@ -130,8 +139,8 @@ def lower_bound_latency(shape: tuple[int, int], ray_count: int, n_cores: int,
                         clock_hz: float) -> float:
     """One cell-visit per core per cycle with unlimited memory bandwidth."""
     height, width = shape
-    if min(height, width, ray_count, n_cores) < 1 or clock_hz <= 0:
-        raise ValueError("all arguments must be positive")
+    if min(height, width, ray_count, n_cores) < 1 or not 0 < clock_hz < inf:
+        raise ValueError("all arguments must be positive, and clock_hz finite")
     return height * width * ray_count / (n_cores * clock_hz)
 
 
@@ -352,8 +361,7 @@ def simulate(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
         stall_cycles=stall_cycles,
         per_core_busy=[b / total_cycles for b in busy],
         energy_j=energy,
-        memory_accesses={key: np.array(per_bank, dtype=np.int64)
-                         for key in ("occ_reads", "mi_reads", "mi_writes")},
+        memory_accesses={"occ_reads": np.array(per_bank, dtype=np.int64)},
     )
     mi = compute_mi_map_fxp(grid, sensor, params) if compute_values else None
     return mi, report

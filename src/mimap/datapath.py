@@ -13,21 +13,15 @@ The dataflow mirrors the hardware split:
 Preprocess outputs depend only on (occupancy level, heading), so the map
 engine computes them for each heading and each level the grid holds in
 one pass of the array ops over (heading, level), into one table keyed by
-``heading*101 + level``; levels 0 and 100 take constant rows.  It then
-runs feedback and postprocess over blocks of consecutive headings
-(``grid.lane_blocks``), every scan line of a block one lane of a single
-step loop, much as the hardware interleaves independent rays through one
-pipeline.  The four running expectations of all lanes are one stacked
-array, so a step updates them with a few ops on stacked operands, as the
-hardware's parallel lanes do.  Each (heading, cell) contribution waits in
-its own slot of a block buffer until the block is done; the buffer is
-then added into the accumulator one heading at a time, in heading order.
-Every array op carries the exact scalar rounding and saturation
-semantics, each element passes through the ops of the scalar chain in
-its order, and every cell sums in heading order, so the map and its
-saturation count are those of chaining ``step_expectations_fxp`` cell by
-cell and heading by heading, with preprocess once per (heading, level).
-The scalar ops (``_preprocess``, ``pwl_exp``, ``step_expectations_fxp``)
+``heading*101 + level``; levels 0 and 100 take constant rows.  Feedback
+and postprocess are the step of ``grid.sweep``, which runs every scan
+line of every heading as a lane and folds the contributions into the
+accumulator in heading order.  Every array op carries the exact scalar
+rounding and saturation semantics and each element passes through the
+ops of the scalar chain in its order, so the map and its saturation
+count are those of chaining ``step_expectations_fxp`` cell by cell and
+heading by heading, with preprocess once per (heading, level).  The
+scalar ops (``_preprocess``, ``pwl_exp``, ``step_expectations_fxp``)
 stay as that bit-exact reference.
 """
 
@@ -39,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fixedpoint as fx
-from .grid import FcmiParams, MIMap, OccupancyGrid, SensorConfig, cell_width, lane_blocks
+from .grid import FcmiParams, MIMap, OccupancyGrid, SensorConfig, cell_width, sweep
 
 PWL_SEGMENTS = 16
 PWL_LO = -8.0
@@ -265,54 +259,39 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
                        params: FcmiParams = FcmiParams()) -> MIMap:
     """Map-wide MI on the fixed-point datapath; accumulator also Q20.12.
 
-    Sweeps the same heading blocks as the reference engine, with every
-    arithmetic op replaced by the saturating fixed-point primitives; each
-    lane takes its heading's preprocess rows and cell width.  The lanes'
-    recursion state is one (4, lanes) array of (a1, b1, a0, b0), so each
-    sweep step runs the update as a few ops on stacked operands:
+    Runs ``grid.sweep`` with every arithmetic op replaced by the
+    saturating fixed-point primitives; each lane takes its heading's
+    preprocess rows and cell width.  A step updates the lanes' stacked
+    (a1, b1, a0, b0) state with a few ops on stacked operands:
     ``(a1, a0) += x*(b1, b0)``, then ``(a1, b1) += w*(a0, b0)``, then
     ``E*state + (C1, C2, C3, C4)``, then the contribution.  Every element
-    passes through the same op sequence as in ``step_expectations_fxp``.
-    The block buffer is folded into the accumulator with ``arr_add`` one
-    heading at a time, in heading order, so every cell saturates exactly
-    where a sweep of one heading after another would.  The returned map
-    carries the raw accumulator words, their decoded float values and the
-    number of saturation events of the call.
+    passes through the same op sequence as in ``step_expectations_fxp``,
+    and the sweep folds with ``arr_add`` in heading order, so every cell
+    saturates exactly where a sweep of one heading after another would.
+    The returned map carries the raw accumulator words, their decoded
+    float values and the number of saturation events of the call.
     """
     sat0 = fx.saturation_count()
-    height, width = grid.shape
-    n_cells = height * width
-    levels_flat = grid.levels.reshape(-1)
     w_raws = np.array([fx.encode(cell_width(float(a), grid.resolution))
                        for a in sensor.angles], dtype=np.int64)
     # the sweep reads only the rows of levels the grid holds, so only
     # those are preprocessed.  The first np.unique call raises peak RSS by
     # about 1 MB; bincount does not.
-    present = np.flatnonzero(np.bincount(levels_flat, minlength=101)).tolist()
+    present = np.flatnonzero(np.bincount(grid.levels.reshape(-1), minlength=101)).tolist()
     rows = _preprocess_rows(w_raws, present, params)
-    mi_flat = np.zeros(n_cells, dtype=np.int64)
     _, _, consts = _tables_cached(params.lambda_cap)
     k1 = np.int64(consts.k1)
     dth_raw = np.int64(fx.encode(sensor.delta_theta))
-    for block in lane_blocks(sensor.angles, grid.shape):
-        lane_key = 101 * block.lane_heading
-        lane_w = w_raws[block.lane_heading]
-        buf = np.empty(len(block.cells), dtype=np.int32)  # saturated words fit
-        state = np.zeros((4, len(block.lane_start)), dtype=np.int64)  # a1, b1, a0, b0
-        for t, na in enumerate(block.active.tolist()):
-            pos = block.lane_start[:na] + t
-            row = rows.take(lane_key[:na] + levels_flat[block.cells[pos]], axis=1)
-            s = state[:, :na]
-            s[0::2] = fx.arr_add(s[0::2], fx.arr_mul(row[1], s[1::2]))
-            s[:2] = fx.arr_add(s[:2], fx.arr_mul(lane_w[:na], s[2:]))
-            s[:] = fx.arr_add(fx.arr_mul(row[0], s), row[2:])
-            buf[pos] = fx.arr_mul(fx.arr_sub(s[0], fx.arr_mul(k1, s[1])), dth_raw)
-        for k in range(block.n_headings):
-            at = slice(k * n_cells, (k + 1) * n_cells)
-            cells = block.cells[at]
-            mi_flat[cells] = fx.arr_add(mi_flat[cells], buf[at])
-        del block, buf  # free them before the next block is built
-    raw = mi_flat.reshape(height, width).astype(np.int32)
+
+    def step(s, row, headings):
+        s[0::2] = fx.arr_add(s[0::2], fx.arr_mul(row[1], s[1::2]))
+        s[:2] = fx.arr_add(s[:2], fx.arr_mul(w_raws.take(headings), s[2:]))
+        s[:] = fx.arr_add(fx.arr_mul(row[0], s), row[2:])
+        return fx.arr_mul(fx.arr_sub(s[0], fx.arr_mul(k1, s[1])), dth_raw)
+
+    # int32 buffer: saturated words fit
+    mi_flat = sweep(grid.levels, sensor.angles, rows, step, fx.arr_add, np.int32)
+    raw = mi_flat.reshape(grid.shape).astype(np.int32)
     return MIMap(raw.astype(np.float64) / fx.SCALE, grid.resolution, raw=raw,
                  saturations=fx.saturation_count() - sat0)
 

@@ -340,8 +340,8 @@ def run_trial(env: Environment, sensor: SensorConfig = SensorConfig(),
     the recorded snapshots, which cannot change the trajectory because only
     maps the planner actually reads ever influence it.
     """
-    if scan_rate_hz <= 0:
-        raise ValueError("scan_rate_hz must be positive")
+    if not 0 < scan_rate_hz < math.inf:
+        raise ValueError(f"scan_rate_hz must be positive and finite, got {scan_rate_hz}")
     rng = np.random.default_rng(seed)
     free_rows, free_cols = np.nonzero(~env.occupied)
     if free_rows.size == 0:

@@ -3,8 +3,9 @@
 Values are 32-bit two's-complement words with 12 fractional bits, so the
 representable range is [-2^19, 2^19 - 2^-12] with resolution 2^-12.  All
 operations round to nearest with ties to even and saturate at the range
-ends instead of wrapping.  Saturation is silent but counted; consumers can
-poll and reset the counter to confirm a workload never clipped.
+ends instead of wrapping.  Saturation is silent but counted; a consumer
+takes the difference of two ``saturation_count()`` readings to learn how
+often a workload clipped.
 
 Scalar helpers work on plain-int raw words; the ``arr_*`` twins apply the
 identical semantics to whole int64 numpy arrays and are verified bit-equal
@@ -28,15 +29,6 @@ _sat_events = 0
 
 def saturation_count() -> int:
     return _sat_events
-
-
-def saturation_occurred() -> bool:
-    return _sat_events > 0
-
-
-def reset_saturation() -> None:
-    global _sat_events
-    _sat_events = 0
 
 
 def _saturate(raw: int) -> int:

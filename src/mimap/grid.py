@@ -26,9 +26,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-# Cells per heading block of the map engines' sweep.  A block's buffers
-# hold a few words per cell, so this bounds their memory; larger blocks
-# mean fewer, longer steps of the sweep loop.
+# Cells per heading block of ``sweep``.  A block's buffers hold a few
+# words per cell, so this bounds their memory; larger blocks mean fewer,
+# longer steps of the sweep loop.
 LANE_BLOCK_CELLS = 1 << 19
 
 
@@ -182,11 +182,6 @@ class LineFamily:
       seg_phase[i]                            -> phase of line i
     """
 
-    angle: float
-    shape: tuple[int, int]
-    major_is_col: bool
-    step: int
-    slope: float
     cells: np.ndarray
     seg_start: np.ndarray
     unit_first_seg: np.ndarray
@@ -233,8 +228,7 @@ def _family_cached(angle: float, height: int, width: int) -> LineFamily:
     seg_phase = phase.ravel()[starts]
     segs_per_unit = brk.sum(axis=1)
     unit_first_seg = np.concatenate(([0], np.cumsum(segs_per_unit))).astype(np.int64)
-    return LineFamily(angle, (height, width), major_is_col, step, slope,
-                      np.ascontiguousarray(flat.ravel(), dtype=np.int32),
+    return LineFamily(np.ascontiguousarray(flat.ravel(), dtype=np.int32),
                       seg_start, unit_first_seg, seg_phase)
 
 
@@ -286,3 +280,39 @@ def _lane_block(angles, first: int, bounds: tuple[int, int]) -> LaneBlock:
     active = np.searchsorted(-by_length, -np.arange(by_length[0]), side="left")
     return LaneBlock(len(fams), np.concatenate([f.cells for f in fams]),
                      starts[order], headings[order], active)
+
+
+def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
+          buf_dtype) -> np.ndarray:
+    """The one sweep of both map engines: a recursion along every line of
+    every heading's family, each cell's contributions summed.
+
+    Headings go in ``lane_blocks``, every line of a block one lane of a
+    step loop, much as the hardware interleaves independent rays through
+    one pipeline.  At step t the ``na = active[t]`` active lanes gather the
+    ``table`` column of their next cell (key ``heading*101 + level``), and
+    ``step(state, cols, headings)`` updates their ``(4, na)`` state in place
+    and returns their contributions.  Each (heading, cell) contribution
+    waits in its own slot of a ``buf_dtype`` buffer until the block is
+    done; then ``add`` folds the buffer into the flat accumulator one
+    heading at a time, so each cell sums in heading order.  State and
+    accumulator are float64, or int64 for an integer buffer.
+    """
+    n_cells = levels.size
+    levels_flat = levels.reshape(-1)
+    wide = np.promote_types(buf_dtype, np.int64)
+    acc = np.zeros(n_cells, dtype=wide)
+    for block in lane_blocks(angles, levels.shape):
+        lane_key = 101 * block.lane_heading
+        buf = np.empty(len(block.cells), dtype=buf_dtype)
+        state = np.zeros((4, len(block.lane_start)), dtype=wide)
+        for t, na in enumerate(block.active.tolist()):
+            pos = block.lane_start[:na] + t
+            cols = table.take(lane_key[:na] + levels_flat[block.cells[pos]], axis=1)
+            buf[pos] = step(state[:, :na], cols, block.lane_heading[:na])
+        for k in range(block.n_headings):
+            at = slice(k * n_cells, (k + 1) * n_cells)
+            cells = block.cells[at]
+            acc[cells] = add(acc[cells], buf[at])
+        del block, buf, cells  # free every view of the block before the next
+    return acc

@@ -2,8 +2,9 @@
 
 Grid file: first line ``H W resolution``, then H lines of W space-separated
 integer levels in 0..100.  MI map file: first line ``H W``, then H lines of
-W finite decimal reals.  Values are written with 17 significant digits so a
-write/read round trip reproduces the exact float64 bits.
+W finite decimal reals.  Only blank lines may follow the H rows.  Values
+are written with 17 significant digits so a write/read round trip
+reproduces the exact float64 bits.
 """
 
 import math
@@ -19,6 +20,13 @@ class GridFormatError(ValueError):
 
 def _fail(path, line_no, msg):
     raise GridFormatError(f"{path}:{line_no}: {msg}")
+
+
+def _reject_trailing(path, lines, height):
+    """Only blank lines may follow the header and the H data rows."""
+    for line_no, line in enumerate(lines[1 + height:], start=2 + height):
+        if line.strip():
+            _fail(path, line_no, f"expected {height} data rows, found more")
 
 
 def read_grid(path) -> OccupancyGrid:
@@ -53,6 +61,7 @@ def read_grid(path) -> OccupancyGrid:
             if not 0 <= val <= 100:
                 _fail(path, 2 + r, f"field {c + 1}: level {val} outside [0, 100]")
             levels[r, c] = val
+    _reject_trailing(path, lines, height)
     return OccupancyGrid(levels, resolution)
 
 
@@ -94,6 +103,7 @@ def read_mi_map(path) -> MIMap:
             if not math.isfinite(val):
                 _fail(path, 2 + r, f"field {c + 1}: non-finite value {fields[c]!r}")
         values[r] = row
+    _reject_trailing(path, lines, height)
     return MIMap(values)
 
 

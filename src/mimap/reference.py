@@ -23,8 +23,7 @@ exactly once, here.
 
 import numpy as np
 
-from .grid import (FcmiParams, MIMap, OccupancyGrid, SensorConfig, cell_width,
-                   lane_blocks)
+from .grid import FcmiParams, MIMap, OccupancyGrid, SensorConfig, cell_width, sweep
 
 __all__ = ["compute_mi_map", "map_entropy"]
 
@@ -76,46 +75,27 @@ def compute_mi_map(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
                    params: FcmiParams = FcmiParams()) -> MIMap:
     """Map-wide MI: every heading's line family swept once, H*W*rays visits.
 
-    Headings are swept in blocks (``lane_blocks``): every line of a block
-    is a lane of one step loop, and each step applies, to every active
+    ``grid.sweep`` runs the lanes; each step applies, to every active
     lane, the ``_level_coeffs`` row of its heading and its cell's level as
-    one affine update.  Each (heading, cell) contribution goes to its own
-    slot of a block buffer, which is then added into the map one heading
-    at a time, in heading order, so each cell sums its contributions in
-    the same order as a sweep of one heading after another.
+    one affine update and emits the lanes' contributions.
     """
-    height, width = grid.shape
-    n_cells = height * width
-    levels_flat = grid.levels.reshape(-1)
     # (9, headings*101), key heading*101 + level
     coeffs = np.concatenate([_level_coeffs(cell_width(float(a), grid.resolution), params)
                              for a in sensor.angles]).T.copy()
-    mi_flat = np.zeros(n_cells)
     k1 = 1.0 - params.log_lambda_cap
     dth = sensor.delta_theta
-    for block in lane_blocks(sensor.angles, grid.shape):
-        lane_key = 101 * block.lane_heading
-        buf = np.empty(len(block.cells))
-        n_lanes = len(block.lane_start)
-        a1 = np.zeros(n_lanes)
-        b1 = np.zeros(n_lanes)
-        a0 = np.zeros(n_lanes)
-        b0 = np.zeros(n_lanes)
-        for t, na in enumerate(block.active.tolist()):
-            pos = block.lane_start[:na] + t
-            tt = coeffs[:, lane_key[:na] + levels_flat[block.cells[pos]]]
-            pa1, pb1, pa0, pb0 = a1[:na], b1[:na], a0[:na], b0[:na]
-            n_a1 = tt[0] * pa1 + tt[1] * pb1 + tt[2] * pa0 + tt[3] * pb0 + tt[5]
-            n_b1 = tt[0] * pb1 + tt[2] * pb0 + tt[6]
-            n_a0 = tt[0] * pa0 + tt[4] * pb0 + tt[7]
-            n_b0 = tt[0] * pb0 + tt[8]
-            a1[:na], b1[:na], a0[:na], b0[:na] = n_a1, n_b1, n_a0, n_b0
-            buf[pos] = (n_a1 - k1 * n_b1) * dth
-        for k in range(block.n_headings):
-            at = slice(k * n_cells, (k + 1) * n_cells)
-            mi_flat[block.cells[at]] += buf[at]
-        del block, buf  # free them before the next block is built
-    return MIMap(mi_flat.reshape(height, width), grid.resolution)
+
+    def step(s, tt, _headings):
+        pa1, pb1, pa0, pb0 = s
+        n_a1 = tt[0] * pa1 + tt[1] * pb1 + tt[2] * pa0 + tt[3] * pb0 + tt[5]
+        n_b1 = tt[0] * pb1 + tt[2] * pb0 + tt[6]
+        n_a0 = tt[0] * pa0 + tt[4] * pb0 + tt[7]
+        n_b0 = tt[0] * pb0 + tt[8]
+        s[:] = n_a1, n_b1, n_a0, n_b0
+        return (n_a1 - k1 * n_b1) * dth
+
+    mi_flat = sweep(grid.levels, sensor.angles, coeffs, step, np.add, np.float64)
+    return MIMap(mi_flat.reshape(grid.shape), grid.resolution)
 
 
 def map_entropy(grid: OccupancyGrid) -> float:

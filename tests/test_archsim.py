@@ -1,6 +1,7 @@
 """Cycle-level accelerator model: schedule, timing rules, reports."""
 
 import itertools
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -42,6 +43,12 @@ def test_lower_bound_reference_values():
     one = lower_bound_latency((128, 128), 60, 1, 1e8)
     sixteen = lower_bound_latency((128, 128), 60, 16, 1e8)
     assert one / sixteen == 16.0
+
+
+@pytest.mark.parametrize("clock_hz", [0.0, -1e8, math.nan, math.inf])
+def test_lower_bound_rejects_clock_outside_positive_finite(clock_hz):
+    with pytest.raises(ValueError, match="clock_hz finite"):
+        lower_bound_latency((3, 3), 4, 1, clock_hz)
 
 
 def test_lower_bound_counts_every_cell_of_a_non_square_grid():
@@ -89,8 +96,9 @@ def test_pipeline_spec_sections():
 
 
 def test_energy_params_validation():
-    with pytest.raises(ValueError):
-        EnergyParams(e_core_cycle=-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="e_core_cycle must be nonnegative and finite"):
+            EnergyParams(e_core_cycle=bad)
 
 
 def test_energy_of_closed_form():
@@ -343,3 +351,12 @@ def test_parse_config_errors(tmp_path):
         no_banks.write_text(f"banks = {banks}\n")
         with pytest.raises(ValueError, match=f"banks must be >= 1, got {banks}"):
             parse_config(no_banks)
+    for line, message in (("clock_hz = nan", "clock_hz must be positive and finite"),
+                          ("clock_hz = inf", "clock_hz must be positive and finite"),
+                          ("clock_hz = -1", "clock_hz must be positive and finite"),
+                          ("energy.e_core_cycle = nan", "e_core_cycle must be nonnegative"),
+                          ("energy.e_static_per_s = inf", "e_static_per_s must be nonnegative")):
+        not_finite = tmp_path / "finite.cfg"
+        not_finite.write_text(line + "\n")
+        with pytest.raises(ValueError, match=message):
+            parse_config(not_finite)

@@ -192,6 +192,28 @@ def test_compare_nan_map_fails_assert_max(tmp_path, capsys):
     assert f"{pa}:2: field 1: non-finite value 'nan'" in err
 
 
+def test_mi_ref_rejects_trailing_grid_row(tmp_path, capsys):
+    grid = tmp_path / "g.grid"
+    grid.write_text("2 2 0.1\n0 0\n0 0\n7 7\n")
+    code, out, err = run(capsys, "mi-ref", "--grid", str(grid), "--rays", "4",
+                         "--out", str(tmp_path / "m.mimap"))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {grid}:4: expected 2 data rows, found more\n"
+
+
+def test_compare_rejects_trailing_map_row(tmp_path, capsys):
+    pa, pb = tmp_path / "a.mimap", tmp_path / "b.mimap"
+    write_mi_map(MIMap(np.zeros((2, 2))), pa)
+    write_mi_map(MIMap(np.zeros((2, 2))), pb)
+    with open(pb, "a", encoding="utf-8") as fh:
+        fh.write("foo bar\n")
+    code, out, err = run(capsys, "compare", str(pa), str(pb))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {pb}:4: expected 2 data rows, found more\n"
+
+
 def test_compare_dim_mismatch(tmp_path, capsys):
     pa, pb = tmp_path / "a.mimap", tmp_path / "b.mimap"
     write_mi_map(MIMap(np.zeros((2, 2))), pa)
@@ -249,6 +271,23 @@ def test_simulate_rejects_zero_banks(tmp_path, capsys):
     assert err == "error: banks must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("line,message", [
+    ("clock_hz = nan", "clock_hz must be positive and finite, got nan"),
+    ("clock_hz = inf", "clock_hz must be positive and finite, got inf"),
+    ("energy.e_core_cycle = nan", "e_core_cycle must be nonnegative and finite, got nan"),
+])
+def test_simulate_rejects_non_finite_config(tmp_path, capsys, line, message):
+    grid = tmp_path / "g.grid"
+    write_grid(OccupancyGrid.uniform((2, 2)), grid)
+    cfg = tmp_path / "finite.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, "simulate", "--grid", str(grid), "--rays", "4",
+                         "--config", str(cfg))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_sweep_csv(grid_file, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, "sweep", "--grid", str(grid_file), "--rays", "8",
@@ -289,6 +328,15 @@ def test_explore_seeded_rerun_is_identical(scene_file, tmp_path, capsys):
                          "--out", str(path))
         assert code == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf", "0"])
+def test_explore_rejects_non_finite_scan_rate(scene_file, capsys, rate):
+    code, out, err = run(capsys, "explore", "--scene", str(scene_file),
+                         "--rays", "8", "--max-steps", "5", "--scan-rate-hz", rate)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: scan_rate_hz must be positive and finite")
 
 
 def test_explore_unknown_platform(scene_file, capsys):

@@ -444,8 +444,9 @@ def test_trial_seed_changes_start():
 
 
 def test_trial_errors():
-    with pytest.raises(ValueError, match="scan_rate"):
-        run_trial(trial_env(), scan_rate_hz=0.0)
+    for rate in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="scan_rate_hz must be positive and finite"):
+            run_trial(trial_env(), scan_rate_hz=rate)
     full = Environment(np.ones((4, 4), bool))
     with pytest.raises(ValueError, match="no free cell"):
         run_trial(full)

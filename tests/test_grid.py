@@ -24,6 +24,7 @@ from mimap.grid import (
     cell_width,
     lane_blocks,
     line_family,
+    sweep,
 )
 from mimap.gridio import (
     GridFormatError,
@@ -244,6 +245,42 @@ def test_lane_blocks_lay_out_every_line_of_every_heading(monkeypatch):
         first += b.n_headings
 
 
+@pytest.mark.parametrize("buf_dtype", [np.float64, np.int32])
+@pytest.mark.parametrize("per_block", [1, 4, 10])
+def test_sweep_steps_every_line_in_scan_order_and_folds_by_heading(
+        monkeypatch, per_block, buf_dtype):
+    bounds, sensor = (7, 12), SensorConfig(10)
+    n_cells = 7 * 12
+    monkeypatch.setattr(grid_module, "LANE_BLOCK_CELLS", per_block * n_cells)
+    levels = np.random.default_rng(3).integers(0, 101, bounds, dtype=np.uint8)
+    table = np.repeat(np.arange(1, 11), 101)[None, :]  # column h*101 + l: h + 1
+
+    def step(state, cols, headings):
+        np.testing.assert_array_equal(cols[0], headings + 1)
+        state[0] += 1  # cells absorbed so far
+        return state[0] * 1000 + cols[0]
+
+    want = np.zeros(n_cells, dtype=np.int64)
+    for h, angle in enumerate(sensor.angles):
+        fam = line_family(angle, bounds)
+        for i in range(fam.n_lines):
+            cells = fam.line_cells(i)
+            want[cells] += np.arange(1, len(cells) + 1) * 1000 + h + 1
+    got = sweep(levels, sensor.angles, table, step, np.add, buf_dtype)
+    assert got.dtype == np.promote_types(buf_dtype, np.int64)
+    np.testing.assert_array_equal(got, want)
+
+    # an order-sensitive add shows every cell folds its headings in order
+    def add_in_order(acc, part):
+        return acc * 11 + part % 1000
+
+    got = sweep(levels, sensor.angles, table, step, add_in_order, buf_dtype)
+    want = np.zeros(n_cells, dtype=np.int64)
+    for h in range(10):
+        want = want * 11 + h + 1
+    np.testing.assert_array_equal(got, want)
+
+
 def family_lines(angle, bounds):
     """The lines of one heading's family as (row, col) lists in scan order."""
     fam = line_family(angle, bounds)
@@ -323,6 +360,29 @@ def test_read_grid_rejects_short_row(tmp_path):
     p.write_text("2 3 1.0\n1 2 3\n4 5\n")
     with pytest.raises(GridFormatError):
         read_grid(p)
+
+
+def test_read_grid_rejects_trailing_row(tmp_path):
+    p = tmp_path / "long.grid"
+    p.write_text("2 2 0.1\n1 2\n3 4\n7 7\n")
+    with pytest.raises(GridFormatError, match="long.grid:4: expected 2 data rows, found more"):
+        read_grid(p)
+
+
+def test_read_mi_map_rejects_trailing_row(tmp_path):
+    p = tmp_path / "long.mimap"
+    p.write_text("1 2\n0.5 1\n\nfoo bar\n")
+    with pytest.raises(GridFormatError, match="long.mimap:4: expected 1 data rows, found more"):
+        read_mi_map(p)
+
+
+def test_readers_accept_blank_trailing_lines(tmp_path):
+    g = tmp_path / "blank.grid"
+    g.write_text("2 2 0.1\n1 2\n3 4\n\n  \n")
+    assert read_grid(g).levels.tolist() == [[1, 2], [3, 4]]
+    m = tmp_path / "blank.mimap"
+    m.write_text("1 2\n0.5 1\n\t\n")
+    assert read_mi_map(m).values.tolist() == [[0.5, 1.0]]
 
 
 def test_mi_map_round_trip_is_exact(tmp_path, rng):
