@@ -1,12 +1,12 @@
 """Paired benchmark runs of a parent commit and this checkout.
 
-Runs ``perfbench/run.py --trace 0`` on a detached ``git worktree`` of the
+Runs ``perfbench/run.py --trace 0`` on a ``git archive`` extract of the
 parent commit and on this checkout's working tree, alternating which side
 goes first in each pair, and writes per workload and end-to-end metric
 the medians and quartiles of both sides and how many pairs the change
 won.  The run length, the end-to-end metrics and whether lower or higher
-is better come from ``BENCHMARK.json``.  The worktree is removed when the
-runs end.
+is better come from ``BENCHMARK.json``.  The extract lives in a temporary
+directory (``TMPDIR`` picks its place) and is removed when the runs end.
 
 Run from anywhere in the repository:
 
@@ -94,36 +94,36 @@ def main(argv=None) -> int:
     timeout = 20 * seconds + 600
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         tree = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(tree), parent)
-        try:
-            for workload in args.workload:
-                run_args = ["--workload", workload, "--seconds", str(seconds)]
-                key = workload
-                if workload == "explore_trial" and args.trial_seed is not None:
-                    run_args += ["--trial-seed", str(args.trial_seed)]
-                    key += f" --trial-seed {args.trial_seed}"
-                results = {"parent": [], "change": []}
-                for i in range(args.pairs):
-                    order = [("parent", tree), ("change", ROOT)]
-                    for side, where in order if i % 2 == 0 else order[::-1]:
-                        results[side].append(run_once(where, run_args, timeout))
-                    walls = {side: rs[-1]["metrics"]["wall_s"]["value"]
-                             for side, rs in results.items()}
-                    print(f"# {key} pair {i + 1}/{args.pairs}: wall_s parent "
-                          f"{walls['parent']:.3f} change {walls['change']:.3f}",
-                          flush=True)
-                entries[key] = {
-                    "parent": parent, "change": change,
-                    "args": run_args + ["--trace", "0"],
-                    "failed": {side: sum(r["failed"] for r in rs)
-                               for side, rs in results.items()},
-                    "attempted": {side: sum(r["attempted"] for r in rs)
-                                  for side, rs in results.items()},
-                    "metrics": compare(results, metrics),
-                }
-                args.out.write_text(json.dumps(record, indent=1) + "\n")
-        finally:
-            git("worktree", "remove", "--force", str(tree))
+        tree.mkdir()
+        archive = subprocess.run(["git", "archive", parent], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        for workload in args.workload:
+            run_args = ["--workload", workload, "--seconds", str(seconds)]
+            key = workload
+            if workload == "explore_trial" and args.trial_seed is not None:
+                run_args += ["--trial-seed", str(args.trial_seed)]
+                key += f" --trial-seed {args.trial_seed}"
+            results = {"parent": [], "change": []}
+            for i in range(args.pairs):
+                order = [("parent", tree), ("change", ROOT)]
+                for side, where in order if i % 2 == 0 else order[::-1]:
+                    results[side].append(run_once(where, run_args, timeout))
+                walls = {side: rs[-1]["metrics"]["wall_s"]["value"]
+                         for side, rs in results.items()}
+                print(f"# {key} pair {i + 1}/{args.pairs}: wall_s parent "
+                      f"{walls['parent']:.3f} change {walls['change']:.3f}",
+                      flush=True)
+            entries[key] = {
+                "parent": parent, "change": change,
+                "args": run_args + ["--trace", "0"],
+                "failed": {side: sum(r["failed"] for r in rs)
+                           for side, rs in results.items()},
+                "attempted": {side: sum(r["attempted"] for r in rs)
+                              for side, rs in results.items()},
+                "metrics": compare(results, metrics),
+            }
+            args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 

@@ -40,6 +40,20 @@ per idle beat instead of pacing out the stragglers.  When the scanner
 passes over a contended ray it resumes there the next cycle rather than
 a full rotation later, so one conflict costs one slip, not a pile-up.
 
+The cycle loop visits only the awake cores, in ascending index order.
+A core sleeps after an issue when nothing can touch it before that ray is
+ready again: the ray just issued is its only live context, it will not
+be ready on the next cycle, and no refill can come (its queue is empty or
+its window is full).  It waits in a wake ring bucketed by cycle, and the
+feedback-wait cycles it sleeps are added in one step when it goes to
+sleep.  A core with no live context and an empty queue leaves for good
+and is charged drain stalls up to the last cycle at the end of the run;
+a core whose next unit is held by the heading gate skips its refill until
+one of its contexts finishes; and each bank's MI FIFO is kept as the
+cycle at which it runs empty, not drained one entry a cycle.  None of
+this changes timing or counts: every cycle and stall is that of a loop
+over all cores on every cycle.
+
 Timing never changes values: the returned MI map comes from the
 fixed-point map engine, which the interleaving order cannot perturb
 because the Q20.12 accumulator never saturates on in-range workloads.
@@ -120,7 +134,9 @@ class SimReport:
     ``memory_accesses["occ_reads"]`` holds the occupancy reads per bank.
     Each issued cell also reads and writes one MI word in the same bank,
     so the MI reads and writes per bank are the same numbers, and the
-    energy charges three accesses per issued cell.
+    energy charges three accesses per issued cell.  ``per_core_stalls``
+    holds one ``(bank_conflict, feedback_wait, drain)`` triple per core;
+    ``stall_cycles`` is their sum by cause.
     """
 
     total_cycles: int
@@ -128,6 +144,7 @@ class SimReport:
     lower_bound_s: float
     stall_cycles: dict[str, int]
     per_core_busy: list[float]
+    per_core_stalls: list[tuple[int, int, int]]
     energy_j: float
     memory_accesses: dict[str, np.ndarray]
 
@@ -214,14 +231,22 @@ def _flat_schedule(bounds: tuple[int, int], sensor: SensorConfig, config: ArchCo
 
 
 def _sim_kernel(banks, seg_start, queues, n_banks, window, gap, chain_pen):
-    """Cycle loop over all cores and ray contexts until every dealt unit
-    has issued its last cell.
+    """Cycle loop over the awake cores until every dealt unit has issued
+    its last cell.
+
+    A core that can only wait leaves the loop: it sleeps in a wake ring
+    until its one live context is ready, or leaves for good once drained,
+    and the stalls it would have counted meanwhile are added in one step.
+    Every cycle still runs the five micro-rules over the cores that are
+    awake, in ascending index order, so timing and counts are those of a
+    loop that visits every core on every cycle.
 
     Returns ``(last_issue_cycle, mi_backlog, busy, per_bank, stalls)``:
     issue cycles per core, accesses per bank (each issue reads one
     occupancy word and reads and writes one MI word in the same bank), and
-    the bank-conflict, feedback-wait and drain stall counts.  Raises
-    RuntimeError if the run passes a cycle cap far above any real schedule.
+    per core the bank-conflict, feedback-wait and drain stall counts.
+    Raises RuntimeError if the run passes a cycle cap far above any real
+    schedule.
     """
     n_cores = len(queues)
     slots = range(window)
@@ -231,93 +256,131 @@ def _sim_kernel(banks, seg_start, queues, n_banks, window, gap, chain_pen):
     end = [[0] * window for _ in queues]     # its unit's end segment
     head = [[0] * window for _ in queues]    # its heading
     ready = [[0] * window for _ in queues]   # first cycle it may issue again
+    nlive = [0] * n_cores                    # live contexts per core
+    # the heading gate holds a core's next unit until one of its contexts
+    # finishes: till then its refill would find the same gate closed
+    held = [False] * n_cores
     rot = [0] * n_cores
     nxt = [0] * n_cores
     busy = [0] * n_cores
     per_bank = [0] * n_banks
-    mi_q = [0] * n_banks
-    stalls = [0, 0, 0]
+    # the MI FIFO of bank b holds max(0, mi_empty[b] - t) accumulates at
+    # cycle t: it retires one a cycle, so it is empty from mi_empty[b] on
+    mi_empty = [0] * n_banks
+    stalls = [[0, 0, 0] for _ in queues]
+    drained = [0] * n_cores                  # cycle a core ran out of work
+    # a sleeper wakes within gap + chain_pen cycles of its issue
+    ring = [[] for _ in range(gap + chain_pen + 1)]
+    n_ring = len(ring)
+    awake = [i for i, queue in enumerate(queues) if queue]
     unfinished = sum(map(len, queues))
     max_cycles = 16 * len(banks) + 1_000_000
-    last_issue = -1
     t = 0
     while unfinished:
-        occ = [0] * n_banks
-        for i, queue in enumerate(queues):
-            p, g, e, r = pos[i], seg[i], end[i], ready[i]
-            # refill free contexts from the core's queue; a context only
-            # accepts rays of the heading the core is currently scanning,
-            # so a new heading starts once the previous one fully drains
-            k = nxt[i]
-            if k < len(queue) and -1 in p:
-                hd = head[i]
-                heading = next((hd[d] for d in slots if p[d] >= 0), -1)
-                for d in slots:
-                    if k == len(queue):
-                        break
-                    if p[d] >= 0:
+        wakers = ring[t % n_ring]
+        if wakers:
+            awake += wakers
+            awake.sort()
+            wakers.clear()
+        if awake:
+            occ = [0] * n_banks
+            full = t + MI_QUEUE_DEPTH  # a FIFO emptying at this cycle is full
+            stay = []
+            for i in awake:
+                queue = queues[i]
+                p, g, e, r = pos[i], seg[i], end[i], ready[i]
+                live = nlive[i]
+                # refill free contexts from the core's queue; a context only
+                # accepts rays of the heading the core is currently scanning,
+                # so a new heading starts once the previous one fully drains
+                k = nxt[i]
+                if k < len(queue) and live < window and not held[i]:
+                    hd = head[i]
+                    heading = next((hd[d] for d in slots if p[d] >= 0), -1)
+                    for d in slots:
+                        if k == len(queue):
+                            break
+                        if p[d] >= 0:
+                            continue
+                        h, lo, hi = queue[k]
+                        trickle = heading >= 0 and h != heading
+                        # starvation trickle: when the tail of a heading
+                        # leaves fewer live rays than the feedback gap and
+                        # none is ready this cycle, admit one ray of the
+                        # next heading instead of idling the beat
+                        if trickle and live >= gap:
+                            held[i] = True
+                            break
+                        if trickle and any(r[d2] <= t for d2 in slots if p[d2] >= 0):
+                            break
+                        k += 1
+                        live += 1
+                        p[d], g[d], e[d], hd[d], r[d] = seg_start[lo], lo, hi, h, t
+                        if trickle:
+                            break
+                        heading = h
+                    nxt[i] = k
+                # candidate: first ready context in rotation order whose
+                # banks are still free this cycle; the bank-busy bitmap is
+                # broadcast, so a core passes over contended rays and issues
+                # another
+                blocked = -1
+                for s in orders[rot[i]]:
+                    ps = p[s]
+                    if ps < 0 or r[s] > t:
                         continue
-                    h, lo, hi = queue[k]
-                    trickle = heading >= 0 and h != heading
-                    # starvation trickle: when the tail of a heading leaves
-                    # fewer live rays than the feedback gap and none is
-                    # ready this cycle, admit one ray of the next heading
-                    # instead of idling the beat
-                    if trickle and (window - p.count(-1) >= gap or any(
-                            r[d2] <= t for d2 in slots if p[d2] >= 0)):
-                        break
-                    k += 1
-                    p[d], g[d], e[d], hd[d], r[d] = seg_start[lo], lo, hi, h, t
-                    if trickle:
-                        break
-                    heading = h
-                nxt[i] = k
-            # candidate: first ready context in rotation order whose banks
-            # are still free this cycle; the bank-busy bitmap is broadcast,
-            # so a core passes over contended rays and issues another
-            blocked = -1
-            for s in orders[rot[i]]:
-                ps = p[s]
-                if ps < 0 or r[s] > t:
-                    continue
-                b = banks[ps]
-                if occ[b] >= 2 or mi_q[b] >= MI_QUEUE_DEPTH:
-                    if blocked < 0:
-                        blocked = s
-                    continue
-                break
-            else:
-                if blocked >= 0:
-                    stalls[0] += 1
-                elif p.count(-1) < window:
-                    stalls[1] += 1
+                    b = banks[ps]
+                    if occ[b] >= 2 or mi_empty[b] >= full:
+                        if blocked < 0:
+                            blocked = s
+                        continue
+                    break
                 else:
-                    # core drained; it idles while the rest of the run ends
-                    stalls[2] += 1
-                continue
-            occ[b] += 1
-            mi_q[b] += 1
-            per_bank[b] += 1
-            busy[i] += 1
-            last_issue = t
-            r[s] = t + gap
-            p[s] += 1
-            if p[s] == seg_start[g[s] + 1]:
-                g[s] += 1
-                if g[s] < e[s]:
-                    r[s] += chain_pen  # the unit chains on into its next line
-                else:
-                    p[s] = -1
-                    unfinished -= 1
-            # resume the scan at the skipped slot if there was one: the
-            # passed-over ray keeps its place at the head of the rotation
-            # instead of waiting out a whole round
-            rot[i] = blocked if blocked >= 0 else (s + 1) % window
-        mi_q = [q - 1 if q else 0 for q in mi_q]
+                    # an awake core holds a live context after its refill
+                    stalls[i][0 if blocked >= 0 else 1] += 1
+                    nlive[i] = live
+                    stay.append(i)
+                    continue
+                occ[b] += 1
+                mi_empty[b] = (mi_empty[b] if mi_empty[b] > t else t) + 1
+                per_bank[b] += 1
+                busy[i] += 1
+                w = r[s] = t + gap
+                p[s] += 1
+                if p[s] == seg_start[g[s] + 1]:
+                    g[s] += 1
+                    if g[s] < e[s]:
+                        # the unit chains on into its next line
+                        w = r[s] = w + chain_pen
+                    else:
+                        p[s] = -1
+                        live -= 1
+                        held[i] = False
+                        unfinished -= 1
+                # resume the scan at the skipped slot if there was one: the
+                # passed-over ray keeps its place at the head of the rotation
+                # instead of waiting out a whole round
+                rot[i] = blocked if blocked >= 0 else (s + 1) % window
+                nlive[i] = live
+                if k == len(queue) or live == window:
+                    if not live:
+                        drained[i] = t + 1  # it idles while the run ends
+                        continue
+                    if live == 1 and p[s] >= 0 and w > t + 1:
+                        # only the ray just issued is left and no refill can
+                        # come: the core waits on feedback until it is ready
+                        stalls[i][1] += w - t - 1
+                        ring[w % n_ring].append(i)
+                        continue
+                stay.append(i)
+            awake = stay
         t += 1
         if t > max_cycles:
             raise RuntimeError("simulation exceeded the cycle safety cap")
-    return last_issue, max(mi_q), busy, per_bank, stalls
+    for i, row in enumerate(stalls):
+        row[2] += t - drained[i]
+    backlog = max(0, max(mi_empty) - t)
+    return t - 1, backlog, busy, per_bank, stalls
 
 
 def energy_of(busy_cycles: int, stall_cycles: int, mem_accesses: int,
@@ -350,9 +413,11 @@ def simulate(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
         FEEDBACK_DEPTH, chain_pen)
     total_cycles = last_issue + PIPELINE_STAGES + 1 + backlog
     latency_s = total_cycles / config.clock_hz
-    stall_cycles = dict(zip(("bank_conflict", "feedback_wait", "drain"), stalls))
-    energy = energy_of(sum(busy), sum(stalls), 3 * sum(per_bank),
-                       latency_s, config.energy)
+    per_core_stalls = [tuple(row) for row in stalls]
+    stall_cycles = dict(zip(("bank_conflict", "feedback_wait", "drain"),
+                            map(sum, zip(*per_core_stalls))))
+    energy = energy_of(sum(busy), sum(stall_cycles.values()),
+                       3 * sum(per_bank), latency_s, config.energy)
     report = SimReport(
         total_cycles=total_cycles,
         latency_s=latency_s,
@@ -360,6 +425,7 @@ def simulate(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
                                           n, config.clock_hz),
         stall_cycles=stall_cycles,
         per_core_busy=[b / total_cycles for b in busy],
+        per_core_stalls=per_core_stalls,
         energy_j=energy,
         memory_accesses={"occ_reads": np.array(per_bank, dtype=np.int64)},
     )
@@ -398,9 +464,11 @@ _FALSE = {"false", "0", "off", "no"}
 
 
 def parse_config(path) -> ArchConfig:
-    """Line-based ``key = value`` config; '#' starts a comment."""
+    """Line-based ``key = value`` config; '#' starts a comment.  Every line
+    is checked as it is read, so a bad value is reported at its line."""
     scalars: dict = {}
     energy: dict = {}
+    config = ArchConfig()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw_line in enumerate(fh, start=1):
             line = raw_line.split("#", 1)[0].strip()
@@ -437,8 +505,8 @@ def parse_config(path) -> ArchConfig:
                     energy[name] = float(val)
                 else:
                     raise ValueError(f"unknown key {key!r}")
+                # the values before this line passed, so a failure is its own
+                config = ArchConfig(**scalars, energy=EnergyParams(**energy))
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
-    if energy:
-        scalars["energy"] = EnergyParams(**{**EnergyParams().__dict__, **energy})
-    return ArchConfig(**scalars)
+    return config

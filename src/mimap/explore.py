@@ -73,8 +73,10 @@ class PlatformProfile:
     mi_energy_j: float
 
     def __post_init__(self):
-        if not (self.mi_latency_s > 0 and self.mi_energy_j > 0):
-            raise ValueError("latency and energy must both be positive")
+        for name in ("mi_latency_s", "mi_energy_j"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 # The fpga figures are the paper's measured 1.55 ms and 1.7 mJ per full-map

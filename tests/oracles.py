@@ -4,7 +4,8 @@ Everything here is implemented from the defining math, deliberately not
 sharing code with the package: scan-line enumeration as a scalar walk of
 the rounding rule (the package's line families are its only twin), the
 log-odds map update as a per-cell fold over sets of observed cells,
-hop counts by a breadth-first queue, beam MI as a from-scratch recursion
+hop counts by a breadth-first queue, the accelerator's timing as a loop
+that visits every core on every cycle, beam MI as a from-scratch recursion
 per pose, gammas by adaptive quadrature, table constants at 50-digit
 precision, and the piecewise exponential fit by numeric normal equations.
 """
@@ -161,6 +162,104 @@ def oracle_bfs_distances(passable: np.ndarray,
                 dist[nr, nc] = dist[r, c] + 1
                 queue.append((nr, nc))
     return dist
+
+
+# ---------------------------------------------------------- cycle model
+
+def oracle_sim_kernel(banks, seg_start, queues, n_banks, window, gap,
+                      chain_pen, fifo_depth):
+    """The accelerator's cycle loop, every core visited on every cycle.
+
+    Takes the kernel's inputs (``archsim._flat_schedule`` outputs and the
+    derived window, feedback gap and chain penalty) plus the MI FIFO depth
+    and returns ``(last_issue_cycle, mi_backlog, busy, per_bank, stalls)``
+    with ``stalls`` one ``[bank_conflict, feedback_wait, drain]`` row per
+    core.  Each FIFO drains by one entry at the end of every cycle.
+    """
+    n_cores = len(queues)
+    slots = range(window)
+    orders = [[(r + d) % window for d in slots] for r in slots]
+    pos = [[-1] * window for _ in queues]    # next cell of a context; -1 free
+    seg = [[0] * window for _ in queues]     # its current segment
+    end = [[0] * window for _ in queues]     # its unit's end segment
+    head = [[0] * window for _ in queues]    # its heading
+    ready = [[0] * window for _ in queues]   # first cycle it may issue again
+    rot = [0] * n_cores
+    nxt = [0] * n_cores
+    busy = [0] * n_cores
+    per_bank = [0] * n_banks
+    mi_q = [0] * n_banks
+    stalls = [[0, 0, 0] for _ in queues]
+    unfinished = sum(map(len, queues))
+    max_cycles = 16 * len(banks) + 1_000_000
+    last_issue = -1
+    t = 0
+    while unfinished:
+        occ = [0] * n_banks
+        for i, queue in enumerate(queues):
+            p, g, e, r = pos[i], seg[i], end[i], ready[i]
+            # refill free contexts with rays of the heading being scanned
+            k = nxt[i]
+            if k < len(queue) and -1 in p:
+                hd = head[i]
+                heading = next((hd[d] for d in slots if p[d] >= 0), -1)
+                for d in slots:
+                    if k == len(queue):
+                        break
+                    if p[d] >= 0:
+                        continue
+                    h, lo, hi = queue[k]
+                    trickle = heading >= 0 and h != heading
+                    # starvation trickle: one next-heading ray per idle beat
+                    if trickle and (window - p.count(-1) >= gap or any(
+                            r[d2] <= t for d2 in slots if p[d2] >= 0)):
+                        break
+                    k += 1
+                    p[d], g[d], e[d], hd[d], r[d] = seg_start[lo], lo, hi, h, t
+                    if trickle:
+                        break
+                    heading = h
+                nxt[i] = k
+            # first ready context in rotation order whose banks are free
+            blocked = -1
+            for s in orders[rot[i]]:
+                ps = p[s]
+                if ps < 0 or r[s] > t:
+                    continue
+                b = banks[ps]
+                if occ[b] >= 2 or mi_q[b] >= fifo_depth:
+                    if blocked < 0:
+                        blocked = s
+                    continue
+                break
+            else:
+                if blocked >= 0:
+                    stalls[i][0] += 1
+                elif p.count(-1) < window:
+                    stalls[i][1] += 1
+                else:
+                    stalls[i][2] += 1
+                continue
+            occ[b] += 1
+            mi_q[b] += 1
+            per_bank[b] += 1
+            busy[i] += 1
+            last_issue = t
+            r[s] = t + gap
+            p[s] += 1
+            if p[s] == seg_start[g[s] + 1]:
+                g[s] += 1
+                if g[s] < e[s]:
+                    r[s] += chain_pen
+                else:
+                    p[s] = -1
+                    unfinished -= 1
+            rot[i] = blocked if blocked >= 0 else (s + 1) % window
+        mi_q = [q - 1 if q else 0 for q in mi_q]
+        t += 1
+        if t > max_cycles:
+            raise RuntimeError("simulation exceeded the cycle safety cap")
+    return last_issue, max(mi_q), busy, per_bank, stalls
 
 
 # ---------------------------------------------------------------- gammas

@@ -7,10 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from mimap.archsim import (
+    CONTEXTS_PER_SLOT,
     ArchConfig,
     FEEDBACK_DEPTH,
+    MI_QUEUE_DEPTH,
     PIPELINE_STAGES,
     EnergyParams,
     bank_of,
@@ -21,6 +26,7 @@ from mimap.archsim import (
     scaling_sweep,
     simulate,
     _flat_schedule,
+    _sim_kernel,
 )
 from mimap.datapath import compute_mi_map_fxp
 from mimap.grid import CellCoord, FcmiParams, OccupancyGrid, SensorConfig, line_family
@@ -247,6 +253,17 @@ GOLDEN_CYCLES = {  # (shape, rays) -> total_cycles per GOLDEN_CONFIGS entry
 }
 
 
+def check_per_core_stalls(rep, cfg):
+    """The per-core stall triples sum to the report's stall counts, and
+    each core issues or stalls on every cycle up to the last issue."""
+    assert len(rep.per_core_stalls) == cfg.n_cores
+    sums = [sum(column) for column in zip(*rep.per_core_stalls)]
+    assert sums == list(rep.stall_cycles.values())
+    spans = {round(busy * rep.total_cycles) + sum(stalls)
+             for busy, stalls in zip(rep.per_core_busy, rep.per_core_stalls)}
+    assert len(spans) == 1 and spans.pop() <= rep.total_cycles - PIPELINE_STAGES
+
+
 def golden_reports() -> str:
     """Every golden case as a '== HxW rays config' header, the full
     report_csv text and the per-bank occupancy reads."""
@@ -256,6 +273,7 @@ def golden_reports() -> str:
             _, rep = simulate(OccupancyGrid.uniform(shape), SensorConfig(rays),
                               PARAMS, cfg, compute_values=False)
             assert rep.total_cycles == want, (shape, rays, name)
+            check_per_core_stalls(rep, cfg)
             reads = " ".join(str(int(v)) for v in rep.memory_accesses["occ_reads"])
             out.append(f"== {shape[0]}x{shape[1]} {rays} {name}\n"
                        f"{report_csv(rep)}occ_reads,{reads}\n")
@@ -263,8 +281,27 @@ def golden_reports() -> str:
 
 
 def test_reports_match_golden():
-    # pins the cycle model, not only its run-to-run determinism
+    # pins the cycle model, not only its run-to-run determinism; the
+    # per-core stalls are checked against the golden stall counts
     assert golden_reports() == GOLDEN_REPORTS.read_text()
+
+
+@settings(max_examples=120)
+@given(height=st.integers(1, 12), width=st.integers(1, 12), rays=st.integers(1, 13),
+       n_cores=st.integers(1, 5), n_banks=st.integers(1, 6),
+       interleave_depth=st.integers(1, 8), wrapping=st.booleans(),
+       banking=st.booleans())
+def test_kernel_matches_per_cycle_oracle(height, width, rays, n_cores, n_banks,
+                                         interleave_depth, wrapping, banking):
+    config = ArchConfig(n_cores=n_cores, n_banks=n_banks,
+                        interleave_depth=interleave_depth, wrapping=wrapping,
+                        banking=banking)
+    depth = config.eff_depth
+    window = CONTEXTS_PER_SLOT * depth if depth > 1 else 1
+    chain_pen = FEEDBACK_DEPTH if depth == 1 else 0
+    args = (*_flat_schedule((height, width), SensorConfig(rays), config),
+            config.eff_banks, window, FEEDBACK_DEPTH, chain_pen)
+    assert _sim_kernel(*args) == oracles.oracle_sim_kernel(*args, MI_QUEUE_DEPTH)
 
 
 def test_simulate_is_deterministic(rng):
@@ -346,17 +383,18 @@ def test_parse_config_errors(tmp_path):
     no_eq.write_text("cores 8\n")
     with pytest.raises(ValueError, match="key = value"):
         parse_config(no_eq)
-    for banks in (0, -2):
-        no_banks = tmp_path / "banks.cfg"
-        no_banks.write_text(f"banks = {banks}\n")
-        with pytest.raises(ValueError, match=f"banks must be >= 1, got {banks}"):
-            parse_config(no_banks)
-    for line, message in (("clock_hz = nan", "clock_hz must be positive and finite"),
-                          ("clock_hz = inf", "clock_hz must be positive and finite"),
-                          ("clock_hz = -1", "clock_hz must be positive and finite"),
-                          ("energy.e_core_cycle = nan", "e_core_cycle must be nonnegative"),
-                          ("energy.e_static_per_s = inf", "e_static_per_s must be nonnegative")):
-        not_finite = tmp_path / "finite.cfg"
-        not_finite.write_text(line + "\n")
-        with pytest.raises(ValueError, match=message):
-            parse_config(not_finite)
+    # a bad value is named at its line, after lines that were fine
+    for line, message in (
+            ("banks = 0", "banks must be >= 1, got 0"),
+            ("banks = -2", "banks must be >= 1, got -2"),
+            ("cores = 0", "cores and interleave_depth must be >= 1"),
+            ("clock_hz = nan", "clock_hz must be positive and finite"),
+            ("clock_hz = inf", "clock_hz must be positive and finite"),
+            ("clock_hz = -1", "clock_hz must be positive and finite"),
+            ("energy.e_core_cycle = nan", "e_core_cycle must be nonnegative"),
+            ("energy.e_core_cycle = -1", "e_core_cycle must be nonnegative"),
+            ("energy.e_static_per_s = inf", "e_static_per_s must be nonnegative")):
+        bad_value = tmp_path / "value.cfg"
+        bad_value.write_text(f"# arch\ncores = 4\n{line}\nmax_map = 64\n")
+        with pytest.raises(ValueError, match=rf"value\.cfg:3: {message}"):
+            parse_config(bad_value)

@@ -263,12 +263,12 @@ def test_simulate_rejects_zero_banks(tmp_path, capsys):
     grid = tmp_path / "g.grid"
     write_grid(OccupancyGrid.uniform((2, 2)), grid)
     cfg = tmp_path / "banks.cfg"
-    cfg.write_text("banks = 0\n")
+    cfg.write_text("cores = 4\nbanks = 0\n")
     code, out, err = run(capsys, "simulate", "--grid", str(grid), "--rays", "4",
                          "--config", str(cfg))
     assert code == EXIT_USAGE
     assert out == ""
-    assert err == "error: banks must be >= 1, got 0\n"
+    assert err == f"error: {cfg}:2: banks must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("line,message", [
@@ -285,7 +285,7 @@ def test_simulate_rejects_non_finite_config(tmp_path, capsys, line, message):
                          "--config", str(cfg))
     assert code == EXIT_USAGE
     assert out == ""
-    assert err == f"error: {message}\n"
+    assert err == f"error: {cfg}:1: {message}\n"
 
 
 def test_sweep_csv(grid_file, tmp_path, capsys):

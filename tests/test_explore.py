@@ -474,7 +474,8 @@ def test_entropy_at_lookup():
 
 
 def test_platform_profile_validation():
-    with pytest.raises(ValueError):
-        PlatformProfile("bad", 0.0, 1.0)
-    with pytest.raises(ValueError):
-        PlatformProfile("bad", 1.0, -1.0)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="mi_latency_s must be positive and finite"):
+            PlatformProfile("bad", bad, 1.0)
+        with pytest.raises(ValueError, match="mi_energy_j must be positive and finite"):
+            PlatformProfile("bad", 1.0, bad)
