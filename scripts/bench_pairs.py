@@ -5,14 +5,18 @@ parent commit and on this checkout's working tree, alternating which side
 goes first in each pair, and writes per workload and end-to-end metric
 the medians and quartiles of both sides and how many pairs the change
 won.  The run length, the end-to-end metrics and whether lower or higher
-is better come from ``BENCHMARK.json``.  The extract lives in a temporary
-directory (``TMPDIR`` picks its place) and is removed when the runs end.
+is better come from ``BENCHMARK.json``.  With ``--traced`` it then makes
+one ``--trace 1`` run a side and records its per-layer metrics.  The
+extract lives in a temporary directory (``TMPDIR`` picks its place) and
+is removed when the runs end.
 
 Run from anywhere in the repository:
 
     python3 scripts/bench_pairs.py --out BENCH_N.json --workload explore_trial
     python3 scripts/bench_pairs.py --out BENCH_N.json --workload explore_trial \\
         --trial-seed 1 --pairs 6
+    python3 scripts/bench_pairs.py --out BENCH_N.json --workload mi_snapshot \\
+        --pairs 3 --traced
 
 An existing ``--out`` file keeps its other entries; each run replaces
 the entries of the workloads it ran.
@@ -38,10 +42,10 @@ def git(*args: str, cwd: Path = ROOT) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def run_once(tree: Path, args: list[str], timeout: float) -> dict:
+def run_once(tree: Path, args: list[str], timeout: float, trace: int = 0) -> dict:
     """One benchmark run in ``tree``; its JSON result line."""
     out = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"),
-                          *args, "--trace", "0"], cwd=tree, check=True,
+                          *args, "--trace", str(trace)], cwd=tree, check=True,
                          capture_output=True, text=True, timeout=timeout)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -76,6 +80,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--trial-seed", type=int, default=None,
                         help="start seed of explore_trial (perfbench default 3)")
+    parser.add_argument("--traced", action="store_true",
+                        help="also make one --trace 1 run a side")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -123,6 +129,11 @@ def main(argv=None) -> int:
                               for side, rs in results.items()},
                 "metrics": compare(results, metrics),
             }
+            if args.traced:
+                entries[key]["traced"] = {
+                    side: {name: m["value"] for name, m in
+                           run_once(where, run_args, timeout, trace=1)["metrics"].items()}
+                    for side, where in (("parent", tree), ("change", ROOT))}
             args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -16,7 +16,7 @@ from .explore import (Environment, PlatformProfile, PLATFORMS, RobotState,
                       update_occupancy)
 from .fixedpoint import decode, encode
 from .grid import (CellCoord, FcmiParams, LineFamily, MIMap, OccupancyGrid,
-                   SensorConfig, cell_width, line_family)
+                   SensorConfig, SweepMemo, cell_width, line_family)
 from .gridio import (GridFormatError, read_grid, read_mi_map, write_grid,
                      write_mi_map, write_pgm)
 from .reference import compute_mi_map, map_entropy
@@ -27,11 +27,11 @@ __all__ = [
     "ArchConfig", "CellCoord", "EnergyParams", "Environment", "FcmiParams",
     "FxpConstants", "GridFormatError", "LineFamily", "MIMap", "OccLutEntry",
     "OccupancyGrid", "PLATFORMS", "PlatformProfile", "PwlExpTable",
-    "RobotState", "SensorConfig", "SimReport", "TrialLog", "bank_of",
-    "build_occ_lut", "build_pwl_exp", "cell_width", "compute_mi_map",
-    "compute_mi_map_fxp", "decode", "dump_tables", "encode", "gbl_select",
-    "line_family", "lower_bound_latency", "map_entropy", "pwl_exp",
-    "read_grid", "read_mi_map", "run_trial", "scaling_sweep", "simulate",
-    "simulate_scan", "step_expectations_fxp", "update_occupancy",
-    "write_grid", "write_mi_map", "write_pgm",
+    "RobotState", "SensorConfig", "SimReport", "SweepMemo", "TrialLog",
+    "bank_of", "build_occ_lut", "build_pwl_exp", "cell_width",
+    "compute_mi_map", "compute_mi_map_fxp", "decode", "dump_tables",
+    "encode", "gbl_select", "line_family", "lower_bound_latency",
+    "map_entropy", "pwl_exp", "read_grid", "read_mi_map", "run_trial",
+    "scaling_sweep", "simulate", "simulate_scan", "step_expectations_fxp",
+    "update_occupancy", "write_grid", "write_mi_map", "write_pgm",
 ]

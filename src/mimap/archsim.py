@@ -115,6 +115,8 @@ class ArchConfig:
             raise ValueError(f"clock_hz must be positive and finite, got {self.clock_hz}")
         if self.n_banks is not None and self.n_banks < 1:
             raise ValueError(f"banks must be >= 1, got {self.n_banks}")
+        if self.max_map < 1:
+            raise ValueError(f"max_map must be >= 1, got {self.max_map}")
 
     @property
     def eff_banks(self) -> int:

@@ -33,7 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fixedpoint as fx
-from .grid import FcmiParams, MIMap, OccupancyGrid, SensorConfig, cell_width, sweep
+from .grid import (FcmiParams, MIMap, OccupancyGrid, SensorConfig, SweepMemo,
+                   cell_width, sweep)
 
 PWL_SEGMENTS = 16
 PWL_LO = -8.0
@@ -256,7 +257,8 @@ def _preprocess_rows(w_raws: np.ndarray, levels: list[int],
 
 
 def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
-                       params: FcmiParams = FcmiParams()) -> MIMap:
+                       params: FcmiParams = FcmiParams(),
+                       memo: SweepMemo | None = None) -> MIMap:
     """Map-wide MI on the fixed-point datapath; accumulator also Q20.12.
 
     Runs ``grid.sweep`` with every arithmetic op replaced by the
@@ -270,6 +272,14 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
     saturates exactly where a sweep of one heading after another would.
     The returned map carries the raw accumulator words, their decoded
     float values and the number of saturation events of the call.
+
+    A caller that computes maps of one grid as it changes passes the same
+    ``memo`` to each call; the sweep is keyed by the sensor, resolution and
+    parameters, and re-steps only the scan lines that hold a changed cell
+    (see ``grid.sweep`` for the rule and its cold fallbacks).  Map and
+    saturation count are those of a call without it.  The memo keeps its
+    contribution buffers, H*W*rays int32 words, for the caller; a map does
+    not carry them, so a caller that keeps many maps keeps one buffer.
     """
     sat0 = fx.saturation_count()
     w_raws = np.array([fx.encode(cell_width(float(a), grid.resolution))
@@ -290,7 +300,8 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
         return fx.arr_mul(fx.arr_sub(s[0], fx.arr_mul(k1, s[1])), dth_raw)
 
     # int32 buffer: saturated words fit
-    mi_flat = sweep(grid.levels, sensor.angles, rows, step, fx.arr_add, np.int32)
+    mi_flat = sweep(grid.levels, sensor.angles, rows, step, fx.arr_add, np.int32,
+                    memo, (sensor, grid.resolution, params))
     raw = mi_flat.reshape(grid.shape).astype(np.int32)
     return MIMap(raw.astype(np.float64) / fx.SCALE, grid.resolution, raw=raw,
                  saturations=fx.saturation_count() - sat0)

@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .datapath import compute_mi_map_fxp
-from .grid import (CellCoord, FcmiParams, MIMap, OccupancyGrid, SensorConfig,
-                   cell_width, line_family)
+from .grid import (CellCoord, FcmiParams, LineFamily, MIMap, OccupancyGrid,
+                   SensorConfig, SweepMemo, cell_width, line_family)
 from .reference import map_entropy
 
 UNKNOWN_LO = 40        # level band treated as unexplored
@@ -141,14 +141,21 @@ class ScanRay(NamedTuple):
     hit: int | None         # first occupied cell, None = max range
 
 
-@lru_cache(maxsize=512)
-def _family_position(angle: float, height: int, width: int) -> np.ndarray:
-    """Position of every flat cell in the cells of its heading's line
-    family: the inverse of the permutation ``line_family(...).cells``."""
-    fam = line_family(angle, (height, width))
-    pos = np.empty(height * width, dtype=np.int32)
-    pos[fam.cells] = np.arange(height * width, dtype=np.int32)
-    return pos
+@lru_cache(maxsize=8)
+def _scan_geometry(sensor: SensorConfig, shape: tuple[int, int],
+                   resolution: float) -> tuple[tuple[LineFamily, np.ndarray, float], ...]:
+    """Per sensor heading: its ``line_family``, the position of every flat
+    cell in that family's cells (the inverse of the permutation
+    ``cells``) and the beam's reach in cells, ``max_range / cell_width``."""
+    n_cells = shape[0] * shape[1]
+    out = []
+    for ang in sensor.angles:
+        ang = float(ang)
+        fam = line_family(ang, shape)
+        pos = np.empty(n_cells, dtype=np.int32)
+        pos[fam.cells] = np.arange(n_cells, dtype=np.int32)
+        out.append((fam, pos, sensor.max_range / cell_width(ang, resolution)))
+    return tuple(out)
 
 
 def simulate_scan(env: Environment, pose: CellCoord,
@@ -173,13 +180,11 @@ def simulate_scan(env: Environment, pose: CellCoord,
         raise ValueError(f"pose {pose} is on an occupied ground-truth cell")
     occupied = env.occupied.ravel()
     rays = []
-    for k, ang in enumerate(sensor.angles):
-        ang = float(ang)
-        fam = line_family(ang, env.shape)
-        p = int(_family_position(ang, height, width)[r * width + c])
+    geometry = _scan_geometry(sensor, env.shape, env.resolution)
+    for k, (fam, position, reach) in enumerate(geometry):
+        p = int(position[r * width + c])
         line_start = fam.seg_start[fam.seg_start.searchsorted(p, "right") - 1]
         beam = fam.cells[line_start:p + 1][::-1]
-        reach = sensor.max_range / cell_width(ang, env.resolution)
         if reach < len(beam):
             beam = beam[:int(reach) + 1]
         blocked = occupied[beam]
@@ -340,7 +345,9 @@ def run_trial(env: Environment, sensor: SensorConfig = SensorConfig(),
     not seen exist (a slow platform computes back to back); otherwise the
     engine idles until the next scan.  MI values are realized lazily from
     the recorded snapshots, which cannot change the trajectory because only
-    maps the planner actually reads ever influence it.
+    maps the planner actually reads ever influence it.  Consecutive maps
+    read differ in few cells, so the trial's MI computes share one
+    ``SweepMemo``.
     """
     if not 0 < scan_rate_hz < math.inf:
         raise ValueError(f"scan_rate_hz must be positive and finite, got {scan_rate_hz}")
@@ -357,6 +364,7 @@ def run_trial(env: Environment, sensor: SensorConfig = SensorConfig(),
     in_flight: _MICompute | None = None
     latest: _MICompute | None = None
     latest_map: MIMap | None = None
+    memo = SweepMemo()
     computes = 0
     goal: CellCoord | None = None
     step = 0
@@ -385,7 +393,8 @@ def run_trial(env: Environment, sensor: SensorConfig = SensorConfig(),
         if goal is None and latest is not None:
             if latest_map is None:
                 latest_map = compute_mi_map_fxp(
-                    OccupancyGrid(latest.basis, env.resolution), sensor, params)
+                    OccupancyGrid(latest.basis, env.resolution), sensor, params,
+                    memo=memo)
             goal = gbl_select(latest_map, grid, robot)
             done = goal is None
         if goal is not None:

@@ -26,6 +26,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import fixedpoint as fx
+
 # Cells per heading block of ``sweep``.  A block's buffers hold a few
 # words per cell, so this bounds their memory; larger blocks mean fewer,
 # longer steps of the sweep loop.
@@ -276,14 +278,47 @@ def _lane_block(angles, first: int, bounds: tuple[int, int]) -> LaneBlock:
     headings = np.repeat(np.arange(first, first + len(fams)),
                          [f.n_lines for f in fams])
     order = np.argsort(-lengths, kind="stable")
-    by_length = lengths[order]
-    active = np.searchsorted(-by_length, -np.arange(by_length[0]), side="left")
     return LaneBlock(len(fams), np.concatenate([f.cells for f in fams]),
-                     starts[order], headings[order], active)
+                     starts[order], headings[order], _active(lengths[order]))
+
+
+def _active(by_length: np.ndarray) -> np.ndarray:
+    """Lanes still active at each step, for lane lengths longest first."""
+    steps = int(by_length[0]) if by_length.size else 0
+    return np.searchsorted(-by_length, -np.arange(steps), side="left")
+
+
+def _touched_lanes(block: LaneBlock, changed: np.ndarray):
+    """(start, heading, active) of the block's lanes that hold a cell
+    whose flag in ``changed`` is set, in the block's longest-first order."""
+    by_pos = np.argsort(block.lane_start)
+    hit = np.empty(len(by_pos), dtype=bool)
+    # the lanes tile the block's cells, so in position order their starts
+    # cut the cells into the lanes
+    hit[by_pos] = np.logical_or.reduceat(changed[block.cells], block.lane_start[by_pos])
+    lanes = np.flatnonzero(hit)
+    # lane j is active at the steps t with j < active[t]
+    lengths = np.searchsorted(-block.active, -lanes, side="left")
+    return block.lane_start[lanes], block.lane_heading[lanes], _active(lengths)
+
+
+class SweepMemo:
+    """Caller-owned state of one ``sweep`` call for the next call to reuse.
+
+    After a call it holds the call's flat levels, each heading block's
+    contribution buffer, the call's key and the saturations its sweep
+    counted; while a call runs, and after a call that raised, it is empty.
+    """
+
+    def __init__(self):
+        self.key = None
+        self.levels: np.ndarray | None = None
+        self.bufs: list[np.ndarray] = []
+        self.saturations = 0
 
 
 def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
-          buf_dtype) -> np.ndarray:
+          buf_dtype, memo: SweepMemo | None = None, key=None) -> np.ndarray:
     """The one sweep of both map engines: a recursion along every line of
     every heading's family, each cell's contributions summed.
 
@@ -297,22 +332,60 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
     done; then ``add`` folds the buffer into the flat accumulator one
     heading at a time, so each cell sums in heading order.  State and
     accumulator are float64, or int64 for an integer buffer.
+
+    A ``memo`` lets consecutive calls on slowly changing maps share work.
+    A lane's contributions depend only on the levels of its own cells and
+    on the table and step, which ``key`` must name in full (for the
+    fixed-point engine: sensor, resolution and parameters).  So a call
+    with a memo filled by a call of the same shape and key steps only the
+    lanes that hold a cell whose level changed, keeping their longest
+    first order, writes their contributions over the memo's buffers and
+    folds every heading of every block again.  It runs cold, stepping
+    every lane, when the memo is empty or its key differs, or when the
+    previous sweep counted a fixed-point saturation: the clips of the
+    lanes it keeps would then be missing from the new call's count.
+    Otherwise the kept lanes clipped nothing, so the call's result and
+    saturation count are those of a cold call.  The memo is emptied when
+    the call starts and filled again only when its sweep has finished.
+    It holds every block's buffer, H*W*rays words, so it is owned by the
+    caller and not hung on the returned map: a caller keeping many maps
+    would keep a buffer with each.  A call without a memo holds one
+    block's buffer at a time.
     """
     n_cells = levels.size
     levels_flat = levels.reshape(-1)
     wide = np.promote_types(buf_dtype, np.int64)
     acc = np.zeros(n_cells, dtype=wide)
+    key = (levels.shape, key)
+    kept = None
+    if memo is not None:
+        if memo.levels is not None and memo.key == key and memo.saturations == 0:
+            kept = memo.bufs
+            changed = memo.levels != levels_flat
+        memo.levels, memo.bufs = None, []
+    sat0 = fx.saturation_count()
+    bufs = []
     for block in lane_blocks(angles, levels.shape):
-        lane_key = 101 * block.lane_heading
-        buf = np.empty(len(block.cells), dtype=buf_dtype)
-        state = np.zeros((4, len(block.lane_start)), dtype=wide)
-        for t, na in enumerate(block.active.tolist()):
-            pos = block.lane_start[:na] + t
+        if kept is None:
+            buf = np.empty(len(block.cells), dtype=buf_dtype)
+            start, heading, active = block.lane_start, block.lane_heading, block.active
+        else:
+            buf = kept[len(bufs)]
+            start, heading, active = _touched_lanes(block, changed)
+        lane_key = 101 * heading
+        state = np.zeros((4, len(start)), dtype=wide)
+        for t, na in enumerate(active.tolist()):
+            pos = start[:na] + t
             cols = table.take(lane_key[:na] + levels_flat[block.cells[pos]], axis=1)
-            buf[pos] = step(state[:, :na], cols, block.lane_heading[:na])
+            buf[pos] = step(state[:, :na], cols, heading[:na])
         for k in range(block.n_headings):
             at = slice(k * n_cells, (k + 1) * n_cells)
             cells = block.cells[at]
             acc[cells] = add(acc[cells], buf[at])
+        if memo is not None:
+            bufs.append(buf)
         del block, buf, cells  # free every view of the block before the next
+    if memo is not None:
+        memo.key, memo.levels, memo.bufs = key, levels_flat.copy(), bufs
+        memo.saturations = fx.saturation_count() - sat0
     return acc

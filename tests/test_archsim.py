@@ -387,6 +387,8 @@ def test_parse_config_errors(tmp_path):
     for line, message in (
             ("banks = 0", "banks must be >= 1, got 0"),
             ("banks = -2", "banks must be >= 1, got -2"),
+            ("max_map = 0", "max_map must be >= 1, got 0"),
+            ("max_map = -3", "max_map must be >= 1, got -3"),
             ("cores = 0", "cores and interleave_depth must be >= 1"),
             ("clock_hz = nan", "clock_hz must be positive and finite"),
             ("clock_hz = inf", "clock_hz must be positive and finite"),

@@ -275,6 +275,7 @@ def test_simulate_rejects_zero_banks(tmp_path, capsys):
     ("clock_hz = nan", "clock_hz must be positive and finite, got nan"),
     ("clock_hz = inf", "clock_hz must be positive and finite, got inf"),
     ("energy.e_core_cycle = nan", "e_core_cycle must be nonnegative and finite, got nan"),
+    ("max_map = 0", "max_map must be >= 1, got 0"),
 ])
 def test_simulate_rejects_non_finite_config(tmp_path, capsys, line, message):
     grid = tmp_path / "g.grid"

@@ -24,7 +24,7 @@ from mimap.datapath import (
     pwl_segment,
     step_expectations_fxp,
 )
-from mimap.grid import FcmiParams, OccupancyGrid, SensorConfig, cell_width
+from mimap.grid import FcmiParams, OccupancyGrid, SensorConfig, SweepMemo, cell_width
 from mimap.reference import compute_mi_map
 
 GOLDEN = Path(__file__).parent / "goldens"
@@ -331,6 +331,53 @@ def test_map_fxp_matches_scalar_chain_with_saturations(grid, rays):
     got = compute_mi_map_fxp(grid, sensor)
     np.testing.assert_array_equal(got.raw, want)
     assert got.saturations == want_sats
+
+
+# a step replaces the grid's shape, ray count, resolution or cap, or keeps all
+SETTING_CHANGES = st.one_of(
+    st.none(),
+    st.tuples(st.just("shape"), st.tuples(st.integers(1, 9), st.integers(1, 9))),
+    st.tuples(st.just("rays"), st.integers(1, 13)),
+    st.tuples(st.just("resolution"), st.sampled_from([0.1, 1.0, 1e9])),
+    st.tuples(st.just("lambda_cap"), st.sampled_from([1e7, 1e3])),
+)
+
+
+@settings(max_examples=40)
+@given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+       rays=st.integers(1, 13), resolution=st.sampled_from([0.1, 1.0, 1e9]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       steps=st.lists(st.tuples(st.sampled_from(["none", "cell", "fifth", "all"]),
+                                SETTING_CHANGES), min_size=1, max_size=5))
+def test_map_fxp_with_memo_matches_cold_calls(shape, rays, resolution, seed, steps):
+    # every call on a shared memo, after any edit of the levels and any
+    # change of settings, gives the words and saturations of a cold call
+    rng = np.random.default_rng(seed)
+    settings_now = {"rays": rays, "resolution": resolution, "lambda_cap": 1e7}
+    levels = rng.integers(0, 101, shape, dtype=np.uint8)
+    memo = SweepMemo()
+    for edit, change in [("none", None)] + steps:
+        if change is not None and change[0] == "shape":
+            levels = rng.integers(0, 101, change[1], dtype=np.uint8)
+        elif change is not None:
+            settings_now[change[0]] = change[1]
+        levels = levels.copy()
+        flat = levels.reshape(-1)
+        if edit == "cell":
+            i = rng.integers(flat.size)
+            flat[i] = (flat[i] + rng.integers(1, 101)) % 101
+        elif edit == "fifth":
+            at = rng.random(flat.size) < 0.2
+            flat[at] = rng.integers(0, 101, int(at.sum()))
+        elif edit == "all":
+            flat[:] = (flat + rng.integers(1, 101, flat.size)) % 101
+        grid = OccupancyGrid(levels, settings_now["resolution"])
+        sensor = SensorConfig(settings_now["rays"])
+        params = FcmiParams(settings_now["lambda_cap"])
+        warm = compute_mi_map_fxp(grid, sensor, params, memo=memo)
+        cold = compute_mi_map_fxp(grid, sensor, params)
+        np.testing.assert_array_equal(warm.raw, cold.raw)
+        assert warm.saturations == cold.saturations
 
 
 def test_map_fxp_no_saturation_at_map_scale(make_grid):

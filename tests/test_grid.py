@@ -21,6 +21,7 @@ from mimap.grid import (
     MIMap,
     OccupancyGrid,
     SensorConfig,
+    SweepMemo,
     cell_width,
     lane_blocks,
     line_family,
@@ -279,6 +280,56 @@ def test_sweep_steps_every_line_in_scan_order_and_folds_by_heading(
     for h in range(10):
         want = want * 11 + h + 1
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("per_block", [1, 4, 10])
+def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, per_block):
+    bounds, sensor = (7, 12), SensorConfig(10)
+    n_cells = 7 * 12
+    monkeypatch.setattr(grid_module, "LANE_BLOCK_CELLS", per_block * n_cells)
+    levels = np.random.default_rng(4).integers(0, 101, bounds, dtype=np.uint8)
+    table = np.arange(10 * 101)[None, :]
+    stepped = []
+
+    def step(state, cols, headings):
+        stepped.append(len(headings))
+        state[0] = state[0] * 7 + cols[0]
+        return state[0] % 1000
+
+    memo = SweepMemo()
+    first = sweep(levels, sensor.angles, table, step, np.add, np.int32, memo, "k")
+    assert sum(stepped) == n_cells * 10
+    np.testing.assert_array_equal(memo.levels, levels.reshape(-1))
+    edited = levels.copy()
+    edited[3, 5] = (edited[3, 5] + 1) % 101
+    stepped.clear()
+    got = sweep(edited, sensor.angles, table, step, np.add, np.int32, memo, "k")
+    # one line of each heading holds the cell; only those lines step
+    want_steps = 0
+    for angle in sensor.angles:
+        fam = line_family(angle, bounds)
+        want_steps += sum(len(fam.line_cells(i)) for i in range(fam.n_lines)
+                          if 3 * 12 + 5 in fam.line_cells(i))
+    assert sum(stepped) == want_steps
+    cold = sweep(edited, sensor.angles, table, step, np.add, np.int32)
+    np.testing.assert_array_equal(got, cold)
+    assert not np.array_equal(got, first)
+    # unchanged levels step no line; under another key they step every line
+    for key, want in (("k", 0), ("other", n_cells * 10), ("other", 0)):
+        stepped.clear()
+        sweep(edited, sensor.angles, table, step, np.add, np.int32, memo, key)
+        assert sum(stepped) == want
+
+    # a call that raises leaves the memo empty, so the next call runs cold
+    def failing(state, cols, headings):
+        raise RuntimeError("step failed")
+
+    with pytest.raises(RuntimeError):
+        sweep(levels, sensor.angles, table, failing, np.add, np.int32, memo, "other")
+    assert memo.levels is None and memo.bufs == []
+    stepped.clear()
+    sweep(edited, sensor.angles, table, step, np.add, np.int32, memo, "other")
+    assert sum(stepped) == n_cells * 10
 
 
 def family_lines(angle, bounds):
