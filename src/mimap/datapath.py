@@ -12,17 +12,28 @@ The dataflow mirrors the hardware split:
 
 Preprocess outputs depend only on (occupancy level, heading), so the map
 engine computes them for each heading and each level the grid holds in
-one pass of the array ops over (heading, level), into one table keyed by
-``heading*101 + level``; levels 0 and 100 take constant rows.  Feedback
-and postprocess are the step of ``grid.sweep``, which runs every scan
-line of every heading as a lane and folds the contributions into the
-accumulator in heading order.  Every array op carries the exact scalar
-rounding and saturation semantics and each element passes through the
-ops of the scalar chain in its order, so the map and its saturation
-count are those of chaining ``step_expectations_fxp`` cell by cell and
-heading by heading, with preprocess once per (heading, level).  The
-scalar ops (``_preprocess``, ``pwl_exp``, ``step_expectations_fxp``)
-stay as that bit-exact reference.
+one pass of the saturating array ops over (heading, level), into one
+table keyed by ``heading*101 + level``; levels 0 and 100 take constant
+rows.  Feedback and postprocess are the step of ``grid.sweep``, which
+runs every scan line of every heading as a lane and folds the
+contributions into the accumulator in heading order.
+
+The step runs on float64 lanes that hold the Q20.12 words exactly, with
+the multipliers E, x, the cell width, k1 and dtheta scaled by 2^-12 (an
+exact scaling), so a fixed-point multiply is ``np.rint(a * b_scaled)``.
+That is ``fixedpoint.arr_mul`` bit for bit whenever the integer product
+a*b is below 2^53 in magnitude, which makes the float product exact and
+leaves ``np.rint`` to round it half to even, and the word is in range.
+Each step first bounds every word of its op chain from max|state| and
+the table's maxima (``_step_bound``).  In range, every product is below
+2^43, and no op saturates; out of range, the step runs the same chain
+with the saturating int64 ops, and the sweep folds with ``arr_add``.  So
+every element passes through the ops of the scalar chain in its order,
+with its rounding and saturation, and the map and its saturation count
+are those of chaining ``step_expectations_fxp`` cell by cell and heading
+by heading, with preprocess once per (heading, level).  The scalar ops
+(``_preprocess``, ``pwl_exp``, ``step_expectations_fxp``) stay as that
+bit-exact reference.
 """
 
 import math
@@ -256,22 +267,104 @@ def _preprocess_rows(w_raws: np.ndarray, levels: list[int],
     return rows.reshape(6, -1)
 
 
+def _step_bound(m: int, x: int, w: int, e: int, c: int, k1: int, dth: int) -> int:
+    """Bound on every word one sweep step makes from state words of
+    magnitude at most ``m``, given the magnitude maxima of its multipliers
+    (x, the cell width w, E, k1, dtheta) and of its constants C1..C4.
+
+    A product a*b of words rounds to a word of magnitude at most
+    a*b // SCALE + 1, the + 1 covering the rounding; a sum is bounded by
+    the sum of its terms' bounds.
+    """
+    def mul(a, b):
+        return a * b // fx.SCALE + 1
+
+    m1 = m + mul(x, m)        # (a1, a0) += x*(b1, b0)
+    m2 = m1 + mul(w, m1)      # (a1, b1) += w*(a0, b0)
+    m3 = mul(e, m2) + c       # E*state + (C1, C2, C3, C4)
+    d = m3 + mul(k1, m3)      # a1 - k1*b1
+    return max(m2, d, mul(d, dth))
+
+
+def _round_product(a, b_scaled):
+    p = a * b_scaled
+    return np.rint(p, out=p)
+
+
+# (add, sub, mul) of the step: exact float64 lane arithmetic on words and
+# 2^-12-scaled multipliers, or the saturating int64 ops on words
+_EXACT_OPS = (np.add, np.subtract, _round_product)
+_SATURATING_OPS = (fx.arr_add, fx.arr_sub, fx.arr_mul)
+
+
+def _sweep_step(rows: np.ndarray, w_raws: np.ndarray, k1: int, dth_raw: int):
+    """The ``sweep`` table and step of the Q20.12 engine.
+
+    ``rows`` are the int64 preprocess rows of ``_preprocess_rows`` and
+    ``w_raws`` the headings' cell-width words.  The table is ``rows`` as
+    float64, with the multiplier rows E and x scaled by 2^-12; the state
+    is float64 too.  Every float holds an integer word, or a word times
+    2^-12, exactly.
+
+    Each step runs one op chain on the stacked (a1, b1, a0, b0) state:
+    ``(a1, a0) += x*(b1, b0)``, then ``(a1, b1) += w*(a0, b0)``, then
+    ``E*state + (C1, C2, C3, C4)``, then the contribution
+    ``(a1 - k1*b1)*dtheta``.  It first takes max|state| over the active
+    lanes and bounds every word of the chain with ``_step_bound``.  When
+    the bound is at most ``RAW_MAX``, no op can saturate, and every
+    product a*b is below SCALE * 2^31 = 2^43, so the float product
+    a * (b * 2^-12) is exact; ``np.rint`` then rounds it half to even, as
+    ``fixedpoint.arr_mul`` does, and the chain runs as plain float64
+    arithmetic.  Otherwise the step runs the same chain on int64 copies
+    with the saturating ``fixedpoint`` ops, which count each clip.
+    Either way every word equals that of the saturating chain.
+    """
+    table = rows.astype(np.float64)
+    table[:2] *= 2.0 ** -fx.FRAC_BITS
+    w_scaled = w_raws * 2.0 ** -fx.FRAC_BITS
+    k1_scaled = k1 * 2.0 ** -fx.FRAC_BITS
+    dth_scaled = dth_raw * 2.0 ** -fx.FRAC_BITS
+    maxima = (int(np.abs(rows[1]).max()), int(np.abs(w_raws).max()),
+              int(np.abs(rows[0]).max()), int(np.abs(rows[2:]).max()),
+              abs(k1), abs(dth_raw))
+
+    def step(s, row, headings):
+        m = int(max(s.max(), -s.min()))
+        if _step_bound(m, *maxima) <= fx.RAW_MAX:
+            add, sub, mul = _EXACT_OPS
+            t, e, x, c = s, row[0], row[1], row[2:]
+            w, k, d = w_scaled.take(headings), k1_scaled, dth_scaled
+        else:
+            add, sub, mul = _SATURATING_OPS
+            t = s.astype(np.int64)
+            e, x = (row[:2] * fx.SCALE).astype(np.int64)
+            c = row[2:].astype(np.int64)
+            w, k, d = w_raws.take(headings), k1, dth_raw
+        t[0::2] = add(t[0::2], mul(x, t[1::2]))
+        t[:2] = add(t[:2], mul(w, t[2:]))
+        t[:] = add(mul(e, t), c)
+        out = mul(sub(t[0], mul(k, t[1])), d)
+        if t is not s:
+            s[:] = t
+        return out
+
+    return table, step
+
+
 def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
                        params: FcmiParams = FcmiParams(),
                        memo: SweepMemo | None = None) -> MIMap:
     """Map-wide MI on the fixed-point datapath; accumulator also Q20.12.
 
-    Runs ``grid.sweep`` with every arithmetic op replaced by the
-    saturating fixed-point primitives; each lane takes its heading's
-    preprocess rows and cell width.  A step updates the lanes' stacked
-    (a1, b1, a0, b0) state with a few ops on stacked operands:
-    ``(a1, a0) += x*(b1, b0)``, then ``(a1, b1) += w*(a0, b0)``, then
-    ``E*state + (C1, C2, C3, C4)``, then the contribution.  Every element
-    passes through the same op sequence as in ``step_expectations_fxp``,
-    and the sweep folds with ``arr_add`` in heading order, so every cell
-    saturates exactly where a sweep of one heading after another would.
-    The returned map carries the raw accumulator words, their decoded
-    float values and the number of saturation events of the call.
+    Runs ``grid.sweep`` with the step of ``_sweep_step``: each lane takes
+    its heading's preprocess rows and cell width, and every element passes
+    through the same op sequence as in ``step_expectations_fxp``, in
+    exact float64 arithmetic where a bound shows no op can saturate and
+    with the saturating int64 ops otherwise.  The sweep folds with the
+    saturating add in heading order, so every cell saturates exactly where
+    a sweep of one heading after another would.  The returned map carries
+    the raw accumulator words, their decoded float values and the number
+    of saturation events of the call.
 
     A caller that computes maps of one grid as it changes passes the same
     ``memo`` to each call; the sweep is keyed by the sensor, resolution and
@@ -290,17 +383,9 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
     present = np.flatnonzero(np.bincount(grid.levels.reshape(-1), minlength=101)).tolist()
     rows = _preprocess_rows(w_raws, present, params)
     _, _, consts = _tables_cached(params.lambda_cap)
-    k1 = np.int64(consts.k1)
-    dth_raw = np.int64(fx.encode(sensor.delta_theta))
-
-    def step(s, row, headings):
-        s[0::2] = fx.arr_add(s[0::2], fx.arr_mul(row[1], s[1::2]))
-        s[:2] = fx.arr_add(s[:2], fx.arr_mul(w_raws.take(headings), s[2:]))
-        s[:] = fx.arr_add(fx.arr_mul(row[0], s), row[2:])
-        return fx.arr_mul(fx.arr_sub(s[0], fx.arr_mul(k1, s[1])), dth_raw)
-
+    table, step = _sweep_step(rows, w_raws, consts.k1, fx.encode(sensor.delta_theta))
     # int32 buffer: saturated words fit
-    mi_flat = sweep(grid.levels, sensor.angles, rows, step, fx.arr_add, np.int32,
+    mi_flat = sweep(grid.levels, sensor.angles, table, step, fx.arr_add, np.int32,
                     memo, (sensor, grid.resolution, params))
     raw = mi_flat.reshape(grid.shape).astype(np.int32)
     return MIMap(raw.astype(np.float64) / fx.SCALE, grid.resolution, raw=raw,

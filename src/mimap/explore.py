@@ -305,18 +305,40 @@ def gbl_select(mi_map: MIMap, grid: OccupancyGrid,
     return best
 
 
-def _step_toward(levels: np.ndarray, pos: CellCoord,
-                 goal: CellCoord) -> CellCoord | None:
+@dataclass
+class _GoalSearch:
+    """The last goal-rooted ``_bfs_distances`` of a trial and the free
+    mask of the map it ran on."""
+
+    goal: CellCoord | None = None
+    free: np.ndarray | None = None
+    dist: np.ndarray | None = None
+
+
+def _step_toward(levels: np.ndarray, pos: CellCoord, goal: CellCoord,
+                 last: _GoalSearch) -> CellCoord | None:
     """First move of a shortest free-space path, None if unreachable.
 
     The search runs from the goal and stops once it reaches ``pos``: the
-    neighbours one hop nearer the goal are final by then.
+    neighbours one hop nearer the goal are final by then.  The search in
+    ``last`` is reused if it has this goal, ran on this free mask and
+    reached ``pos``.  Every cell at most as far from the goal as that
+    search's stop cell is final in it, ``pos`` and its nearer neighbours
+    among them, so the move is the one a fresh search gives.  A fresh
+    search is stored in ``last``; an empty ``_GoalSearch()`` always
+    searches afresh.
     """
-    dist = _bfs_distances(levels, goal, stop=pos)
-    if dist[pos.row, pos.col] < 0:
+    free = _free_mask(levels)
+    r, c = pos
+    if (last.goal == goal and last.dist[r, c] >= 0
+            and np.array_equal(last.free, free)):
+        dist = last.dist
+    else:
+        dist = _bfs_distances(levels, goal, stop=pos)
+        last.goal, last.free, last.dist = goal, free, dist
+    if dist[r, c] < 0:
         return None
     height, width = levels.shape
-    r, c = pos
     here = dist[r, c]
     for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
         if (0 <= nr < height and 0 <= nc < width
@@ -347,7 +369,9 @@ def run_trial(env: Environment, sensor: SensorConfig = SensorConfig(),
     the recorded snapshots, which cannot change the trajectory because only
     maps the planner actually reads ever influence it.  Consecutive maps
     read differ in few cells, so the trial's MI computes share one
-    ``SweepMemo``.
+    ``SweepMemo``, and a scan seldom changes which cells are believed
+    free, so the moves toward one goal share a goal-rooted search while
+    it holds.
     """
     if not 0 < scan_rate_hz < math.inf:
         raise ValueError(f"scan_rate_hz must be positive and finite, got {scan_rate_hz}")
@@ -365,6 +389,7 @@ def run_trial(env: Environment, sensor: SensorConfig = SensorConfig(),
     latest: _MICompute | None = None
     latest_map: MIMap | None = None
     memo = SweepMemo()
+    last_search = _GoalSearch()
     computes = 0
     goal: CellCoord | None = None
     step = 0
@@ -398,7 +423,7 @@ def run_trial(env: Environment, sensor: SensorConfig = SensorConfig(),
             goal = gbl_select(latest_map, grid, robot)
             done = goal is None
         if goal is not None:
-            nxt = _step_toward(grid.levels, robot.position, goal)
+            nxt = _step_toward(grid.levels, robot.position, goal, last_search)
             if nxt is None:
                 goal = None          # blocked: replan next cycle
             else:

@@ -9,7 +9,10 @@ often a workload clipped.
 
 Scalar helpers work on plain-int raw words; the ``arr_*`` twins apply the
 identical semantics to whole int64 numpy arrays and are verified bit-equal
-in tests.
+in tests.  Each ``arr_*`` result passes a range test; the map engine's
+sweep step avoids that cost where a bound shows no word can leave the
+range, and runs there as exact float64 arithmetic on the same words (see
+``datapath``).
 """
 
 import math

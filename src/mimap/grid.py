@@ -288,10 +288,10 @@ def _active(by_length: np.ndarray) -> np.ndarray:
     return np.searchsorted(-by_length, -np.arange(steps), side="left")
 
 
-def _touched_lanes(block: LaneBlock, changed: np.ndarray):
+def _touched_lanes(block: LaneBlock, by_pos: np.ndarray, changed: np.ndarray):
     """(start, heading, active) of the block's lanes that hold a cell
-    whose flag in ``changed`` is set, in the block's longest-first order."""
-    by_pos = np.argsort(block.lane_start)
+    whose flag in ``changed`` is set, in the block's longest-first order.
+    ``by_pos`` is ``np.argsort(block.lane_start)``."""
     hit = np.empty(len(by_pos), dtype=bool)
     # the lanes tile the block's cells, so in position order their starts
     # cut the cells into the lanes
@@ -306,14 +306,16 @@ class SweepMemo:
     """Caller-owned state of one ``sweep`` call for the next call to reuse.
 
     After a call it holds the call's flat levels, each heading block's
-    contribution buffer, the call's key and the saturations its sweep
-    counted; while a call runs, and after a call that raised, it is empty.
+    contribution buffer, each block's ``LaneBlock`` with the order of its
+    lane starts, the call's key and the saturations its sweep counted;
+    while a call runs, and after a call that raised, it is empty.
     """
 
     def __init__(self):
         self.key = None
         self.levels: np.ndarray | None = None
         self.bufs: list[np.ndarray] = []
+        self.blocks: list[tuple[LaneBlock, np.ndarray]] = []
         self.saturations = 0
 
 
@@ -329,9 +331,11 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
     ``step(state, cols, headings)`` updates their ``(4, na)`` state in place
     and returns their contributions.  Each (heading, cell) contribution
     waits in its own slot of a ``buf_dtype`` buffer until the block is
-    done; then ``add`` folds the buffer into the flat accumulator one
-    heading at a time, so each cell sums in heading order.  State and
-    accumulator are float64, or int64 for an integer buffer.
+    done; then ``add(acc, part)`` folds the buffer into the flat
+    accumulator one heading at a time, so each cell sums in heading order.
+    The accumulator starts at zero and takes one part of every cell per
+    heading.  The state has the table's dtype; the accumulator is float64
+    for a float buffer and int64 for an integer one.
 
     A ``memo`` lets consecutive calls on slowly changing maps share work.
     A lane's contributions depend only on the levels of its own cells and
@@ -345,35 +349,43 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
     previous sweep counted a fixed-point saturation: the clips of the
     lanes it keeps would then be missing from the new call's count.
     Otherwise the kept lanes clipped nothing, so the call's result and
-    saturation count are those of a cold call.  The memo is emptied when
-    the call starts and filled again only when its sweep has finished.
-    It holds every block's buffer, H*W*rays words, so it is owned by the
-    caller and not hung on the returned map: a caller keeping many maps
-    would keep a buffer with each.  A call without a memo holds one
-    block's buffer at a time.
+    saturation count are those of a cold call.  The lane blocks depend
+    only on shape and key, so a call under the memo's key reuses them,
+    cold or not.  The memo is emptied when the call starts and filled
+    again only when its sweep has finished.  It holds every block and
+    its buffer, H*W*rays words, so it is owned by the caller and not hung
+    on the returned map: a caller keeping many maps would keep a buffer
+    with each.  A call without a memo holds one block at a time.
     """
     n_cells = levels.size
     levels_flat = levels.reshape(-1)
-    wide = np.promote_types(buf_dtype, np.int64)
-    acc = np.zeros(n_cells, dtype=wide)
+    acc = np.zeros(n_cells, dtype=np.promote_types(buf_dtype, np.int64))
     key = (levels.shape, key)
-    kept = None
+    blocks = kept = None
     if memo is not None:
-        if memo.levels is not None and memo.key == key and memo.saturations == 0:
-            kept = memo.bufs
-            changed = memo.levels != levels_flat
-        memo.levels, memo.bufs = None, []
+        if memo.key == key and memo.blocks:
+            blocks = memo.blocks
+            if memo.saturations == 0:
+                kept = memo.bufs
+                changed = memo.levels != levels_flat
+        memo.levels, memo.bufs, memo.blocks = None, [], []
+    if blocks is None:
+        blocks = lane_blocks(angles, levels.shape)
+        if memo is None:
+            blocks = ((block, None) for block in blocks)
+        else:
+            blocks = [(block, np.argsort(block.lane_start)) for block in blocks]
     sat0 = fx.saturation_count()
     bufs = []
-    for block in lane_blocks(angles, levels.shape):
+    for block, by_pos in blocks:
         if kept is None:
             buf = np.empty(len(block.cells), dtype=buf_dtype)
             start, heading, active = block.lane_start, block.lane_heading, block.active
         else:
             buf = kept[len(bufs)]
-            start, heading, active = _touched_lanes(block, changed)
+            start, heading, active = _touched_lanes(block, by_pos, changed)
         lane_key = 101 * heading
-        state = np.zeros((4, len(start)), dtype=wide)
+        state = np.zeros((4, len(start)), dtype=table.dtype)
         for t, na in enumerate(active.tolist()):
             pos = start[:na] + t
             cols = table.take(lane_key[:na] + levels_flat[block.cells[pos]], axis=1)
@@ -384,8 +396,9 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
             acc[cells] = add(acc[cells], buf[at])
         if memo is not None:
             bufs.append(buf)
-        del block, buf, cells  # free every view of the block before the next
+        del block, by_pos, buf, cells  # free every view of the block before the next
     if memo is not None:
         memo.key, memo.levels, memo.bufs = key, levels_flat.copy(), bufs
+        memo.blocks = blocks
         memo.saturations = fx.saturation_count() - sat0
     return acc

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import mimap.datapath as datapath
 import mimap.fixedpoint as fx
 from mimap.datapath import (
     PWL_LO_RAW,
@@ -311,24 +312,56 @@ def test_map_fxp_matches_scalar_beam_chain(make_grid, shape, rays):
     np.testing.assert_array_equal(got.raw, want)
 
 
+RESOLUTIONS = [0.1, 1.0, 10.0, 1e3, 1e9]
+
+
 @st.composite
 def small_grids(draw):
-    """Random 1..9 x 1..9 level grids at 0.1 m, 1 m or 1e9 m a cell."""
+    """Random 1..9 x 1..9 level grids at 0.1 m to 1e9 m a cell.  From
+    10 m on, steps of one call run on float lanes and on the saturating
+    ops both."""
     height, width = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     levels = draw(st.lists(st.integers(0, 100), min_size=height * width,
                            max_size=height * width))
-    resolution = draw(st.sampled_from([0.1, 1.0, 1e9]))
+    resolution = draw(st.sampled_from(RESOLUTIONS))
     return OccupancyGrid(np.array(levels, np.uint8).reshape(height, width), resolution)
 
 
 @settings(max_examples=40)
 @given(small_grids(), st.integers(1, 13))
+# at 1e3 m these clip in the contribution, from states the step's guard
+# must keep off the float lanes
+@example(OccupancyGrid(np.array([[84, 59]], np.uint8), 1e3), 1)
+@example(OccupancyGrid(np.array([[25, 41, 46], [67, 16, 61]], np.uint8), 1e3), 5)
 def test_map_fxp_matches_scalar_chain_with_saturations(grid, rays):
-    # any shape and ray count, and at 1e9 m saturating grids: the words
-    # and the saturation count both equal the scalar chain's
+    # any shape and ray count, and at 1e3 m and 1e9 m saturating grids:
+    # the words and the saturation count both equal the scalar chain's
     sensor = SensorConfig(rays)
     want, want_sats = scalar_map_fxp(grid, sensor)
     got = compute_mi_map_fxp(grid, sensor)
+    np.testing.assert_array_equal(got.raw, want)
+    assert got.saturations == want_sats
+
+
+@pytest.mark.parametrize("resolution", [10.0, 1e3])
+def test_map_fxp_call_mixes_float_and_saturating_steps(monkeypatch, resolution):
+    # at 10 m the states of a 9x9 grid outgrow the float guard part way
+    # along the lines, and at 1e3 m they clip: one call runs steps of both
+    # kinds, and its words and clip count are still the scalar chain's
+    kinds = []
+    bound = datapath._step_bound
+
+    def recorded(*args):
+        words = bound(*args)
+        kinds.append(words <= fx.RAW_MAX)
+        return words
+
+    grid = OccupancyGrid(np.random.default_rng(5).integers(0, 101, (9, 9), dtype=np.uint8),
+                         resolution)
+    want, want_sats = scalar_map_fxp(grid, SensorConfig(13))
+    monkeypatch.setattr(datapath, "_step_bound", recorded)
+    got = compute_mi_map_fxp(grid, SensorConfig(13))
+    assert any(kinds) and not all(kinds)
     np.testing.assert_array_equal(got.raw, want)
     assert got.saturations == want_sats
 
@@ -338,14 +371,14 @@ SETTING_CHANGES = st.one_of(
     st.none(),
     st.tuples(st.just("shape"), st.tuples(st.integers(1, 9), st.integers(1, 9))),
     st.tuples(st.just("rays"), st.integers(1, 13)),
-    st.tuples(st.just("resolution"), st.sampled_from([0.1, 1.0, 1e9])),
+    st.tuples(st.just("resolution"), st.sampled_from(RESOLUTIONS)),
     st.tuples(st.just("lambda_cap"), st.sampled_from([1e7, 1e3])),
 )
 
 
 @settings(max_examples=40)
 @given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
-       rays=st.integers(1, 13), resolution=st.sampled_from([0.1, 1.0, 1e9]),
+       rays=st.integers(1, 13), resolution=st.sampled_from(RESOLUTIONS),
        seed=st.integers(0, 2 ** 32 - 1),
        steps=st.lists(st.tuples(st.sampled_from(["none", "cell", "fifth", "all"]),
                                 SETTING_CHANGES), min_size=1, max_size=5))

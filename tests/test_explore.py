@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from mimap import explore
 from mimap.explore import (
     _FREE_TABLE,
     _HIT_TABLE,
@@ -26,6 +27,7 @@ from mimap.explore import (
     TrialLog,
     TrialRow,
     _bfs_distances,
+    _GoalSearch,
     _requantize,
     _step_toward,
     frontier_cells,
@@ -316,7 +318,64 @@ def test_step_toward_takes_first_nearer_neighbour(case):
                      ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
                      if 0 <= nr < height and 0 <= nc < width
                      and 0 <= dist[nr, nc] < here), None)
-    assert _step_toward(levels, pos, goal) == want
+    assert _step_toward(levels, pos, goal, _GoalSearch()) == want
+
+
+MOVES = st.sampled_from(["follow", "follow", "follow", "jump", "goal",
+                         "edit_free", "edit_band", "edit_any"])
+
+
+@given(level_maps(), st.lists(MOVES, min_size=1, max_size=30),
+       st.integers(0, 2 ** 32 - 1))
+def test_step_toward_reusing_its_search_matches_a_fresh_search(case, moves, seed):
+    # a replayed walk: the robot follows its moves, jumps, changes goal, or
+    # a cell's level changes, within the free band, within the blocked
+    # band, or anywhere; every move with the shared search is the move of
+    # a fresh one
+    levels, pos, goal = case
+    rng = np.random.default_rng(seed)
+    height, width = levels.shape
+    last = _GoalSearch()
+    for move in moves:
+        if move == "jump":
+            pos = CellCoord(int(rng.integers(height)), int(rng.integers(width)))
+        elif move == "goal":
+            goal = CellCoord(int(rng.integers(height)), int(rng.integers(width)))
+        elif move.startswith("edit"):
+            levels = levels.copy()
+            cell = int(rng.integers(height)), int(rng.integers(width))
+            lo, hi = {"edit_free": (0, UNKNOWN_LO), "edit_band": (UNKNOWN_LO, 101),
+                      "edit_any": (0, 101)}[move]
+            if (levels[cell] < UNKNOWN_LO) == (lo == 0) or move == "edit_any":
+                levels[cell] = rng.integers(lo, hi)
+        want = _step_toward(levels, pos, goal, _GoalSearch())
+        assert _step_toward(levels, pos, goal, last) == want
+        if move == "follow" and want is not None:
+            pos = want
+
+
+def test_step_toward_searches_once_along_an_unchanged_path(monkeypatch):
+    # on an open map the moves toward one goal take one search until the
+    # free mask changes; a change inside the free band keeps it
+    levels = np.full((6, 9), 10, dtype=np.uint8)
+    searches = []
+    bfs = explore._bfs_distances
+
+    def counted(*args, **kwargs):
+        searches.append(args[1])
+        return bfs(*args, **kwargs)
+
+    monkeypatch.setattr(explore, "_bfs_distances", counted)
+    pos, goal, last = CellCoord(5, 0), CellCoord(0, 8), _GoalSearch()
+    for _ in range(4):
+        pos = _step_toward(levels, pos, goal, last)
+    levels[3, 3] = 20
+    pos = _step_toward(levels, pos, goal, last)
+    assert searches == [goal]
+    levels[5, 8] = 80
+    while pos != goal:
+        pos = _step_toward(levels, pos, goal, last)
+    assert searches == [goal, goal]
 
 
 def test_gbl_prefers_higher_mi_at_equal_distance():

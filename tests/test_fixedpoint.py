@@ -1,6 +1,8 @@
-"""Q20.12 primitives: rounding, saturation, and the array fast paths."""
+"""Q20.12 primitives: rounding, saturation, the array fast paths, and the
+exact float64 lane form of the sweep step."""
 
 import decimal
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mimap.fixedpoint as fx
+from mimap.datapath import _preprocess_rows, _step_bound, _sweep_step
+from mimap.grid import SensorConfig, cell_width
 
 RAWS = st.integers(fx.RAW_MIN, fx.RAW_MAX)
 
@@ -151,3 +155,115 @@ def test_array_saturation_is_counted():
                      np.array([10, 10, -10], dtype=np.int64))
     np.testing.assert_array_equal(out, [fx.RAW_MAX, 10, fx.RAW_MIN])
     assert fx.saturation_count() - sat0 == 2
+
+
+# ---------------------------------------------------------------- float64 lanes
+#
+# The map engine runs its sweep step on float64 lanes that hold words, and
+# 2^-12-scaled multipliers, exactly.  A product of words a*b below 2^53 is
+# then exact as the float a * (b * 2^-12), and np.rint rounds it half to
+# even, as arr_mul does; a guard keeps every step inside that range.
+
+ULP = 2.0 ** -fx.FRAC_BITS
+
+
+def float_mul(a, b) -> np.ndarray:
+    return np.rint(np.asarray(a, dtype=np.float64) * (np.asarray(b) * ULP))
+
+
+def test_float_mul_matches_on_ties_and_range_ends():
+    h = fx.HALF_ULP
+    pairs = [(1, h), (-1, h), (3, h), (-3, h), (h, 1), (-h, 3),
+             (fx.RAW_MAX, h), (fx.RAW_MIN, h), (fx.RAW_MIN + 1, h), (fx.RAW_MAX, -h),
+             (fx.RAW_MAX, 4095), (fx.RAW_MIN, 4095), (fx.RAW_MAX, -fx.ONE_RAW),
+             (fx.RAW_MIN, 1), (fx.RAW_MAX, 1), (fx.RAW_MIN, -1)]
+    a = np.array([p[0] for p in pairs], dtype=np.int64)
+    b = np.array([p[1] for p in pairs], dtype=np.int64)
+    assert np.all(np.abs(a * b) < 2 ** 53)
+    sat0 = fx.saturation_count()
+    want = fx.arr_mul(a, b)
+    assert fx.saturation_count() == sat0
+    np.testing.assert_array_equal(float_mul(a, b), want)
+
+
+@given(st.lists(st.tuples(RAWS, st.integers(-(2 ** 22 - 1), 2 ** 22 - 1)),
+                min_size=1, max_size=64))
+def test_float_mul_is_exact_below_two_to_53(pairs):
+    # |a| <= 2^31 and |b| < 2^22: the product is below 2^53, and the float
+    # form gives the ties-even word, in range or not, in either order
+    a = np.array([p[0] for p in pairs], dtype=np.int64)
+    b = np.array([p[1] for p in pairs], dtype=np.int64)
+    want = [rne_div_scale(x * y) for x, y in pairs]
+    assert float_mul(a, b).tolist() == want
+    assert float_mul(b, a).tolist() == want
+
+
+def test_float_mul_can_be_wrong_just_over_two_to_53():
+    # 637322051 * 14132885 = 2^53 + 6143: the float product drops its last
+    # bit and lands on a tie that rounds the other way
+    a, b = 637322051, 14132885
+    assert a * b == 2 ** 53 + 6143
+    assert float_mul(a, b) == rne_div_scale(a * b) + 1
+
+
+def int_step(state, rows, w, k1, dth):
+    """The sweep step on int64 words with the saturating ops alone."""
+    s = state.copy()
+    s[0::2] = fx.arr_add(s[0::2], fx.arr_mul(rows[1], s[1::2]))
+    s[:2] = fx.arr_add(s[:2], fx.arr_mul(w, s[2:]))
+    s[:] = fx.arr_add(fx.arr_mul(rows[0], s), rows[2:])
+    return s, fx.arr_mul(fx.arr_sub(s[0], fx.arr_mul(k1, s[1])), dth)
+
+
+def guard_edge(maxima) -> int:
+    """Largest state magnitude the step's guard lets run on float lanes."""
+    lo, hi = 0, fx.RAW_MAX + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _step_bound(mid, *maxima) <= fx.RAW_MAX else (lo, mid)
+    return lo
+
+
+def level_rows(resolution):
+    """Preprocess rows of every level at 8 headings and that resolution."""
+    w = np.array([fx.encode(cell_width(a, resolution))
+                  for a in SensorConfig(8).angles], dtype=np.int64)
+    return _preprocess_rows(w, list(range(101))), w
+
+
+@pytest.mark.parametrize("case", ["1 m", "10 m", "rounding edge"])
+def test_step_just_inside_and_just_outside_its_guard(case):
+    # states at the guard's edge, one word past it and far past it, on
+    # every column of the table, step to the words and clip counts of the
+    # int64 step
+    if case == "rounding edge":
+        # identity update and k1 = 0, dtheta = 6146 ulp: at the largest
+        # state whose final product rounds down to RAW_MAX or less its
+        # exact word would still round up past RAW_MAX; only the guard's
+        # rounding slack keeps that state off the float lanes
+        rows = np.zeros((6, 101), dtype=np.int64)
+        rows[0] = fx.ONE_RAW
+        w, k1, dth = np.zeros(1, dtype=np.int64), 0, 6146
+    else:
+        rows, w = level_rows(float(case.split()[0]))
+        k1, dth = fx.encode(1.0 - math.log(1e7)), fx.encode(2 * math.pi / 8)
+    table, step = _sweep_step(rows, w, k1, dth)
+    maxima = (int(np.abs(rows[1]).max()), int(np.abs(w).max()),
+              int(np.abs(rows[0]).max()), int(np.abs(rows[2:]).max()), abs(k1), abs(dth))
+    edge = guard_edge(maxima)
+    assert 0 < edge < fx.RAW_MAX
+    cols = np.arange(rows.shape[1])
+    headings = cols // 101
+    signs = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [-1, -1, -1, -1], [1, 1, -1, -1]])
+    for m in (edge, edge + 1, fx.RAW_MAX // 64, fx.RAW_MAX):
+        for sign in signs:
+            state = np.repeat(sign[:, None] * m, len(cols), axis=1)
+            sat0 = fx.saturation_count()
+            want_state, want = int_step(state, rows, w.take(headings), k1, dth)
+            want_sats = fx.saturation_count() - sat0
+            lanes = state.astype(np.float64)
+            sat0 = fx.saturation_count()
+            got = step(lanes, table.take(cols, axis=1), headings)
+            assert fx.saturation_count() - sat0 == want_sats
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(lanes, want_state)

@@ -290,35 +290,69 @@ def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, pe
     levels = np.random.default_rng(4).integers(0, 101, bounds, dtype=np.uint8)
     table = np.arange(10 * 101)[None, :]
     stepped = []
+    built = []
+    n_blocks = -(-10 // per_block)
+    lane_block = grid_module._lane_block
+
+    def counted_lane_block(*args):
+        built.append(lane_block(*args))
+        return built[-1]
+
+    monkeypatch.setattr(grid_module, "_lane_block", counted_lane_block)
 
     def step(state, cols, headings):
         stepped.append(len(headings))
         state[0] = state[0] * 7 + cols[0]
         return state[0] % 1000
 
+    def memo_holds(blocks):
+        return (len(memo.blocks) == len(blocks)
+                and all(a is b for (a, _), b in zip(memo.blocks, blocks)))
+
     memo = SweepMemo()
     first = sweep(levels, sensor.angles, table, step, np.add, np.int32, memo, "k")
     assert sum(stepped) == n_cells * 10
     np.testing.assert_array_equal(memo.levels, levels.reshape(-1))
+    assert len(built) == n_blocks and memo_holds(built)
+    for block, by_pos in memo.blocks:
+        np.testing.assert_array_equal(by_pos, np.argsort(block.lane_start))
     edited = levels.copy()
     edited[3, 5] = (edited[3, 5] + 1) % 101
     stepped.clear()
     got = sweep(edited, sensor.angles, table, step, np.add, np.int32, memo, "k")
-    # one line of each heading holds the cell; only those lines step
+    # one line of each heading holds the cell; only those lines step, on
+    # the blocks the first call built
     want_steps = 0
     for angle in sensor.angles:
         fam = line_family(angle, bounds)
         want_steps += sum(len(fam.line_cells(i)) for i in range(fam.n_lines)
                           if 3 * 12 + 5 in fam.line_cells(i))
     assert sum(stepped) == want_steps
+    assert len(built) == n_blocks and memo_holds(built)
     cold = sweep(edited, sensor.angles, table, step, np.add, np.int32)
     np.testing.assert_array_equal(got, cold)
     assert not np.array_equal(got, first)
-    # unchanged levels step no line; under another key they step every line
-    for key, want in (("k", 0), ("other", n_cells * 10), ("other", 0)):
+    # unchanged levels step no line; under another key they step every
+    # line, on new blocks, and the old ones are dropped
+    for key, want, builds in (("k", 0, 0), ("other", n_cells * 10, n_blocks),
+                              ("other", 0, 0)):
         stepped.clear()
+        built.clear()
+        kept = [block for block, _ in memo.blocks]
         sweep(edited, sensor.angles, table, step, np.add, np.int32, memo, key)
         assert sum(stepped) == want
+        assert len(built) == builds and memo_holds(built if builds else kept)
+    # after a counted saturation every line steps, on the kept blocks
+    memo.saturations = 1
+    stepped.clear()
+    built.clear()
+    sweep(edited, sensor.angles, table, step, np.add, np.int32, memo, "other")
+    assert sum(stepped) == n_cells * 10 and built == []
+    # another shape builds its own blocks
+    built.clear()
+    sweep(edited[:, :5], sensor.angles, table, step, np.add, np.int32, memo, "other")
+    assert len(built) == -(-10 // max(1, per_block * n_cells // (7 * 5)))
+    assert memo_holds(built)
 
     # a call that raises leaves the memo empty, so the next call runs cold
     def failing(state, cols, headings):
@@ -326,10 +360,11 @@ def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, pe
 
     with pytest.raises(RuntimeError):
         sweep(levels, sensor.angles, table, failing, np.add, np.int32, memo, "other")
-    assert memo.levels is None and memo.bufs == []
+    assert memo.levels is None and memo.bufs == [] and memo.blocks == []
     stepped.clear()
+    built.clear()
     sweep(edited, sensor.angles, table, step, np.add, np.int32, memo, "other")
-    assert sum(stepped) == n_cells * 10
+    assert sum(stepped) == n_cells * 10 and len(built) == n_blocks
 
 
 def family_lines(angle, bounds):
