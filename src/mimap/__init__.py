@@ -9,8 +9,7 @@ fast a robot's map entropy falls.
 from .archsim import (ArchConfig, EnergyParams, SimReport, bank_of,
                       lower_bound_latency, scaling_sweep, simulate)
 from .datapath import (FxpConstants, OccLutEntry, PwlExpTable, build_occ_lut,
-                       build_pwl_exp, compute_mi_map_fxp, dump_tables, pwl_exp,
-                       step_expectations_fxp)
+                       build_pwl_exp, compute_mi_map_fxp, dump_tables)
 from .explore import (Environment, PlatformProfile, PLATFORMS, RobotState,
                       TrialLog, gbl_select, run_trial, simulate_scan,
                       update_occupancy)
@@ -31,7 +30,7 @@ __all__ = [
     "bank_of", "build_occ_lut", "build_pwl_exp", "cell_width",
     "compute_mi_map", "compute_mi_map_fxp", "decode", "dump_tables",
     "encode", "gbl_select", "line_family", "lower_bound_latency",
-    "map_entropy", "pwl_exp", "read_grid", "read_mi_map", "run_trial",
-    "scaling_sweep", "simulate", "simulate_scan", "step_expectations_fxp",
-    "update_occupancy", "write_grid", "write_mi_map", "write_pgm",
+    "map_entropy", "read_grid", "read_mi_map", "run_trial", "scaling_sweep",
+    "simulate", "simulate_scan", "update_occupancy", "write_grid",
+    "write_mi_map", "write_pgm",
 ]

@@ -184,7 +184,6 @@ def _stagger_stride(m: int, n_cores: int, n_banks: int) -> int:
     def spread(step: int) -> bool:
         return n_banks <= 1 or gcd(step % n_banks, n_banks) == 1
 
-    best = 1
     for strict in (True, False):
         for d in range(m):
             for cand in (target - d, target + d):
@@ -195,7 +194,7 @@ def _stagger_stride(m: int, n_cores: int, n_banks: int) -> int:
                 if strict and not spread((n_cores * cand) % m):
                     continue
                 return cand
-    return best
+    return 1
 
 
 def _unit_ranges(fam, config: ArchConfig) -> list[tuple[int, int]]:

@@ -28,12 +28,12 @@ Each step first bounds every word of its op chain from max|state| and
 the table's maxima (``_step_bound``).  In range, every product is below
 2^43, and no op saturates; out of range, the step runs the same chain
 with the saturating int64 ops, and the sweep folds with ``arr_add``.  So
-every element passes through the ops of the scalar chain in its order,
-with its rounding and saturation, and the map and its saturation count
-are those of chaining ``step_expectations_fxp`` cell by cell and heading
-by heading, with preprocess once per (heading, level).  The scalar ops
-(``_preprocess``, ``pwl_exp``, ``step_expectations_fxp``) stay as that
-bit-exact reference.
+every element passes through the ops of one scalar Q20.12 chain in its
+order, with its rounding and saturation.  That chain, written from the
+defining math with its own ops and saturation count, is the bit-exact
+reference in the test suite's oracles: the map and its saturation count
+are those of chaining it cell by cell and heading by heading, with
+preprocess once per (heading, level) the grid holds.
 """
 
 import math
@@ -57,7 +57,6 @@ class OccLutEntry(NamedTuple):
     lam: int
     neg_log_lam: int
     inv_lam: int
-    degenerate: str | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,30 +80,25 @@ class FxpConstants:
     k1: int          # 1 - log(cap), the conditional-entropy weight
     occ_a1: int      # (2 - log(cap)) / cap
     occ_b1: int      # 1 / cap
-    occ_a0: int      # 1 - log(cap)
-    occ_b0: int      # 1
 
     @classmethod
     def from_params(cls, params: FcmiParams) -> "FxpConstants":
         cap = params.lambda_cap
         ln_cap = params.log_lambda_cap
-        k1 = fx.encode(1.0 - ln_cap)
-        return cls(k1=k1,
+        return cls(k1=fx.encode(1.0 - ln_cap),
                    occ_a1=fx.encode((2.0 - ln_cap) / cap),
-                   occ_b1=fx.encode(1.0 / cap),
-                   occ_a0=k1,
-                   occ_b0=fx.ONE_RAW)
+                   occ_b1=fx.encode(1.0 / cap))
 
 
 def build_occ_lut(params: FcmiParams = FcmiParams()) -> list[OccLutEntry]:
-    """101 entries of (lam, -log lam, 1/lam); levels 0 and 100 are flagged
-    degenerate and their stored words are never read by the step function."""
-    entries = [OccLutEntry(0, 0, 0, "free")]
+    """101 entries of (lam, -log lam, 1/lam); levels 0 and 100 hold zero
+    words, which nothing reads: their preprocess rows are constants."""
+    entries = [OccLutEntry(0, 0, 0)]
     for level in range(1, 100):
         lam = -math.log1p(-level / 100.0)
         entries.append(OccLutEntry(fx.encode(lam), fx.encode(-math.log(lam)),
-                                   fx.encode(1.0 / lam), None))
-    entries.append(OccLutEntry(0, 0, 0, "occupied"))
+                                   fx.encode(1.0 / lam)))
+    entries.append(OccLutEntry(0, 0, 0))
     return entries
 
 
@@ -148,66 +142,12 @@ def build_pwl_exp() -> PwlExpTable:
     return PwlExpTable(m, c, m_raw, c_raw)
 
 
-def pwl_segment(x_raw: int) -> int:
-    """Covering segment index for a clamped raw input in [-32768, 0]."""
-    idx = (x_raw - PWL_LO_RAW) // PWL_SEG_RAW
-    return PWL_SEGMENTS - 1 if idx >= PWL_SEGMENTS else int(idx)
-
-
-def pwl_exp(x_raw: int, table: PwlExpTable) -> int:
-    """Datapath exponential: clamp to [-8, 0], then m*x + c in fixed point."""
-    xc = min(max(x_raw, PWL_LO_RAW), 0)
-    k = pwl_segment(xc)
-    return fx.add_raw(fx.mul_raw(int(table.m_raw[k]), xc), int(table.c_raw[k]))
-
-
-class _CellRow(NamedTuple):
-    """Preprocess outputs for one (level, heading): feedback multipliers
-    E and x plus the additive constants."""
-
-    e: int
-    x: int
-    c1: int
-    c2: int
-    c3: int
-    c4: int
-
-
-def _preprocess(entry: OccLutEntry, w_raw: int, table: PwlExpTable,
-                consts: FxpConstants) -> _CellRow:
-    if entry.degenerate == "free":
-        # E=1, x=0, zero constants turn the update into the pass-through
-        # (a1 + w*a0, b1 + w*b0, a0, b0) exactly
-        return _CellRow(fx.ONE_RAW, 0, 0, 0, 0, 0)
-    if entry.degenerate == "occupied":
-        # E=0 erases the previous state; constants carry the o=1 limits
-        return _CellRow(0, 0, consts.occ_a1, consts.occ_b1,
-                        consts.occ_a0, consts.occ_b0)
-    x = fx.mul_raw(entry.lam, w_raw)
-    e = pwl_exp(fx.neg_raw(x), table)
-    g1 = fx.sub_raw(fx.ONE_RAW, e)
-    g2 = fx.sub_raw(fx.ONE_RAW, fx.mul_raw(e, fx.add_raw(fx.ONE_RAW, x)))
-    xx = fx.mul_raw(x, x)
-    poly = fx.add_raw(xx, fx.add_raw(fx.add_raw(x, x), fx.TWO_RAW))
-    g3 = fx.sub_raw(fx.TWO_RAW, fx.mul_raw(e, poly))
-    c1 = fx.mul_raw(entry.inv_lam, fx.add_raw(g3, fx.mul_raw(g2, entry.neg_log_lam)))
-    c2 = fx.mul_raw(entry.inv_lam, g2)
-    c3 = fx.add_raw(g2, fx.mul_raw(g1, entry.neg_log_lam))
-    c4 = g1
-    return _CellRow(e, x, c1, c2, c3, c4)
-
-
-def _feedback(prev: tuple[int, int, int, int], row: _CellRow,
-              w_raw: int) -> tuple[int, int, int, int]:
-    pa1, pb1, pa0, pb0 = prev
-    t_a1 = fx.add_raw(pa1, fx.mul_raw(row.x, pb1))
-    t_a0 = fx.add_raw(pa0, fx.mul_raw(row.x, pb0))
-    t_b1 = fx.add_raw(pb1, fx.mul_raw(w_raw, pb0))
-    na1 = fx.add_raw(fx.mul_raw(row.e, fx.add_raw(t_a1, fx.mul_raw(w_raw, t_a0))), row.c1)
-    nb1 = fx.add_raw(fx.mul_raw(row.e, t_b1), row.c2)
-    na0 = fx.add_raw(fx.mul_raw(row.e, t_a0), row.c3)
-    nb0 = fx.add_raw(fx.mul_raw(row.e, pb0), row.c4)
-    return na1, nb1, na0, nb0
+def pwl_exp(x_raw: np.ndarray, table: PwlExpTable) -> np.ndarray:
+    """Datapath exponential of int64 raw words: clamp to [-8, 0], then
+    m*x + c of the covering segment with the saturating ops."""
+    xc = np.minimum(np.maximum(x_raw, PWL_LO_RAW), 0)
+    k = np.minimum((xc - PWL_LO_RAW) // PWL_SEG_RAW, PWL_SEGMENTS - 1)
+    return fx.arr_add(fx.arr_mul(table.m_raw[k], xc), table.c_raw[k])
 
 
 @lru_cache(maxsize=8)
@@ -216,45 +156,36 @@ def _tables_cached(lambda_cap: float):
     return build_occ_lut(params), build_pwl_exp(), FxpConstants.from_params(params)
 
 
-def step_expectations_fxp(prev: tuple[int, int, int, int], level: int,
-                          w_raw: int,
-                          params: FcmiParams = FcmiParams()) -> tuple[int, int, int, int]:
-    """One recursion step on raw Q20.12 words; bit-deterministic."""
-    if not 0 <= level <= 100:
-        raise ValueError(f"occupancy level {level} outside 0..100")
-    lut, table, consts = _tables_cached(params.lambda_cap)
-    row = _preprocess(lut[level], w_raw, table, consts)
-    return _feedback(prev, row, w_raw)
-
-
 def _preprocess_rows(w_raws: np.ndarray, levels: list[int],
                      params: FcmiParams = FcmiParams()) -> np.ndarray:
-    """(6, headings*101) int64 matrix of _CellRow fields, column
-    ``heading*101 + level``, for the headings' int64 cell-width words
-    ``w_raws``.
+    """(6, headings*101) int64 matrix of preprocess outputs (E, x, C1, C2,
+    C3, C4), column ``heading*101 + level``, for the headings' int64
+    cell-width words ``w_raws``.
 
     Only the columns of ``levels`` are filled; the others stay zero.  The
-    interior levels of every heading run the ``_preprocess`` op chain as
-    one array pass, each element through the same saturating ops as the
-    scalar chain; levels 0 and 100 take their constant rows and pass
-    through no op.
+    interior levels of every heading run the preprocess op chain as one
+    array pass of the saturating ops; levels 0 and 100 take constant rows
+    and pass through no op.
     """
     lut, table, consts = _tables_cached(params.lambda_cap)
     rows = np.zeros((6, len(w_raws), 101), dtype=np.int64)
     if 0 in levels:
-        rows[:, :, 0] = np.array(_preprocess(lut[0], 0, table, consts))[:, None]
+        # E=1, x=0 and zero constants turn the update into the pass-through
+        # (a1 + w*a0, b1 + w*b0, a0, b0) exactly
+        rows[:, :, 0] = np.array([fx.ONE_RAW, 0, 0, 0, 0, 0])[:, None]
     if 100 in levels:
-        rows[:, :, 100] = np.array(_preprocess(lut[100], 0, table, consts))[:, None]
+        # E=0 erases the previous state; the constants carry the o=1 limits
+        # (2 - log cap)/cap, 1/cap, 1 - log cap and 1
+        rows[:, :, 100] = np.array([0, 0, consts.occ_a1, consts.occ_b1,
+                                    consts.k1, fx.ONE_RAW])[:, None]
     mid = [level for level in levels if 0 < level < 100]
     if not mid:
         return rows.reshape(6, -1)
-    lam, neg_log_lam, inv_lam = np.array([lut[level][:3] for level in mid],
+    lam, neg_log_lam, inv_lam = np.array([lut[level] for level in mid],
                                          dtype=np.int64).T
     # (heading, level) arrays from here on
     x = fx.arr_mul(lam, w_raws[:, None])
-    xc = np.minimum(np.maximum(fx.arr_sub(0, x), PWL_LO_RAW), 0)
-    k = np.minimum((xc - PWL_LO_RAW) // PWL_SEG_RAW, PWL_SEGMENTS - 1)
-    e = fx.arr_add(fx.arr_mul(table.m_raw[k], xc), table.c_raw[k])
+    e = pwl_exp(fx.arr_sub(0, x), table)
     g1 = fx.arr_sub(fx.ONE_RAW, e)
     g2 = fx.arr_sub(fx.ONE_RAW, fx.arr_mul(e, fx.arr_add(fx.ONE_RAW, x)))
     xx = fx.arr_mul(x, x)
@@ -358,21 +289,26 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
 
     Runs ``grid.sweep`` with the step of ``_sweep_step``: each lane takes
     its heading's preprocess rows and cell width, and every element passes
-    through the same op sequence as in ``step_expectations_fxp``, in
-    exact float64 arithmetic where a bound shows no op can saturate and
-    with the saturating int64 ops otherwise.  The sweep folds with the
-    saturating add in heading order, so every cell saturates exactly where
-    a sweep of one heading after another would.  The returned map carries
-    the raw accumulator words, their decoded float values and the number
-    of saturation events of the call.
+    through the op sequence of the scalar Q20.12 chain, in exact float64
+    arithmetic where a bound shows no op can saturate and with the
+    saturating int64 ops otherwise.  The sweep folds with the saturating
+    add in heading order, so every cell saturates exactly where a sweep of
+    one heading after another would.  The returned map carries the raw
+    accumulator words, their decoded float values and the number of
+    saturation events of the call.
 
     A caller that computes maps of one grid as it changes passes the same
     ``memo`` to each call; the sweep is keyed by the sensor, resolution and
     parameters, and re-steps only the scan lines that hold a changed cell
     (see ``grid.sweep`` for the rule and its cold fallbacks).  Map and
-    saturation count are those of a call without it.  The memo keeps its
-    contribution buffers, H*W*rays int32 words, for the caller; a map does
-    not carry them, so a caller that keeps many maps keeps one buffer.
+    saturation count are those of a call without it.  That holds only
+    while the lanes the next call keeps clipped nothing, since their
+    clips would be missing from its count; so after a call that counted a
+    saturation, this function empties the memo's buffers, and the next
+    call steps every lane on the lane blocks the memo keeps.  The memo
+    keeps its contribution buffers, H*W*rays int32 words, for the caller;
+    a map does not carry them, so a caller that keeps many maps keeps one
+    buffer.
     """
     sat0 = fx.saturation_count()
     w_raws = np.array([fx.encode(cell_width(float(a), grid.resolution))
@@ -381,15 +317,20 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
     # those are preprocessed.  The first np.unique call raises peak RSS by
     # about 1 MB; bincount does not.
     present = np.flatnonzero(np.bincount(grid.levels.reshape(-1), minlength=101)).tolist()
-    rows = _preprocess_rows(w_raws, present, params)
     _, _, consts = _tables_cached(params.lambda_cap)
-    table, step = _sweep_step(rows, w_raws, consts.k1, fx.encode(sensor.delta_theta))
+    # the int64 rows are not bound here: the step keeps only their maxima,
+    # so they are freed before the sweep
+    table, step = _sweep_step(_preprocess_rows(w_raws, present, params), w_raws,
+                              consts.k1, fx.encode(sensor.delta_theta))
     # int32 buffer: saturated words fit
     mi_flat = sweep(grid.levels, sensor.angles, table, step, fx.arr_add, np.int32,
                     memo, (sensor, grid.resolution, params))
+    saturations = fx.saturation_count() - sat0
+    if memo is not None and saturations:
+        memo.bufs = []
     raw = mi_flat.reshape(grid.shape).astype(np.int32)
     return MIMap(raw.astype(np.float64) / fx.SCALE, grid.resolution, raw=raw,
-                 saturations=fx.saturation_count() - sat0)
+                 saturations=saturations)
 
 
 def dump_tables(params: FcmiParams = FcmiParams()) -> str:

@@ -3,16 +3,18 @@
 Values are 32-bit two's-complement words with 12 fractional bits, so the
 representable range is [-2^19, 2^19 - 2^-12] with resolution 2^-12.  All
 operations round to nearest with ties to even and saturate at the range
-ends instead of wrapping.  Saturation is silent but counted; a consumer
-takes the difference of two ``saturation_count()`` readings to learn how
-often a workload clipped.
+ends instead of wrapping.  Saturation is silent but counted in one
+running total; a consumer takes the difference of two
+``saturation_count()`` readings to learn how often a workload clipped,
+and ``compute_mi_map_fxp`` does so for each call.
 
-Scalar helpers work on plain-int raw words; the ``arr_*`` twins apply the
-identical semantics to whole int64 numpy arrays and are verified bit-equal
-in tests.  Each ``arr_*`` result passes a range test; the map engine's
-sweep step avoids that cost where a bound shows no word can leave the
-range, and runs there as exact float64 arithmetic on the same words (see
-``datapath``).
+``encode`` turns a real into a word; the ``arr_*`` ops work on whole
+int64 numpy arrays of words.  The test suite checks them against exact
+integer and decimal models, and its oracles hold the scalar Q20.12 chain
+that is the datapath's bit-exact reference.  Each ``arr_*`` result
+passes a range test; the map engine's sweep step avoids that cost where
+a bound shows no word can leave the range, and runs there as exact
+float64 arithmetic on the same words (see ``datapath``).
 """
 
 import math
@@ -59,28 +61,6 @@ def decode(raw: int) -> float:
     return raw / SCALE
 
 
-def add_raw(a: int, b: int) -> int:
-    return _saturate(a + b)
-
-
-def sub_raw(a: int, b: int) -> int:
-    return _saturate(a - b)
-
-
-def neg_raw(a: int) -> int:
-    return _saturate(-a)
-
-
-def mul_raw(a: int, b: int) -> int:
-    """Exact 64-bit product, dropped 12 bits rounded half-to-even, saturated."""
-    p = a * b
-    q = p >> FRAC_BITS
-    r = p & (SCALE - 1)
-    if r > HALF_ULP or (r == HALF_ULP and (q & 1)):
-        q += 1
-    return _saturate(q)
-
-
 def _arr_saturate(q: np.ndarray) -> np.ndarray:
     global _sat_events
     # min/max precheck keeps the common in-range case allocation-free
@@ -100,6 +80,7 @@ def arr_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def arr_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact 64-bit product, dropped 12 bits rounded half-to-even, saturated."""
     # int64 is safe: |a|,|b| <= 2^31 so |a*b| <= 2^62
     p = a * b
     # half-to-even in one pass on the product: adding HALF_ULP - 1 plus

@@ -26,8 +26,6 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from . import fixedpoint as fx
-
 # Cells per heading block of ``sweep``.  A block's buffers hold a few
 # words per cell, so this bounds their memory; larger blocks mean fewer,
 # longer steps of the sweep loop.
@@ -120,11 +118,12 @@ class MIMap:
 
     ``raw`` carries the Q20.12 accumulator words when the map came off the
     fixed-point path; it is None for the floating-point reference.
-    ``saturations`` counts the fixed-point saturation events of the call
-    that made the map: those of encoding each heading's cell width, of
-    preprocessing, once per heading, each occupancy level the grid holds,
-    and of the sweep and the accumulate.  A map with any was clipped
-    somewhere.
+    ``saturations`` counts the fixed-point saturation events of the
+    ``compute_mi_map_fxp`` call that made the map: those of encoding each
+    heading's cell width, of preprocessing, once per heading, each
+    occupancy level the grid holds, and of the sweep and the accumulate.
+    A map with any was clipped somewhere; the count equals that of the
+    bit-exact scalar chain in the test suite's oracles.
     """
 
     values: np.ndarray
@@ -307,8 +306,11 @@ class SweepMemo:
 
     After a call it holds the call's flat levels, each heading block's
     contribution buffer, each block's ``LaneBlock`` with the order of its
-    lane starts, the call's key and the saturations its sweep counted;
-    while a call runs, and after a call that raised, it is empty.
+    lane starts and the call's key; while a call runs, and after a call
+    that raised, it is empty.  An engine empties ``bufs`` after a call
+    whose kept contributions the next call must not reuse (the
+    fixed-point engine does so after a call that saturated), which keeps
+    the lane blocks and makes the next call step every lane.
     """
 
     def __init__(self):
@@ -316,7 +318,6 @@ class SweepMemo:
         self.levels: np.ndarray | None = None
         self.bufs: list[np.ndarray] = []
         self.blocks: list[tuple[LaneBlock, np.ndarray]] = []
-        self.saturations = 0
 
 
 def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
@@ -344,18 +345,18 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
     with a memo filled by a call of the same shape and key steps only the
     lanes that hold a cell whose level changed, keeping their longest
     first order, writes their contributions over the memo's buffers and
-    folds every heading of every block again.  It runs cold, stepping
-    every lane, when the memo is empty or its key differs, or when the
-    previous sweep counted a fixed-point saturation: the clips of the
-    lanes it keeps would then be missing from the new call's count.
-    Otherwise the kept lanes clipped nothing, so the call's result and
-    saturation count are those of a cold call.  The lane blocks depend
-    only on shape and key, so a call under the memo's key reuses them,
-    cold or not.  The memo is emptied when the call starts and filled
-    again only when its sweep has finished.  It holds every block and
-    its buffer, H*W*rays words, so it is owned by the caller and not hung
-    on the returned map: a caller keeping many maps would keep a buffer
-    with each.  A call without a memo holds one block at a time.
+    folds every heading of every block again, so its result is that of a
+    cold call.  It runs warm only when the memo holds buffers under its
+    key; otherwise it runs cold, stepping every lane.  The engine owns
+    any rule beyond that: ``compute_mi_map_fxp`` empties the buffers
+    after a call that saturated, so that the clips of kept lanes are
+    counted again.  The lane blocks depend only on shape and key, so a
+    call under the memo's key reuses them, cold or not.  The memo is
+    emptied when the call starts and filled again only when its sweep has
+    finished.  It holds every block and its buffer, H*W*rays words, so it
+    is owned by the caller and not hung on the returned map: a caller
+    keeping many maps would keep a buffer with each.  A call without a
+    memo holds one block at a time.
     """
     n_cells = levels.size
     levels_flat = levels.reshape(-1)
@@ -365,7 +366,7 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
     if memo is not None:
         if memo.key == key and memo.blocks:
             blocks = memo.blocks
-            if memo.saturations == 0:
+            if memo.bufs:
                 kept = memo.bufs
                 changed = memo.levels != levels_flat
         memo.levels, memo.bufs, memo.blocks = None, [], []
@@ -375,7 +376,6 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
             blocks = ((block, None) for block in blocks)
         else:
             blocks = [(block, np.argsort(block.lane_start)) for block in blocks]
-    sat0 = fx.saturation_count()
     bufs = []
     for block, by_pos in blocks:
         if kept is None:
@@ -400,5 +400,4 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
     if memo is not None:
         memo.key, memo.levels, memo.bufs = key, levels_flat.copy(), bufs
         memo.blocks = blocks
-        memo.saturations = fx.saturation_count() - sat0
     return acc

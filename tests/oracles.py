@@ -6,8 +6,10 @@ the rounding rule (the package's line families are its only twin), the
 log-odds map update as a per-cell fold over sets of observed cells,
 hop counts by a breadth-first queue, the accelerator's timing as a loop
 that visits every core on every cycle, beam MI as a from-scratch recursion
-per pose, gammas by adaptive quadrature, table constants at 50-digit
-precision, and the piecewise exponential fit by numeric normal equations.
+per pose, the Q20.12 datapath as a scalar chain of word ops with its own
+rounding and saturation count, gammas by adaptive quadrature, table
+constants at 50-digit precision, and the piecewise exponential fit by
+numeric normal equations.
 """
 
 import math
@@ -360,6 +362,139 @@ def mp_step(prev: tuple, o: "mpmath.mpf", w: "mpmath.mpf",
             e * (b1 + w * b0) + g2 / lam,
             e * (a0 + x * b0) + g2 - g1 * ln_lam,
             e * b0 + g1)
+
+
+# ------------------------------------------------ Q20.12 scalar datapath
+
+Q_RAW_MIN = -(1 << 31)
+Q_RAW_MAX = (1 << 31) - 1
+Q_ONE = Q_SCALE
+Q_TWO = 2 * Q_SCALE
+
+
+class QChain:
+    """The Q20.12 datapath as a scalar chain, one Python-int word at a time.
+
+    Every op rounds to nearest with ties to even, then clamps to
+    [Q_RAW_MIN, Q_RAW_MAX] and adds each clip to ``saturations``.  The
+    occupancy LUT words ``lut[level] = (lam, -log lam, 1/lam)`` and the
+    exponential's per-segment slope and intercept words come in as data;
+    the cap-derived constants are encoded here from ``lambda_cap``.
+    """
+
+    def __init__(self, lut, m_raw, c_raw, lambda_cap: float = 1e7):
+        self.lut = [tuple(int(v) for v in entry) for entry in lut]
+        self.m_raw = [int(v) for v in m_raw]
+        self.c_raw = [int(v) for v in c_raw]
+        self.saturations = 0
+        ln_cap = math.log(lambda_cap)
+        self.k1 = self.encode(1.0 - ln_cap)
+        # o = 1: E = 0 erases the state; the constants are the limits of
+        # (C1, C2, C3, C4) at lam = cap
+        self.occupied = (0, 0, self.encode((2.0 - ln_cap) / lambda_cap),
+                         self.encode(1.0 / lambda_cap), self.k1, Q_ONE)
+
+    def clamp(self, q: int) -> int:
+        if q > Q_RAW_MAX:
+            self.saturations += 1
+            return Q_RAW_MAX
+        if q < Q_RAW_MIN:
+            self.saturations += 1
+            return Q_RAW_MIN
+        return q
+
+    def encode(self, x: float) -> int:
+        return self.clamp(round(x * Q_SCALE))  # round() ties to even
+
+    def add(self, a: int, b: int) -> int:
+        return self.clamp(a + b)
+
+    def sub(self, a: int, b: int) -> int:
+        return self.clamp(a - b)
+
+    def mul(self, a: int, b: int) -> int:
+        q, r = divmod(a * b, Q_SCALE)  # floor quotient, 0 <= r < Q_SCALE
+        if 2 * r > Q_SCALE or (2 * r == Q_SCALE and q % 2):
+            q += 1
+        return self.clamp(q)
+
+    def exp(self, x: int) -> int:
+        """e^x of a word: clamp to [-8, 0], then m*x + c of the segment
+        that covers it, the segments splitting [-8, 0] evenly."""
+        lo = -8 * Q_SCALE
+        xc = min(max(x, lo), 0)
+        n = len(self.m_raw)
+        k = min((xc - lo) * n // -lo, n - 1)
+        return self.add(self.mul(self.m_raw[k], xc), self.c_raw[k])
+
+    def preprocess(self, level: int, w: int) -> tuple:
+        """(E, x, C1, C2, C3, C4) of an occupancy level at cell width ``w``."""
+        if level == 0:
+            # o = 0: lam = 0, so E = 1 and every gamma term is 0
+            return (Q_ONE, 0, 0, 0, 0, 0)
+        if level == 100:
+            return self.occupied
+        lam, neg_log_lam, inv_lam = self.lut[level]
+        x = self.mul(lam, w)
+        e = self.exp(self.sub(0, x))
+        g1 = self.sub(Q_ONE, e)
+        g2 = self.sub(Q_ONE, self.mul(e, self.add(Q_ONE, x)))
+        poly = self.add(self.mul(x, x), self.add(self.add(x, x), Q_TWO))
+        g3 = self.sub(Q_TWO, self.mul(e, poly))
+        return (e, x,
+                self.mul(inv_lam, self.add(g3, self.mul(g2, neg_log_lam))),
+                self.mul(inv_lam, g2),
+                self.add(g2, self.mul(g1, neg_log_lam)),
+                g1)
+
+    def step(self, prev: tuple, row: tuple, w: int) -> tuple:
+        """(a1, b1, a0, b0) after one cell with preprocess ``row``."""
+        e, x, c1, c2, c3, c4 = row
+        a1, b1, a0, b0 = prev
+        t_a1 = self.add(a1, self.mul(x, b1))
+        t_a0 = self.add(a0, self.mul(x, b0))
+        t_b1 = self.add(b1, self.mul(w, b0))
+        return (self.add(self.mul(e, self.add(t_a1, self.mul(w, t_a0))), c1),
+                self.add(self.mul(e, t_b1), c2),
+                self.add(self.mul(e, t_a0), c3),
+                self.add(self.mul(e, b0), c4))
+
+    def contribution(self, state: tuple, dth: int) -> int:
+        """The beam's MI word (a1 - k1*b1) * dtheta."""
+        return self.mul(self.sub(state[0], self.mul(self.k1, state[1])), dth)
+
+
+def q_mi_map(levels: np.ndarray, ray_count: int, resolution: float,
+             chain: QChain) -> np.ndarray:
+    """Q20.12 MI words of every cell by the scalar chain; afterwards
+    ``chain.saturations`` has grown by the clips of the map.
+
+    Per heading: the cell width is encoded, each level the grid holds is
+    preprocessed once, and every cell's beam is stepped at its own cell
+    after the beam of the next cell, whose state is known by then; so
+    each (heading, cell) pair steps once.  Each cell adds its
+    contributions to its word heading after heading.
+    """
+    height, width = levels.shape
+    dth = chain.encode(2.0 * math.pi / ray_count)
+    acc = np.zeros(levels.shape, dtype=np.int64)
+    for k in range(ray_count):
+        ang = 2.0 * math.pi * k / ray_count
+        w = chain.encode(resolution / max(abs(math.cos(ang)), abs(math.sin(ang))))
+        rows = {level: chain.preprocess(level, w)
+                for level in sorted(set(levels.reshape(-1).tolist()))}
+        beams = {(r, c): oracle_beam_cells((r, c), ang, (height, width))
+                 for r in range(height) for c in range(width)}
+        states = {}
+        for cell in sorted(beams, key=lambda cell: len(beams[cell])):
+            beam = beams[cell]
+            prev = (0, 0, 0, 0)
+            if len(beam) > 1:
+                assert beams[beam[1]] == beam[1:]  # the rule shares suffixes
+                prev = states[beam[1]]
+            states[cell] = chain.step(prev, rows[int(levels[cell])], w)
+            acc[cell] = chain.add(int(acc[cell]), chain.contribution(states[cell], dth))
+    return acc
 
 
 # ------------------------------------------------------------ PWL fits

@@ -1,4 +1,9 @@
-"""Fixed-point datapath: occupancy LUT, PWL exponential, step, map."""
+"""Fixed-point datapath: occupancy LUT, PWL exponential, step, map.
+
+The scalar Q20.12 chain in ``oracles`` is the bit-exact reference: it
+takes the package's LUT and exp words as data and checks the array
+preprocess, the sweep step and the map, words and saturation counts.
+"""
 
 import math
 from pathlib import Path
@@ -13,17 +18,16 @@ import mimap.datapath as datapath
 import mimap.fixedpoint as fx
 from mimap.datapath import (
     PWL_LO_RAW,
+    PWL_SEG_RAW,
     PWL_SEGMENTS,
     FxpConstants,
-    _preprocess,
     _preprocess_rows,
+    _sweep_step,
     build_occ_lut,
     build_pwl_exp,
     compute_mi_map_fxp,
     dump_tables,
     pwl_exp,
-    pwl_segment,
-    step_expectations_fxp,
 )
 from mimap.grid import FcmiParams, OccupancyGrid, SensorConfig, SweepMemo, cell_width
 from mimap.reference import compute_mi_map
@@ -38,20 +42,37 @@ EXPLORE_LINE = (
 )
 
 
+def chain() -> oracles.QChain:
+    """The scalar oracle chain on the package's LUT and exp words, at the
+    default cap."""
+    table = build_pwl_exp()
+    return oracles.QChain(build_occ_lut(), table.m_raw, table.c_raw,
+                          FcmiParams().lambda_cap)
+
+
+def package_steps(prev, levels, w_raw: int, dth_raw: int = 0) -> list:
+    """The package's sweep step on one lane of heading 0 at the default
+    cap, from state ``prev`` over ``levels`` in scan order: (state,
+    contribution) after each cell."""
+    w = np.array([w_raw], dtype=np.int64)
+    k1 = FxpConstants.from_params(FcmiParams()).k1
+    table, step = _sweep_step(_preprocess_rows(w, sorted(set(levels))), w, k1, dth_raw)
+    lane = np.array(prev, dtype=table.dtype)[:, None]
+    heading = np.zeros(1, dtype=np.int64)
+    out = []
+    for level in levels:
+        contribution = int(step(lane, table[:, [level]], heading)[0])
+        out.append((tuple(int(v) for v in lane[:, 0]), contribution))
+    return out
+
+
 # ---------------------------------------------------------------- occupancy lut
 
 
 def test_lut_level_50_entry():
     lut = build_occ_lut()
-    assert lut[50].lam == 2839  # round(4096 ln 2)
-    assert lut[50].degenerate is None
-
-
-def test_lut_degenerate_flags():
-    lut = build_occ_lut()
-    assert lut[0].degenerate == "free"
-    assert lut[100].degenerate == "occupied"
     assert len(lut) == 101
+    assert lut[50].lam == 2839  # round(4096 ln 2)
 
 
 def test_lut_matches_extended_precision_oracle():
@@ -121,16 +142,16 @@ def test_pwl_relative_error_pre_rounding():
 def test_pwl_error_post_rounding():
     table = build_pwl_exp()
     ulp = 1.0 / fx.SCALE
-    for raw in np.linspace(PWL_LO_RAW, 0, 10_000).astype(int):
-        got = pwl_exp(int(raw), table) * ulp
-        want = math.exp(raw * ulp)
-        assert abs(got - want) <= 0.03 * want + 2 * ulp
+    raws = np.linspace(PWL_LO_RAW, 0, 10_000).astype(np.int64)
+    got = pwl_exp(raws, table) * ulp
+    want = np.exp(raws * ulp)
+    assert np.all(np.abs(got - want) <= 0.03 * want + 2 * ulp)
 
 
 def test_pwl_point_examples():
     table = build_pwl_exp()
     ulp = 1.0 / fx.SCALE
-    at = lambda x: pwl_exp(fx.encode(x), table) * ulp
+    at = lambda x: int(pwl_exp(np.array([fx.encode(x)]), table)[0]) * ulp
     assert abs(at(0.0) - 1.0) <= 0.03
     assert abs(at(-1.0) - 0.367879) <= 0.03 * 0.367879
     e8 = math.exp(-8.0)
@@ -139,16 +160,29 @@ def test_pwl_point_examples():
 
 def test_pwl_quarter_is_exact_segment_arithmetic():
     table = build_pwl_exp()
+    q = chain()
     x = fx.encode(-0.25)
-    assert pwl_segment(x) == 15
-    want = fx.add_raw(fx.mul_raw(int(table.m_raw[15]), x), int(table.c_raw[15]))
-    assert pwl_exp(x, table) == want
+    assert (x - PWL_LO_RAW) // PWL_SEG_RAW == 15
+    want = q.add(q.mul(int(table.m_raw[15]), x), int(table.c_raw[15]))
+    assert pwl_exp(np.array([x]), table).tolist() == [want]
 
 
 def test_pwl_clamps_out_of_domain():
     table = build_pwl_exp()
-    assert pwl_exp(fx.encode(-12.0), table) == pwl_exp(PWL_LO_RAW, table)
-    assert pwl_exp(fx.encode(3.0), table) == pwl_exp(0, table)
+    got = pwl_exp(np.array([fx.encode(-12.0), PWL_LO_RAW, fx.encode(3.0), 0]), table)
+    assert got[0] == got[1] and got[2] == got[3]
+
+
+def test_pwl_exp_matches_scalar_chain_on_every_word():
+    # every word of [-8, 0], and 2 of input range past each end
+    table = build_pwl_exp()
+    q = chain()
+    raws = np.arange(PWL_LO_RAW - 2 * fx.SCALE, 2 * fx.SCALE + 1, dtype=np.int64)
+    sat0 = fx.saturation_count()
+    got = pwl_exp(raws, table)
+    assert fx.saturation_count() == sat0
+    assert got.tolist() == [q.exp(x) for x in raws.tolist()]
+    assert q.saturations == 0
 
 
 # ---------------------------------------------------------------- preprocess
@@ -159,14 +193,12 @@ def test_preprocess_rows_match_scalar_chain(resolution):
     # all 101 levels of every heading of a 60-ray sensor against the
     # scalar chain, saturation count included; at 1e5 and 1e9 m the
     # products clip
-    lut, table = build_occ_lut(), build_pwl_exp()
-    consts = FxpConstants.from_params(FcmiParams())
+    q = chain()
     w_raws = [fx.encode(cell_width(float(a), resolution))
               for a in SensorConfig(60).angles]
-    sat0 = fx.saturation_count()
-    want = [[_preprocess(lut[level], w, table, consts) for level in range(101)]
-            for w in w_raws]
-    scalar_sats = fx.saturation_count() - sat0
+    sat0 = q.saturations
+    want = [[q.preprocess(level, w) for level in range(101)] for w in w_raws]
+    scalar_sats = q.saturations - sat0
     sat0 = fx.saturation_count()
     rows = _preprocess_rows(np.array(w_raws), list(range(101)))
     assert fx.saturation_count() - sat0 == scalar_sats
@@ -181,13 +213,11 @@ def test_preprocess_rows_match_scalar_chain(resolution):
 def test_step_fxp_free_cell_is_exact_passthrough():
     prev = (1111, -222, 3333, 444)
     w = fx.encode(0.125)
-    out = step_expectations_fxp(prev, 0, w)
-    assert out == (
-        fx.add_raw(prev[0], fx.mul_raw(w, prev[2])),
-        fx.add_raw(prev[1], fx.mul_raw(w, prev[3])),
-        prev[2],
-        prev[3],
-    )
+    q = chain()
+    want = (q.add(prev[0], q.mul(w, prev[2])), q.add(prev[1], q.mul(w, prev[3])),
+            prev[2], prev[3])
+    assert q.step(prev, q.preprocess(0, w), w) == want
+    assert package_steps(prev, [0], w)[0][0] == want
 
 
 def test_step_fxp_occupied_cell_encodes_float_limits():
@@ -195,29 +225,28 @@ def test_step_fxp_occupied_cell_encodes_float_limits():
     cap, ln_cap = 1e7, math.log(1e7)
     assert consts.occ_a1 == fx.encode((2.0 - ln_cap) / cap)
     assert consts.occ_b1 == fx.encode(1.0 / cap)
-    assert consts.occ_a0 == fx.encode(1.0 - ln_cap)
-    assert consts.occ_b0 == fx.encode(1.0)
+    assert consts.k1 == fx.encode(1.0 - ln_cap)
+    want = (consts.occ_a1, consts.occ_b1, fx.encode(1.0 - ln_cap), fx.encode(1.0))
+    q = chain()
+    w = fx.encode(1.0)
     for prev in ((0, 0, 0, 0), (9999, -9999, 1234, 5678)):
-        out = step_expectations_fxp(prev, 100, fx.encode(1.0))
-        assert out == (consts.occ_a1, consts.occ_b1, consts.occ_a0, consts.occ_b0)
+        assert q.step(prev, q.preprocess(100, w), w) == want
+        assert package_steps(prev, [100], w)[0][0] == want
 
 
 def test_step_fxp_half_occupied_beta0():
-    table = build_pwl_exp()
-    out = step_expectations_fxp((0, 0, 0, 0), 50, fx.encode(1.0))
-    want_b0 = fx.sub_raw(fx.ONE_RAW, pwl_exp(-2839, table))
-    assert out[3] == want_b0
-    assert abs(out[3] / fx.SCALE - 0.5) <= 0.03 * 0.5
-
-
-def test_step_fxp_rejects_bad_level():
-    with pytest.raises(ValueError):
-        step_expectations_fxp((0, 0, 0, 0), 101, fx.encode(1.0))
+    q = chain()
+    (state, _), = package_steps((0, 0, 0, 0), [50], fx.encode(1.0))
+    # x = lam*w = round(4096 ln 2) at w = 1
+    assert state[3] == q.sub(fx.ONE_RAW, q.exp(-2839))
+    assert state[3] == fx.ONE_RAW - int(pwl_exp(np.array([-2839]), build_pwl_exp())[0])
+    assert abs(state[3] / fx.SCALE - 0.5) <= 0.03 * 0.5
 
 
 def test_step_fxp_chain_tracks_float_reference():
-    # one full-length scan line; fixed and float contributions agree to
-    # well under the 0.05 normalized accuracy budget
+    # one full-length scan line; the package step gives the scalar chain's
+    # words, and fixed and float contributions agree to well under the
+    # 0.05 normalized accuracy budget
     levels = EXPLORE_LINE
     n = len(levels)
     assert n == 201
@@ -228,15 +257,16 @@ def test_step_fxp_chain_tracks_float_reference():
 
     w_raw = fx.encode(cell_width(0.0, resolution))
     dth_raw = fx.encode(SensorConfig(60).delta_theta)
-    k1 = fx.encode(1.0 - math.log(1e7))
+    q = chain()
+    got = package_steps((0, 0, 0, 0), levels[::-1], w_raw, dth_raw)  # scan order
     state = (0, 0, 0, 0)
     out = np.zeros(n)
-    for c in range(n - 1, -1, -1):  # scan order
-        state = step_expectations_fxp(state, levels[c], w_raw)
-        contrib = fx.mul_raw(
-            fx.add_raw(state[0], fx.neg_raw(fx.mul_raw(k1, state[1]))), dth_raw
-        )
-        out[c] = contrib / fx.SCALE
+    for c, (lane, contribution) in zip(range(n - 1, -1, -1), got):
+        state = q.step(state, q.preprocess(levels[c], w_raw), w_raw)
+        assert lane == state
+        assert contribution == q.contribution(state, dth_raw)
+        out[c] = contribution / fx.SCALE
+    assert q.saturations == 0
     gap = np.abs(out - ref).max() / np.abs(ref).max()
     assert gap < 0.05
 
@@ -258,57 +288,24 @@ def test_map_fxp_deterministic(make_grid):
     np.testing.assert_array_equal(a.values, b.values)
 
 
-def scalar_map_fxp(grid: OccupancyGrid, sensor: SensorConfig) -> tuple[np.ndarray, int]:
-    """The fxp map by the scalar chain, and the saturations the map engine
-    should report for it.
-
-    For each heading and cell, the oracle beam is walked from the grid
-    edge back to the cell, chaining ``step_expectations_fxp``, and the
-    cell's contribution is added into its word, heading after heading.
-    The engine runs each (heading, cell) step once, so a beam's count is
-    taken only from its last step, the one at its own cell, and its
-    contribution and add.  The step preprocesses on every call, the
-    engine once per heading and level the grid holds: the last step's
-    preprocess saturations are taken out and those counted instead.
-    """
-    lut, table = build_occ_lut(), build_pwl_exp()
-    consts = FxpConstants.from_params(FcmiParams())
-    dth = fx.encode(sensor.delta_theta)
-    want = np.zeros(grid.shape, dtype=np.int64)
-    sats = 0
-    for angle in sensor.angles:
-        sat0 = fx.saturation_count()
-        w_raw = fx.encode(cell_width(float(angle), grid.resolution))
-        for level in np.unique(grid.levels).tolist():
-            _preprocess(lut[level], w_raw, table, consts)
-        sats += fx.saturation_count() - sat0
-        for (r, c), level in np.ndenumerate(grid.levels):
-            beam = oracles.oracle_beam_cells((r, c), float(angle), grid.shape)
-            state = (0, 0, 0, 0)
-            for cr, cc in reversed(beam[1:]):
-                state = step_expectations_fxp(state, int(grid.levels[cr, cc]), w_raw)
-            sat0 = fx.saturation_count()
-            _preprocess(lut[level], w_raw, table, consts)
-            pre = fx.saturation_count() - sat0
-            sat0 = fx.saturation_count()
-            state = step_expectations_fxp(state, int(level), w_raw)
-            a1, b1 = state[0], state[1]
-            contrib = fx.mul_raw(fx.sub_raw(a1, fx.mul_raw(consts.k1, b1)), dth)
-            want[r, c] = fx.add_raw(int(want[r, c]), contrib)
-            sats += fx.saturation_count() - sat0 - pre
-    return want, sats
+def oracle_map_fxp(grid: OccupancyGrid, sensor: SensorConfig) -> tuple[np.ndarray, int]:
+    """The fxp map by the scalar oracle chain, and its saturation count."""
+    q = chain()
+    sat0 = q.saturations
+    words = oracles.q_mi_map(grid.levels, sensor.ray_count, grid.resolution, q)
+    return words, q.saturations - sat0
 
 
 @pytest.mark.parametrize("shape,rays", [((13, 13), 12), ((9, 17), 12),
                                         ((1, 11), 7), ((11, 1), 7)])
 def test_map_fxp_matches_scalar_beam_chain(make_grid, shape, rays):
-    # the lane-parallel sweep against one scalar beam per cell and heading
+    # the lane-parallel sweep against the scalar chain along every
+    # cell's oracle beam at every heading
     grid = make_grid(*shape)
     sensor = SensorConfig(rays)
-    sat0 = fx.saturation_count()
-    want, _ = scalar_map_fxp(grid, sensor)
+    want, want_sats = oracle_map_fxp(grid, sensor)
     got = compute_mi_map_fxp(grid, sensor)
-    assert fx.saturation_count() == sat0
+    assert got.saturations == want_sats == 0
     np.testing.assert_array_equal(got.raw, want)
 
 
@@ -317,13 +314,19 @@ RESOLUTIONS = [0.1, 1.0, 10.0, 1e3, 1e9]
 
 @st.composite
 def small_grids(draw):
-    """Random 1..9 x 1..9 level grids at 0.1 m to 1e9 m a cell.  From
-    10 m on, steps of one call run on float lanes and on the saturating
-    ops both."""
+    """Random 1..9 x 1..9 level grids at 0.1 m to 1e9 m a cell, or of 1 to
+    3 distinct levels at 10 m or 1e3 m.  From 10 m on, steps of one call
+    run on float lanes and on the saturating ops both; long runs of few
+    levels carry the states up to the edge of the step's guard."""
     height, width = draw(st.integers(1, 9)), draw(st.integers(1, 9))
-    levels = draw(st.lists(st.integers(0, 100), min_size=height * width,
+    if draw(st.booleans()):
+        palette = draw(st.lists(st.integers(0, 100), min_size=1, max_size=3, unique=True))
+        cell_levels, resolutions = st.sampled_from(palette), [10.0, 1e3]
+    else:
+        cell_levels, resolutions = st.integers(0, 100), RESOLUTIONS
+    levels = draw(st.lists(cell_levels, min_size=height * width,
                            max_size=height * width))
-    resolution = draw(st.sampled_from(RESOLUTIONS))
+    resolution = draw(st.sampled_from(resolutions))
     return OccupancyGrid(np.array(levels, np.uint8).reshape(height, width), resolution)
 
 
@@ -337,7 +340,7 @@ def test_map_fxp_matches_scalar_chain_with_saturations(grid, rays):
     # any shape and ray count, and at 1e3 m and 1e9 m saturating grids:
     # the words and the saturation count both equal the scalar chain's
     sensor = SensorConfig(rays)
-    want, want_sats = scalar_map_fxp(grid, sensor)
+    want, want_sats = oracle_map_fxp(grid, sensor)
     got = compute_mi_map_fxp(grid, sensor)
     np.testing.assert_array_equal(got.raw, want)
     assert got.saturations == want_sats
@@ -358,7 +361,7 @@ def test_map_fxp_call_mixes_float_and_saturating_steps(monkeypatch, resolution):
 
     grid = OccupancyGrid(np.random.default_rng(5).integers(0, 101, (9, 9), dtype=np.uint8),
                          resolution)
-    want, want_sats = scalar_map_fxp(grid, SensorConfig(13))
+    want, want_sats = oracle_map_fxp(grid, SensorConfig(13))
     monkeypatch.setattr(datapath, "_step_bound", recorded)
     got = compute_mi_map_fxp(grid, SensorConfig(13))
     assert any(kinds) and not all(kinds)

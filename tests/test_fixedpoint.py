@@ -1,5 +1,5 @@
-"""Q20.12 primitives: rounding, saturation, the array fast paths, and the
-exact float64 lane form of the sweep step."""
+"""Q20.12 primitives: rounding, saturation, the array ops, and the exact
+float64 lane form of the sweep step."""
 
 import decimal
 import math
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 import mimap.fixedpoint as fx
 from mimap.datapath import _preprocess_rows, _step_bound, _sweep_step
 from mimap.grid import SensorConfig, cell_width
@@ -73,7 +74,11 @@ def test_encode_round_trip_within_half_ulp(x):
     assert abs(fx.decode(raw) - x) <= 2.0 ** -13
 
 
-# ---------------------------------------------------------------- multiply
+# ---------------------------------------------------------------- array ops
+
+
+def words(*raws) -> np.ndarray:
+    return np.array(raws, dtype=np.int64)
 
 
 def test_mul_examples():
@@ -81,56 +86,60 @@ def test_mul_examples():
     half = fx.encode(0.5)
     third = fx.encode(1.0 / 3.0)
     three = fx.encode(3.0)
-    assert fx.mul_raw(one, one) == 4096
-    assert fx.mul_raw(half, half) == 1024
+    assert fx.arr_mul(words(one, half), words(one, half)).tolist() == [4096, 1024]
     assert third == 1365
-    got = fx.mul_raw(third, three)
+    got = int(fx.arr_mul(words(third), words(three))[0])
     assert got == 4095  # 1365 * 12288 >> 12, exact
     assert fx.decode(got) == 0.999755859375
 
 
 def test_mul_tie_cases_round_to_even():
-    assert fx.mul_raw(1, fx.HALF_ULP) == 0  # 0.5 ulp -> even 0
-    assert fx.mul_raw(3, fx.HALF_ULP) == 2  # 1.5 ulp -> even 2
-    assert fx.mul_raw(-1, fx.HALF_ULP) == 0
-    assert fx.mul_raw(-3, fx.HALF_ULP) == -2
+    # 0.5 ulp -> even 0 and 1.5 ulp -> even 2, from both sides of zero
+    got = fx.arr_mul(words(1, 3, -1, -3), words(fx.HALF_ULP))
+    assert got.tolist() == [0, 2, 0, -2]
 
 
 def test_add_sub_neg_saturate():
     sat0 = fx.saturation_count()
-    assert fx.add_raw(fx.RAW_MAX, 1) == fx.RAW_MAX
-    assert fx.sub_raw(fx.RAW_MIN, 1) == fx.RAW_MIN
-    assert fx.neg_raw(fx.RAW_MIN) == fx.RAW_MAX  # -(-2^31) has no int32 home
+    assert fx.arr_add(words(fx.RAW_MAX), words(1)).tolist() == [fx.RAW_MAX]
+    assert fx.arr_sub(words(fx.RAW_MIN), words(1)).tolist() == [fx.RAW_MIN]
+    # negation: -(-2^31) has no int32 home
+    assert fx.arr_sub(0, words(fx.RAW_MIN)).tolist() == [fx.RAW_MAX]
     assert fx.saturation_count() - sat0 == 3
 
 
-@given(RAWS, RAWS)
-def test_add_matches_exact_integer_model(a, b):
-    assert fx.add_raw(a, b) == clamp(a + b)
-    assert fx.sub_raw(a, b) == clamp(a - b)
+PAIRS = st.lists(st.tuples(RAWS, RAWS), min_size=1, max_size=64)
 
 
-@given(RAWS, RAWS)
-def test_mul_matches_exact_decimal_model(a, b):
-    assert fx.mul_raw(a, b) == clamp(rne_div_scale(a * b))
+@given(PAIRS)
+def test_add_matches_exact_integer_model(pairs):
+    a, b = (words(*side) for side in zip(*pairs))
+    for op, exact in ((fx.arr_add, lambda x, y: x + y), (fx.arr_sub, lambda x, y: x - y)):
+        want = [exact(x, y) for x, y in pairs]
+        sat0 = fx.saturation_count()
+        assert op(a, b).tolist() == [clamp(q) for q in want]
+        assert fx.saturation_count() - sat0 == sum(clamp(q) != q for q in want)
 
 
-# ---------------------------------------------------------------- arrays
+@given(PAIRS)
+def test_mul_matches_exact_decimal_model(pairs):
+    a, b = (words(*side) for side in zip(*pairs))
+    want = [rne_div_scale(x * y) for x, y in pairs]
+    sat0 = fx.saturation_count()
+    assert fx.arr_mul(a, b).tolist() == [clamp(q) for q in want]
+    assert fx.saturation_count() - sat0 == sum(clamp(q) != q for q in want)
 
 
-@given(st.lists(st.tuples(RAWS, RAWS), min_size=1, max_size=64))
+@given(PAIRS)
 def test_array_ops_match_scalar_ops(pairs):
-    a = np.array([p[0] for p in pairs], dtype=np.int64)
-    b = np.array([p[1] for p in pairs], dtype=np.int64)
-    np.testing.assert_array_equal(
-        fx.arr_add(a, b), [fx.add_raw(x, y) for x, y in pairs]
-    )
-    np.testing.assert_array_equal(
-        fx.arr_sub(a, b), [fx.sub_raw(x, y) for x, y in pairs]
-    )
-    np.testing.assert_array_equal(
-        fx.arr_mul(a, b), [fx.mul_raw(x, y) for x, y in pairs]
-    )
+    # the oracle's scalar ops, the bit-exact reference of the map tests,
+    # give the array ops' words and clip counts
+    a, b = (words(*side) for side in zip(*pairs))
+    q = oracles.QChain([], [], [])
+    for op, scalar in ((fx.arr_add, q.add), (fx.arr_sub, q.sub), (fx.arr_mul, q.mul)):
+        sat0, scalar_sat0 = fx.saturation_count(), q.saturations
+        assert op(a, b).tolist() == [scalar(x, y) for x, y in pairs]
+        assert fx.saturation_count() - sat0 == q.saturations - scalar_sat0
 
 
 def test_array_mul_ties_and_extremes_match_scalar():
@@ -139,11 +148,10 @@ def test_array_mul_ties_and_extremes_match_scalar():
     pairs = [(1, fx.HALF_ULP), (-1, fx.HALF_ULP), (3, fx.HALF_ULP),
              (-3, fx.HALF_ULP), (fx.RAW_MIN, fx.HALF_ULP), (fx.RAW_MAX, fx.RAW_MAX)]
     want = [0, 0, 2, -2, fx.RAW_MIN // 2, fx.RAW_MAX]
-    sat0 = fx.saturation_count()
-    assert [fx.mul_raw(a, b) for a, b in pairs] == want
-    assert fx.saturation_count() - sat0 == 1
-    a = np.array([p[0] for p in pairs], dtype=np.int64)
-    b = np.array([p[1] for p in pairs], dtype=np.int64)
+    q = oracles.QChain([], [], [])
+    assert [q.mul(a, b) for a, b in pairs] == want
+    assert q.saturations == 1
+    a, b = (words(*side) for side in zip(*pairs))
     sat0 = fx.saturation_count()
     np.testing.assert_array_equal(fx.arr_mul(a, b), want)
     assert fx.saturation_count() - sat0 == 1

@@ -342,8 +342,9 @@ def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, pe
         sweep(edited, sensor.angles, table, step, np.add, np.int32, memo, key)
         assert sum(stepped) == want
         assert len(built) == builds and memo_holds(built if builds else kept)
-    # after a counted saturation every line steps, on the kept blocks
-    memo.saturations = 1
+    # with its buffers emptied, as the fixed-point engine does after a
+    # saturation, every line steps, on the kept blocks
+    memo.bufs = []
     stepped.clear()
     built.clear()
     sweep(edited, sensor.angles, table, step, np.add, np.int32, memo, "other")

@@ -1,6 +1,9 @@
-"""Package surface: every exported name resolves."""
+"""Package surface: every exported name resolves, and the test oracles
+stand apart from the package."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -13,3 +16,18 @@ def test_exported_names_resolve(module):
     namespace = {}
     exec(f"from {module} import *", namespace)
     assert set(mod.__all__) <= set(namespace)
+
+
+def test_oracles_import_no_mimap_module():
+    # the oracles are written from the defining math, so they share no
+    # code with the package they check
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert "numpy" in imported
+    assert [name for name in imported
+            if name.startswith(".") or name.split(".")[0] == "mimap"] == []
