@@ -94,7 +94,7 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_dump_tables(args) -> int:
-    _emit(dump_tables(FcmiParams()), args.out)
+    _emit(dump_tables(), args.out)
     return EXIT_OK
 
 

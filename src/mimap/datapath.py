@@ -18,22 +18,21 @@ rows.  Feedback and postprocess are the step of ``grid.sweep``, which
 runs every scan line of every heading as a lane and folds the
 contributions into the accumulator in heading order.
 
-The step runs on float64 lanes that hold the Q20.12 words exactly, with
-the multipliers E, x, the cell width, k1 and dtheta scaled by 2^-12 (an
-exact scaling), so a fixed-point multiply is ``np.rint(a * b_scaled)``.
-That is ``fixedpoint.arr_mul`` bit for bit whenever the integer product
-a*b is below 2^53 in magnitude, which makes the float product exact and
-leaves ``np.rint`` to round it half to even, and the word is in range.
-Each step first bounds every word of its op chain from max|state| and
-the table's maxima (``_step_bound``).  In range, every product is below
-2^43, and no op saturates; out of range, the step runs the same chain
-with the saturating int64 ops, and the sweep folds with ``arr_add``.  So
-every element passes through the ops of one scalar Q20.12 chain in its
-order, with its rounding and saturation.  That chain, written from the
-defining math with its own ops and saturation count, is the bit-exact
-reference in the test suite's oracles: the map and its saturation count
-are those of chaining it cell by cell and heading by heading, with
-preprocess once per (heading, level) the grid holds.
+Every word is an integer-valued float64 (the LUT and exp-table words
+stay ints), and every op is an exact float op plus the range clip of
+``fixedpoint`` (see its docstring for why that is exact).  The step
+keeps its multipliers E, x, the cell width, k1 and dtheta scaled by
+2^-12, so its multiply is ``fixedpoint.round_product``, and runs one op
+chain on the lane state in place.  Each step first bounds every word of
+the chain from max|state| and the table's maxima (``_step_bound``); when
+no word can leave the range, it skips the clip and its count, and the
+chain is plain float arithmetic.  So every element passes through the
+ops of one scalar Q20.12 chain in its order, with its rounding and
+saturation.  That chain, written from the defining math with its own
+ops and saturation count, is the bit-exact reference in the test
+suite's oracles: the map and its saturation count are those of chaining
+it cell by cell and heading by heading, with preprocess once per
+(heading, level) the grid holds.
 """
 
 import math
@@ -90,7 +89,7 @@ class FxpConstants:
                    occ_b1=fx.encode(1.0 / cap))
 
 
-def build_occ_lut(params: FcmiParams = FcmiParams()) -> list[OccLutEntry]:
+def build_occ_lut() -> list[OccLutEntry]:
     """101 entries of (lam, -log lam, 1/lam); levels 0 and 100 hold zero
     words, which nothing reads: their preprocess rows are constants."""
     entries = [OccLutEntry(0, 0, 0)]
@@ -143,32 +142,32 @@ def build_pwl_exp() -> PwlExpTable:
 
 
 def pwl_exp(x_raw: np.ndarray, table: PwlExpTable) -> np.ndarray:
-    """Datapath exponential of int64 raw words: clamp to [-8, 0], then
+    """Datapath exponential of an array of words: clamp to [-8, 0], then
     m*x + c of the covering segment with the saturating ops."""
-    xc = np.minimum(np.maximum(x_raw, PWL_LO_RAW), 0)
-    k = np.minimum((xc - PWL_LO_RAW) // PWL_SEG_RAW, PWL_SEGMENTS - 1)
+    xc = np.clip(x_raw, PWL_LO_RAW, 0)
+    k = np.minimum((xc - PWL_LO_RAW) // PWL_SEG_RAW, PWL_SEGMENTS - 1).astype(np.intp)
     return fx.arr_add(fx.arr_mul(table.m_raw[k], xc), table.c_raw[k])
 
 
-@lru_cache(maxsize=8)
-def _tables_cached(lambda_cap: float):
-    params = FcmiParams(lambda_cap)
-    return build_occ_lut(params), build_pwl_exp(), FxpConstants.from_params(params)
+@lru_cache(maxsize=1)
+def _tables() -> tuple[list[OccLutEntry], PwlExpTable]:
+    """The occupancy LUT and the exp table; no parameter changes them."""
+    return build_occ_lut(), build_pwl_exp()
 
 
 def _preprocess_rows(w_raws: np.ndarray, levels: list[int],
                      params: FcmiParams = FcmiParams()) -> np.ndarray:
-    """(6, headings*101) int64 matrix of preprocess outputs (E, x, C1, C2,
-    C3, C4), column ``heading*101 + level``, for the headings' int64
-    cell-width words ``w_raws``.
+    """(6, headings*101) float64 matrix of preprocess words (E, x, C1, C2,
+    C3, C4), column ``heading*101 + level``, for the headings' cell-width
+    words ``w_raws``.
 
     Only the columns of ``levels`` are filled; the others stay zero.  The
     interior levels of every heading run the preprocess op chain as one
     array pass of the saturating ops; levels 0 and 100 take constant rows
     and pass through no op.
     """
-    lut, table, consts = _tables_cached(params.lambda_cap)
-    rows = np.zeros((6, len(w_raws), 101), dtype=np.int64)
+    lut, table = _tables()
+    rows = np.zeros((6, len(w_raws), 101))
     if 0 in levels:
         # E=1, x=0 and zero constants turn the update into the pass-through
         # (a1 + w*a0, b1 + w*b0, a0, b0) exactly
@@ -176,13 +175,13 @@ def _preprocess_rows(w_raws: np.ndarray, levels: list[int],
     if 100 in levels:
         # E=0 erases the previous state; the constants carry the o=1 limits
         # (2 - log cap)/cap, 1/cap, 1 - log cap and 1
+        consts = FxpConstants.from_params(params)
         rows[:, :, 100] = np.array([0, 0, consts.occ_a1, consts.occ_b1,
                                     consts.k1, fx.ONE_RAW])[:, None]
     mid = [level for level in levels if 0 < level < 100]
     if not mid:
         return rows.reshape(6, -1)
-    lam, neg_log_lam, inv_lam = np.array([lut[level] for level in mid],
-                                         dtype=np.int64).T
+    lam, neg_log_lam, inv_lam = np.array([lut[level] for level in mid]).T
     # (heading, level) arrays from here on
     x = fx.arr_mul(lam, w_raws[:, None])
     e = pwl_exp(fx.arr_sub(0, x), table)
@@ -217,69 +216,50 @@ def _step_bound(m: int, x: int, w: int, e: int, c: int, k1: int, dth: int) -> in
     return max(m2, d, mul(d, dth))
 
 
-def _round_product(a, b_scaled):
-    p = a * b_scaled
-    return np.rint(p, out=p)
-
-
-# (add, sub, mul) of the step: exact float64 lane arithmetic on words and
-# 2^-12-scaled multipliers, or the saturating int64 ops on words
-_EXACT_OPS = (np.add, np.subtract, _round_product)
-_SATURATING_OPS = (fx.arr_add, fx.arr_sub, fx.arr_mul)
+# (add, sub, mul) of the step on words and 2^-12-scaled multipliers: the
+# exact float ops, and the same ops with the range clip and its count
+_EXACT_OPS = (np.add, np.subtract, fx.round_product)
+_SATURATING_OPS = (fx.arr_add, fx.arr_sub,
+                   lambda a, b_scaled: fx.arr_clip(fx.round_product(a, b_scaled)))
 
 
 def _sweep_step(rows: np.ndarray, w_raws: np.ndarray, k1: int, dth_raw: int):
     """The ``sweep`` table and step of the Q20.12 engine.
 
-    ``rows`` are the int64 preprocess rows of ``_preprocess_rows`` and
-    ``w_raws`` the headings' cell-width words.  The table is ``rows`` as
-    float64, with the multiplier rows E and x scaled by 2^-12; the state
-    is float64 too.  Every float holds an integer word, or a word times
-    2^-12, exactly.
+    ``rows`` are the preprocess rows of ``_preprocess_rows`` and
+    ``w_raws`` the headings' cell-width words.  ``rows`` becomes the
+    table: its maxima are read, then its multiplier rows E and x are
+    scaled by 2^-12 in place.
 
-    Each step runs one op chain on the stacked (a1, b1, a0, b0) state:
-    ``(a1, a0) += x*(b1, b0)``, then ``(a1, b1) += w*(a0, b0)``, then
-    ``E*state + (C1, C2, C3, C4)``, then the contribution
+    Each step runs one op chain on the stacked (a1, b1, a0, b0) state in
+    place: ``(a1, a0) += x*(b1, b0)``, then ``(a1, b1) += w*(a0, b0)``,
+    then ``E*state + (C1, C2, C3, C4)``, then the contribution
     ``(a1 - k1*b1)*dtheta``.  It first takes max|state| over the active
     lanes and bounds every word of the chain with ``_step_bound``.  When
-    the bound is at most ``RAW_MAX``, no op can saturate, and every
-    product a*b is below SCALE * 2^31 = 2^43, so the float product
-    a * (b * 2^-12) is exact; ``np.rint`` then rounds it half to even, as
-    ``fixedpoint.arr_mul`` does, and the chain runs as plain float64
-    arithmetic.  Otherwise the step runs the same chain on int64 copies
-    with the saturating ``fixedpoint`` ops, which count each clip.
-    Either way every word equals that of the saturating chain.
+    the bound is at most ``RAW_MAX``, no op can saturate, so the chain
+    runs with the exact float ops alone; otherwise it runs the same ops,
+    each followed by the clip that counts what it clips.  Either way
+    every word equals that of the saturating chain.
     """
-    table = rows.astype(np.float64)
-    table[:2] *= 2.0 ** -fx.FRAC_BITS
-    w_scaled = w_raws * 2.0 ** -fx.FRAC_BITS
-    k1_scaled = k1 * 2.0 ** -fx.FRAC_BITS
-    dth_scaled = dth_raw * 2.0 ** -fx.FRAC_BITS
     maxima = (int(np.abs(rows[1]).max()), int(np.abs(w_raws).max()),
               int(np.abs(rows[0]).max()), int(np.abs(rows[2:]).max()),
               abs(k1), abs(dth_raw))
+    rows[:2] *= fx.ULP
+    w_scaled = w_raws * fx.ULP
+    k1_scaled = k1 * fx.ULP
+    dth_scaled = dth_raw * fx.ULP
 
     def step(s, row, headings):
         m = int(max(s.max(), -s.min()))
-        if _step_bound(m, *maxima) <= fx.RAW_MAX:
-            add, sub, mul = _EXACT_OPS
-            t, e, x, c = s, row[0], row[1], row[2:]
-            w, k, d = w_scaled.take(headings), k1_scaled, dth_scaled
-        else:
-            add, sub, mul = _SATURATING_OPS
-            t = s.astype(np.int64)
-            e, x = (row[:2] * fx.SCALE).astype(np.int64)
-            c = row[2:].astype(np.int64)
-            w, k, d = w_raws.take(headings), k1, dth_raw
-        t[0::2] = add(t[0::2], mul(x, t[1::2]))
-        t[:2] = add(t[:2], mul(w, t[2:]))
-        t[:] = add(mul(e, t), c)
-        out = mul(sub(t[0], mul(k, t[1])), d)
-        if t is not s:
-            s[:] = t
-        return out
+        in_range = _step_bound(m, *maxima) <= fx.RAW_MAX
+        add, sub, mul = _EXACT_OPS if in_range else _SATURATING_OPS
+        e, x, c, w = row[0], row[1], row[2:], w_scaled.take(headings)
+        s[0::2] = add(s[0::2], mul(x, s[1::2]))
+        s[:2] = add(s[:2], mul(w, s[2:]))
+        s[:] = add(mul(e, s), c)
+        return mul(sub(s[0], mul(k1_scaled, s[1])), dth_scaled)
 
-    return table, step
+    return rows, step
 
 
 def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
@@ -289,13 +269,12 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
 
     Runs ``grid.sweep`` with the step of ``_sweep_step``: each lane takes
     its heading's preprocess rows and cell width, and every element passes
-    through the op sequence of the scalar Q20.12 chain, in exact float64
-    arithmetic where a bound shows no op can saturate and with the
-    saturating int64 ops otherwise.  The sweep folds with the saturating
-    add in heading order, so every cell saturates exactly where a sweep of
-    one heading after another would.  The returned map carries the raw
-    accumulator words, their decoded float values and the number of
-    saturation events of the call.
+    through the op sequence of the scalar Q20.12 chain, with the clip
+    skipped where a bound shows no op can saturate.  The sweep folds with
+    the saturating add in heading order, so every cell saturates exactly
+    where a sweep of one heading after another would.  The returned map
+    carries the raw accumulator words, their decoded float values and the
+    number of saturation events of the call.
 
     A caller that computes maps of one grid as it changes passes the same
     ``memo`` to each call; the sweep is keyed by the sensor, resolution and
@@ -312,16 +291,14 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
     """
     sat0 = fx.saturation_count()
     w_raws = np.array([fx.encode(cell_width(float(a), grid.resolution))
-                       for a in sensor.angles], dtype=np.int64)
+                       for a in sensor.angles], dtype=np.float64)
     # the sweep reads only the rows of levels the grid holds, so only
     # those are preprocessed.  The first np.unique call raises peak RSS by
     # about 1 MB; bincount does not.
     present = np.flatnonzero(np.bincount(grid.levels.reshape(-1), minlength=101)).tolist()
-    _, _, consts = _tables_cached(params.lambda_cap)
-    # the int64 rows are not bound here: the step keeps only their maxima,
-    # so they are freed before the sweep
     table, step = _sweep_step(_preprocess_rows(w_raws, present, params), w_raws,
-                              consts.k1, fx.encode(sensor.delta_theta))
+                              FxpConstants.from_params(params).k1,
+                              fx.encode(sensor.delta_theta))
     # int32 buffer: saturated words fit
     mi_flat = sweep(grid.levels, sensor.angles, table, step, fx.arr_add, np.int32,
                     memo, (sensor, grid.resolution, params))
@@ -333,9 +310,9 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
                  saturations=saturations)
 
 
-def dump_tables(params: FcmiParams = FcmiParams()) -> str:
+def dump_tables() -> str:
     """Golden-file text dump: LUT entries then PWL segments, raw words."""
-    lut, table, _ = _tables_cached(params.lambda_cap)
+    lut, table = _tables()
     lines = [f"{i} {e.lam} {e.neg_log_lam} {e.inv_lam}" for i, e in enumerate(lut)]
     lines += [f"{k} {int(table.m_raw[k])} {int(table.c_raw[k])}"
               for k in range(PWL_SEGMENTS)]

@@ -9,12 +9,16 @@ running total; a consumer takes the difference of two
 and ``compute_mi_map_fxp`` does so for each call.
 
 ``encode`` turns a real into a word; the ``arr_*`` ops work on whole
-int64 numpy arrays of words.  The test suite checks them against exact
-integer and decimal models, and its oracles hold the scalar Q20.12 chain
-that is the datapath's bit-exact reference.  Each ``arr_*`` result
-passes a range test; the map engine's sweep step avoids that cost where
-a bound shows no word can leave the range, and runs there as exact
-float64 arithmetic on the same words (see ``datapath``).
+numpy arrays of words.  The datapath holds every word it makes as an
+integer-valued float64, which rests on one invariant.  Take two words a
+and b, so |a|, |b| <= 2^31.  Either |a*b| < 2^53, so the float product
+a * (b * 2^-12) is exact and ``np.rint`` rounds it half to even; or
+|a*b| >= 2^53, so the word is past 2^41 and saturates whatever the float
+rounding does.  Sums of two words are below 2^32 and exact.  So each op
+is an exact float op (``np.add``, ``np.subtract``, ``round_product``)
+followed by the range clip and count of ``arr_clip``.  The test suite
+checks the ops against exact integer and decimal models, and its oracles
+hold the scalar Q20.12 chain that is the datapath's bit-exact reference.
 """
 
 import math
@@ -23,11 +27,11 @@ import numpy as np
 
 FRAC_BITS = 12
 SCALE = 1 << FRAC_BITS           # 4096
+ULP = 2.0 ** -FRAC_BITS          # one word's value; scaling by it is exact
 RAW_MIN = -(1 << 31)
 RAW_MAX = (1 << 31) - 1
 ONE_RAW = SCALE
 TWO_RAW = 2 * SCALE
-HALF_ULP = SCALE // 2            # tie point of the dropped fraction bits
 
 _sat_events = 0
 
@@ -61,32 +65,32 @@ def decode(raw: int) -> float:
     return raw / SCALE
 
 
-def _arr_saturate(q: np.ndarray) -> np.ndarray:
+def arr_clip(q: np.ndarray) -> np.ndarray:
+    """``q`` clamped to the word range, each clipped element counted."""
     global _sat_events
     # min/max precheck keeps the common in-range case allocation-free
     if RAW_MIN <= q.min() and q.max() <= RAW_MAX:
         return q
-    clipped = np.minimum(np.maximum(q, RAW_MIN), RAW_MAX)
+    clipped = np.clip(q, RAW_MIN, RAW_MAX)
     _sat_events += int(np.count_nonzero(clipped != q))
     return clipped
 
 
-def arr_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _arr_saturate(a + b)
+def round_product(a, b_scaled) -> np.ndarray:
+    """The word a*b of words a and b, with b given as b * 2^-12, rounded
+    half to even and not clipped: exact while |a*b| < 2^53."""
+    p = np.multiply(a, b_scaled)
+    return np.rint(p, out=p)
 
 
-def arr_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _arr_saturate(a - b)
+def arr_add(a, b) -> np.ndarray:
+    return arr_clip(np.add(a, b))
 
 
-def arr_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact 64-bit product, dropped 12 bits rounded half-to-even, saturated."""
-    # int64 is safe: |a|,|b| <= 2^31 so |a*b| <= 2^62
-    p = a * b
-    # half-to-even in one pass on the product: adding HALF_ULP - 1 plus
-    # the kept word's low bit carries exactly when the dropped bits exceed
-    # HALF_ULP, or equal it with that bit set
-    p += (p >> FRAC_BITS) & 1
-    p += HALF_ULP - 1
-    p >>= FRAC_BITS
-    return _arr_saturate(p)
+def arr_sub(a, b) -> np.ndarray:
+    return arr_clip(np.subtract(a, b))
+
+
+def arr_mul(a, b) -> np.ndarray:
+    """Product of words rounded half to even, saturated; float64 words."""
+    return arr_clip(round_product(a, np.multiply(b, ULP)))

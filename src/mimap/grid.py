@@ -335,8 +335,7 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
     done; then ``add(acc, part)`` folds the buffer into the flat
     accumulator one heading at a time, so each cell sums in heading order.
     The accumulator starts at zero and takes one part of every cell per
-    heading.  The state has the table's dtype; the accumulator is float64
-    for a float buffer and int64 for an integer one.
+    heading.  The state has the table's dtype; the accumulator is float64.
 
     A ``memo`` lets consecutive calls on slowly changing maps share work.
     A lane's contributions depend only on the levels of its own cells and
@@ -360,7 +359,7 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
     """
     n_cells = levels.size
     levels_flat = levels.reshape(-1)
-    acc = np.zeros(n_cells, dtype=np.promote_types(buf_dtype, np.int64))
+    acc = np.zeros(n_cells)
     key = (levels.shape, key)
     blocks = kept = None
     if memo is not None:

@@ -362,13 +362,13 @@ def test_dump_tables_stable(tmp_path, capsys):
     for path in (a, b):
         assert main(["dump-tables", "--out", str(path)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
-    assert a.read_text() == dump_tables(FcmiParams())
+    assert a.read_text() == dump_tables()
 
 
 def test_dump_tables_stdout(capsys):
     code, out, _ = run(capsys, "dump-tables")
     assert code == EXIT_OK
-    assert out == dump_tables(FcmiParams())
+    assert out == dump_tables()
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -203,7 +203,8 @@ def test_preprocess_rows_match_scalar_chain(resolution):
     rows = _preprocess_rows(np.array(w_raws), list(range(101)))
     assert fx.saturation_count() - sat0 == scalar_sats
     assert (scalar_sats > 0) == (resolution > 1.0)
-    assert rows.dtype == np.int64
+    assert rows.dtype == np.float64
+    np.testing.assert_array_equal(rows, np.rint(rows))
     np.testing.assert_array_equal(rows, np.array(want).reshape(-1, 6).T)
 
 
@@ -316,7 +317,7 @@ RESOLUTIONS = [0.1, 1.0, 10.0, 1e3, 1e9]
 def small_grids(draw):
     """Random 1..9 x 1..9 level grids at 0.1 m to 1e9 m a cell, or of 1 to
     3 distinct levels at 10 m or 1e3 m.  From 10 m on, steps of one call
-    run on float lanes and on the saturating ops both; long runs of few
+    run with the clip and without it; long runs of few
     levels carry the states up to the edge of the step's guard."""
     height, width = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     if draw(st.booleans()):
@@ -333,7 +334,7 @@ def small_grids(draw):
 @settings(max_examples=40)
 @given(small_grids(), st.integers(1, 13))
 # at 1e3 m these clip in the contribution, from states the step's guard
-# must keep off the float lanes
+# must keep on the clipping ops
 @example(OccupancyGrid(np.array([[84, 59]], np.uint8), 1e3), 1)
 @example(OccupancyGrid(np.array([[25, 41, 46], [67, 16, 61]], np.uint8), 1e3), 5)
 def test_map_fxp_matches_scalar_chain_with_saturations(grid, rays):
@@ -348,7 +349,7 @@ def test_map_fxp_matches_scalar_chain_with_saturations(grid, rays):
 
 @pytest.mark.parametrize("resolution", [10.0, 1e3])
 def test_map_fxp_call_mixes_float_and_saturating_steps(monkeypatch, resolution):
-    # at 10 m the states of a 9x9 grid outgrow the float guard part way
+    # at 10 m the states of a 9x9 grid outgrow the step's guard part way
     # along the lines, and at 1e3 m they clip: one call runs steps of both
     # kinds, and its words and clip count are still the scalar chain's
     kinds = []

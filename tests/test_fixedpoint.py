@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -15,6 +15,7 @@ from mimap.datapath import _preprocess_rows, _step_bound, _sweep_step
 from mimap.grid import SensorConfig, cell_width
 
 RAWS = st.integers(fx.RAW_MIN, fx.RAW_MAX)
+HALF_ULP = fx.SCALE // 2  # tie point of the dropped fraction bits
 
 
 def rne_div_scale(p: int) -> int:
@@ -95,7 +96,7 @@ def test_mul_examples():
 
 def test_mul_tie_cases_round_to_even():
     # 0.5 ulp -> even 0 and 1.5 ulp -> even 2, from both sides of zero
-    got = fx.arr_mul(words(1, 3, -1, -3), words(fx.HALF_ULP))
+    got = fx.arr_mul(words(1, 3, -1, -3), words(HALF_ULP))
     assert got.tolist() == [0, 2, 0, -2]
 
 
@@ -108,7 +109,22 @@ def test_add_sub_neg_saturate():
     assert fx.saturation_count() - sat0 == 3
 
 
-PAIRS = st.lists(st.tuples(RAWS, RAWS), min_size=1, max_size=64)
+@st.composite
+def near_edge_pairs(draw):
+    """A pair of words whose product is near the range edge, where the
+    rounded word passes RAW_MAX or RAW_MIN (|a*b| near 2^43), or near
+    2^53, past which a float product is no longer exact.  Uniform pairs
+    almost never land there."""
+    target = draw(st.sampled_from([(2 * fx.RAW_MAX + 1) * HALF_ULP,
+                                   (2 * fx.RAW_MIN - 1) * -HALF_ULP, 2 ** 53]))
+    a = draw(st.integers(-(-target // 2 ** 31), 2 ** 31))
+    b = target // a + draw(st.integers(-2, 2))
+    sa, sb = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+    return clamp(sa * a), clamp(sb * min(b, 2 ** 31))
+
+
+PAIRS = st.lists(st.one_of(st.tuples(RAWS, RAWS), near_edge_pairs()),
+                 min_size=1, max_size=64)
 
 
 @given(PAIRS)
@@ -122,6 +138,11 @@ def test_add_matches_exact_integer_model(pairs):
 
 
 @given(PAIRS)
+# 2^53 + 6143, where the bare float product a*b rounds to the wrong side
+# of a tie; and the extreme products, which saturate
+@example([(637322051, 14132885)])
+@example([(fx.RAW_MIN, fx.RAW_MIN)])
+@example([(fx.RAW_MAX, fx.RAW_MIN)])
 def test_mul_matches_exact_decimal_model(pairs):
     a, b = (words(*side) for side in zip(*pairs))
     want = [rne_div_scale(x * y) for x, y in pairs]
@@ -145,8 +166,8 @@ def test_array_ops_match_scalar_ops(pairs):
 def test_array_mul_ties_and_extremes_match_scalar():
     # exact ties round to the even word from both sides of zero (0.5 and
     # 1.5 ulp), and of the extremes only RAW_MAX^2 saturates
-    pairs = [(1, fx.HALF_ULP), (-1, fx.HALF_ULP), (3, fx.HALF_ULP),
-             (-3, fx.HALF_ULP), (fx.RAW_MIN, fx.HALF_ULP), (fx.RAW_MAX, fx.RAW_MAX)]
+    pairs = [(1, HALF_ULP), (-1, HALF_ULP), (3, HALF_ULP),
+             (-3, HALF_ULP), (fx.RAW_MIN, HALF_ULP), (fx.RAW_MAX, fx.RAW_MAX)]
     want = [0, 0, 2, -2, fx.RAW_MIN // 2, fx.RAW_MAX]
     q = oracles.QChain([], [], [])
     assert [q.mul(a, b) for a, b in pairs] == want
@@ -167,10 +188,10 @@ def test_array_saturation_is_counted():
 
 # ---------------------------------------------------------------- float64 lanes
 #
-# The map engine runs its sweep step on float64 lanes that hold words, and
-# 2^-12-scaled multipliers, exactly.  A product of words a*b below 2^53 is
-# then exact as the float a * (b * 2^-12), and np.rint rounds it half to
-# even, as arr_mul does; a guard keeps every step inside that range.
+# The datapath holds words, and 2^-12-scaled multipliers, exactly as
+# float64.  A product of words a*b below 2^53 is then exact as the float
+# a * (b * 2^-12), and np.rint rounds it half to even; past 2^53 the word
+# saturates whatever the float rounding does.
 
 ULP = 2.0 ** -fx.FRAC_BITS
 
@@ -180,7 +201,7 @@ def float_mul(a, b) -> np.ndarray:
 
 
 def test_float_mul_matches_on_ties_and_range_ends():
-    h = fx.HALF_ULP
+    h = HALF_ULP
     pairs = [(1, h), (-1, h), (3, h), (-3, h), (h, 1), (-h, 3),
              (fx.RAW_MAX, h), (fx.RAW_MIN, h), (fx.RAW_MIN + 1, h), (fx.RAW_MAX, -h),
              (fx.RAW_MAX, 4095), (fx.RAW_MIN, 4095), (fx.RAW_MAX, -fx.ONE_RAW),
@@ -188,9 +209,8 @@ def test_float_mul_matches_on_ties_and_range_ends():
     a = np.array([p[0] for p in pairs], dtype=np.int64)
     b = np.array([p[1] for p in pairs], dtype=np.int64)
     assert np.all(np.abs(a * b) < 2 ** 53)
-    sat0 = fx.saturation_count()
-    want = fx.arr_mul(a, b)
-    assert fx.saturation_count() == sat0
+    want = [rne_div_scale(x * y) for x, y in pairs]
+    assert want == [clamp(q) for q in want]
     np.testing.assert_array_equal(float_mul(a, b), want)
 
 
@@ -214,17 +234,21 @@ def test_float_mul_can_be_wrong_just_over_two_to_53():
     assert float_mul(a, b) == rne_div_scale(a * b) + 1
 
 
-def int_step(state, rows, w, k1, dth):
-    """The sweep step on int64 words with the saturating ops alone."""
-    s = state.copy()
-    s[0::2] = fx.arr_add(s[0::2], fx.arr_mul(rows[1], s[1::2]))
-    s[:2] = fx.arr_add(s[:2], fx.arr_mul(w, s[2:]))
-    s[:] = fx.arr_add(fx.arr_mul(rows[0], s), rows[2:])
-    return s, fx.arr_mul(fx.arr_sub(s[0], fx.arr_mul(k1, s[1])), dth)
+def oracle_step(state, rows, w, k1, dth):
+    """The sweep step by the oracle's scalar chain, lane by lane, on
+    unscaled words: the new state, the contributions and the chain's
+    clip count."""
+    q = oracles.QChain([], [], [])
+    q.k1 = k1
+    ints = lambda col: tuple(int(v) for v in col)
+    new = [q.step(ints(s), ints(row), int(wj))
+           for s, row, wj in zip(state.T, rows.T, w)]
+    out = [q.contribution(s, dth) for s in new]
+    return np.array(new).T, out, q.saturations
 
 
 def guard_edge(maxima) -> int:
-    """Largest state magnitude the step's guard lets run on float lanes."""
+    """Largest state magnitude the step's guard lets skip the clip."""
     lo, hi = 0, fx.RAW_MAX + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -235,7 +259,7 @@ def guard_edge(maxima) -> int:
 def level_rows(resolution):
     """Preprocess rows of every level at 8 headings and that resolution."""
     w = np.array([fx.encode(cell_width(a, resolution))
-                  for a in SensorConfig(8).angles], dtype=np.int64)
+                  for a in SensorConfig(8).angles], dtype=np.float64)
     return _preprocess_rows(w, list(range(101))), w
 
 
@@ -243,19 +267,19 @@ def level_rows(resolution):
 def test_step_just_inside_and_just_outside_its_guard(case):
     # states at the guard's edge, one word past it and far past it, on
     # every column of the table, step to the words and clip counts of the
-    # int64 step
+    # oracle's scalar chain
     if case == "rounding edge":
         # identity update and k1 = 0, dtheta = 6146 ulp: at the largest
         # state whose final product rounds down to RAW_MAX or less its
         # exact word would still round up past RAW_MAX; only the guard's
-        # rounding slack keeps that state off the float lanes
-        rows = np.zeros((6, 101), dtype=np.int64)
+        # rounding slack keeps that state on the clipping ops
+        rows = np.zeros((6, 101))
         rows[0] = fx.ONE_RAW
-        w, k1, dth = np.zeros(1, dtype=np.int64), 0, 6146
+        w, k1, dth = np.zeros(1), 0, 6146
     else:
         rows, w = level_rows(float(case.split()[0]))
         k1, dth = fx.encode(1.0 - math.log(1e7)), fx.encode(2 * math.pi / 8)
-    table, step = _sweep_step(rows, w, k1, dth)
+    table, step = _sweep_step(rows.copy(), w, k1, dth)
     maxima = (int(np.abs(rows[1]).max()), int(np.abs(w).max()),
               int(np.abs(rows[0]).max()), int(np.abs(rows[2:]).max()), abs(k1), abs(dth))
     edge = guard_edge(maxima)
@@ -266,9 +290,8 @@ def test_step_just_inside_and_just_outside_its_guard(case):
     for m in (edge, edge + 1, fx.RAW_MAX // 64, fx.RAW_MAX):
         for sign in signs:
             state = np.repeat(sign[:, None] * m, len(cols), axis=1)
-            sat0 = fx.saturation_count()
-            want_state, want = int_step(state, rows, w.take(headings), k1, dth)
-            want_sats = fx.saturation_count() - sat0
+            want_state, want, want_sats = oracle_step(state, rows, w.take(headings),
+                                                      k1, dth)
             lanes = state.astype(np.float64)
             sat0 = fx.saturation_count()
             got = step(lanes, table.take(cols, axis=1), headings)
