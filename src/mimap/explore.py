@@ -239,6 +239,17 @@ def _free_mask(levels: np.ndarray) -> np.ndarray:
     return levels < UNKNOWN_LO
 
 
+def _four_neighbours(mask: np.ndarray) -> np.ndarray:
+    """Cells 4-adjacent to a set cell of the boolean ``mask``: the OR of
+    its four one-cell shifts."""
+    near = np.zeros_like(mask)
+    near[1:, :] |= mask[:-1, :]
+    near[:-1, :] |= mask[1:, :]
+    near[:, 1:] |= mask[:, :-1]
+    near[:, :-1] |= mask[:, 1:]
+    return near
+
+
 def _bfs_distances(levels: np.ndarray, start: CellCoord,
                    stop: CellCoord | None = None) -> np.ndarray:
     """4-connected hop counts through believed-free cells; -1 unreachable.
@@ -260,12 +271,7 @@ def _bfs_distances(levels: np.ndarray, start: CellCoord,
     hop = 0
     while front.any() and (stop is None or dist[stop] < 0):
         hop += 1
-        reach = np.zeros_like(front)
-        reach[1:, :] |= front[:-1, :]
-        reach[:-1, :] |= front[1:, :]
-        reach[:, 1:] |= front[:, :-1]
-        reach[:, :-1] |= front[:, 1:]
-        front = reach & unreached
+        front = _four_neighbours(front) & unreached
         unreached &= ~front
         dist[front] = hop
     return dist
@@ -274,12 +280,7 @@ def _bfs_distances(levels: np.ndarray, start: CellCoord,
 def frontier_cells(levels: np.ndarray) -> np.ndarray:
     """Boolean mask of free cells 4-adjacent to at least one unknown cell."""
     unknown = (levels >= UNKNOWN_LO) & (levels <= UNKNOWN_HI)
-    near = np.zeros_like(unknown)
-    near[:-1, :] |= unknown[1:, :]
-    near[1:, :] |= unknown[:-1, :]
-    near[:, :-1] |= unknown[:, 1:]
-    near[:, 1:] |= unknown[:, :-1]
-    return _free_mask(levels) & near
+    return _free_mask(levels) & _four_neighbours(unknown)
 
 
 def gbl_select(mi_map: MIMap, grid: OccupancyGrid,

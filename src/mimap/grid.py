@@ -242,19 +242,19 @@ class LaneBlock(NamedTuple):
     """Consecutive headings laid out as one set of lanes for the engines.
 
     ``cells`` concatenates the ``line_family`` cells of the block's
-    ``n_headings`` headings in heading order, H*W of them per heading, so
-    each (heading, cell) pair of the block has its own position in it.
+    ``n_headings`` headings in heading order, H*W of them per heading.
     Every line of those families is a lane: lane j, of heading
-    ``lane_heading[j]``, reads ``cells[lane_start[j] + t]`` at sweep step
-    t.  Lanes run longest first, so the lanes still active at step t are
-    the first ``active[t]``.
+    ``lane_heading[j]``, reads ``cells[lane_start[j] + t]`` at sweep steps
+    t < ``lane_len[j]``, and its heading is the k-th of the block for
+    k = ``lane_start[j] // (H*W)``.  Lanes run longest first, so the
+    lanes still active at step t are the first ``_active(lane_len)[t]``.
     """
 
     n_headings: int
     cells: np.ndarray
     lane_start: np.ndarray
     lane_heading: np.ndarray
-    active: np.ndarray
+    lane_len: np.ndarray
 
 
 def lane_blocks(angles, bounds: tuple[int, int]) -> Iterator[LaneBlock]:
@@ -278,46 +278,41 @@ def _lane_block(angles, first: int, bounds: tuple[int, int]) -> LaneBlock:
                          [f.n_lines for f in fams])
     order = np.argsort(-lengths, kind="stable")
     return LaneBlock(len(fams), np.concatenate([f.cells for f in fams]),
-                     starts[order], headings[order], _active(lengths[order]))
+                     starts[order], headings[order], lengths[order])
 
 
-def _active(by_length: np.ndarray) -> np.ndarray:
+def _active(lane_len: np.ndarray) -> np.ndarray:
     """Lanes still active at each step, for lane lengths longest first."""
-    steps = int(by_length[0]) if by_length.size else 0
-    return np.searchsorted(-by_length, -np.arange(steps), side="left")
+    steps = int(lane_len[0]) if lane_len.size else 0
+    return np.searchsorted(-lane_len, -np.arange(steps), side="left")
 
 
-def _touched_lanes(block: LaneBlock, by_pos: np.ndarray, changed: np.ndarray):
-    """(start, heading, active) of the block's lanes that hold a cell
-    whose flag in ``changed`` is set, in the block's longest-first order.
-    ``by_pos`` is ``np.argsort(block.lane_start)``."""
-    hit = np.empty(len(by_pos), dtype=bool)
-    # the lanes tile the block's cells, so in position order their starts
-    # cut the cells into the lanes
-    hit[by_pos] = np.logical_or.reduceat(changed[block.cells], block.lane_start[by_pos])
-    lanes = np.flatnonzero(hit)
-    # lane j is active at the steps t with j < active[t]
-    lengths = np.searchsorted(-block.active, -lanes, side="left")
-    return block.lane_start[lanes], block.lane_heading[lanes], _active(lengths)
+def _touched_lanes(block: LaneBlock, changed: np.ndarray) -> np.ndarray:
+    """Mask of the block's lanes that hold a cell whose flag in
+    ``changed`` is set."""
+    # run[i]: changed cells among the block's first i positions
+    run = np.zeros(len(block.cells) + 1, dtype=np.int32)
+    np.cumsum(changed.take(block.cells), out=run[1:])
+    return run[block.lane_start + block.lane_len] > run[block.lane_start]
 
 
 class SweepMemo:
     """Caller-owned state of one ``sweep`` call for the next call to reuse.
 
     After a call it holds the call's flat levels, each heading block's
-    contribution buffer, each block's ``LaneBlock`` with the order of its
-    lane starts and the call's key; while a call runs, and after a call
-    that raised, it is empty.  An engine empties ``bufs`` after a call
-    whose kept contributions the next call must not reuse (the
-    fixed-point engine does so after a call that saturated), which keeps
-    the lane blocks and makes the next call step every lane.
+    ``LaneBlock`` and contribution buffer (slot k*H*W + c for the block's
+    k-th heading and cell c) and the call's key; while a call runs, and
+    after a call that raised, it is empty.  An engine empties ``bufs``
+    after a call whose kept contributions the next call must not reuse
+    (the fixed-point engine does so after a call that saturated), which
+    keeps the lane blocks and makes the next call step every lane.
     """
 
     def __init__(self):
         self.key = None
         self.levels: np.ndarray | None = None
         self.bufs: list[np.ndarray] = []
-        self.blocks: list[tuple[LaneBlock, np.ndarray]] = []
+        self.blocks: list[LaneBlock] = []
 
 
 def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
@@ -327,12 +322,13 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
 
     Headings go in ``lane_blocks``, every line of a block one lane of a
     step loop, much as the hardware interleaves independent rays through
-    one pipeline.  At step t the ``na = active[t]`` active lanes gather the
+    one pipeline.  At step t the ``na`` lanes still active gather the
     ``table`` column of their next cell (key ``heading*101 + level``), and
     ``step(state, cols, headings)`` updates their ``(4, na)`` state in place
-    and returns their contributions.  Each (heading, cell) contribution
-    waits in its own slot of a ``buf_dtype`` buffer until the block is
-    done; then ``add(acc, part)`` folds the buffer into the flat
+    and returns their contributions.  The contribution of the block's k-th
+    heading to cell c waits in slot k*H*W + c of a ``buf_dtype`` buffer,
+    addressed by cell as the hardware's MI banks are, until the block is
+    done; then ``add(acc, part)`` folds the buffer's rows into the flat
     accumulator one heading at a time, so each cell sums in heading order.
     The accumulator starts at zero and takes one part of every cell per
     heading.  The state has the table's dtype; the accumulator is float64.
@@ -371,31 +367,31 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
         memo.levels, memo.bufs, memo.blocks = None, [], []
     if blocks is None:
         blocks = lane_blocks(angles, levels.shape)
-        if memo is None:
-            blocks = ((block, None) for block in blocks)
-        else:
-            blocks = [(block, np.argsort(block.lane_start)) for block in blocks]
+        if memo is not None:
+            blocks = list(blocks)
     bufs = []
-    for block, by_pos in blocks:
+    for block in blocks:
+        start, heading, lane_len = block.lane_start, block.lane_heading, block.lane_len
         if kept is None:
-            buf = np.empty(len(block.cells), dtype=buf_dtype)
-            start, heading, active = block.lane_start, block.lane_heading, block.active
+            buf = np.empty(block.n_headings * n_cells, dtype=buf_dtype)
         else:
             buf = kept[len(bufs)]
-            start, heading, active = _touched_lanes(block, by_pos, changed)
+            hit = _touched_lanes(block, changed)
+            start, heading, lane_len = start[hit], heading[hit], lane_len[hit]
+        base = start - start % n_cells
         lane_key = 101 * heading
         state = np.zeros((4, len(start)), dtype=table.dtype)
-        for t, na in enumerate(active.tolist()):
-            pos = start[:na] + t
-            cols = table.take(lane_key[:na] + levels_flat[block.cells[pos]], axis=1)
-            buf[pos] = step(state[:, :na], cols, heading[:na])
-        for k in range(block.n_headings):
-            at = slice(k * n_cells, (k + 1) * n_cells)
-            cells = block.cells[at]
-            acc[cells] = add(acc[cells], buf[at])
+        for t, na in enumerate(_active(lane_len).tolist()):
+            cells = block.cells[start[:na] + t]
+            cols = table.take(lane_key[:na] + levels_flat[cells], axis=1)
+            buf[base[:na] + cells] = step(state[:, :na], cols, heading[:na])
+        for part in buf.reshape(-1, n_cells):
+            acc = add(acc, part)
         if memo is not None:
             bufs.append(buf)
-        del block, by_pos, buf, cells  # free every view of the block before the next
+        # part is a view of buf: drop the block's cells and buffer before
+        # the next block is built
+        del block, buf, part
     if memo is not None:
         memo.key, memo.levels, memo.bufs = key, levels_flat.copy(), bufs
         memo.blocks = blocks

@@ -22,46 +22,69 @@ def _fail(path, line_no, msg):
     raise GridFormatError(f"{path}:{line_no}: {msg}")
 
 
-def _reject_trailing(path, lines, height):
-    """Only blank lines may follow the header and the H data rows."""
-    for line_no, line in enumerate(lines[1 + height:], start=2 + height):
-        if line.strip():
-            _fail(path, line_no, f"expected {height} data rows, found more")
+def _read_rows(path, what: str, form: str, parse_row, dtype, check_header=None):
+    """The H x W ``dtype`` array of a grid or map file, and its header
+    fields after H and W, read as floats.
 
-
-def read_grid(path) -> OccupancyGrid:
+    ``form`` spells the header (``'H W resolution'`` or ``'H W'``) and
+    ``what`` names the file's kind in the dims message.  After the dims
+    check, ``check_header(path, *fields)`` checks the further fields; then
+    each of the H rows must have W fields, which ``parse_row(path, line_no,
+    fields)`` turns into the row's values.  Only blank lines may follow
+    the H rows.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
-        _fail(path, 1, "empty file, expected header 'H W resolution'")
+        _fail(path, 1, f"empty file, expected header '{form}'")
     header = lines[0].split()
-    if len(header) != 3:
-        _fail(path, 1, f"malformed header {lines[0]!r}, expected 'H W resolution'")
+    malformed = f"malformed header {lines[0]!r}, expected '{form}'"
+    if len(header) != len(form.split()):
+        _fail(path, 1, malformed)
     try:
         height, width = int(header[0]), int(header[1])
-        resolution = float(header[2])
+        fields = [float(tok) for tok in header[2:]]
     except ValueError:
-        _fail(path, 1, f"malformed header {lines[0]!r}, expected 'H W resolution'")
+        _fail(path, 1, malformed)
     if height < 1 or width < 1:
-        _fail(path, 1, f"grid dims must be positive, got {height}x{width}")
-    if not 0 < resolution < math.inf:
-        _fail(path, 1, f"resolution must be positive and finite, got {resolution}")
+        _fail(path, 1, f"{what} dims must be positive, got {height}x{width}")
+    if check_header is not None:
+        check_header(path, *fields)
     if len(lines) < 1 + height:
         _fail(path, len(lines), f"expected {height} data rows, found {len(lines) - 1}")
-    levels = np.empty((height, width), dtype=np.uint8)
+    values = np.empty((height, width), dtype=dtype)
     for r in range(height):
-        fields = lines[1 + r].split()
-        if len(fields) != width:
-            _fail(path, 2 + r, f"expected {width} values, found {len(fields)}")
-        for c, tok in enumerate(fields):
-            try:
-                val = int(tok)
-            except ValueError:
-                _fail(path, 2 + r, f"field {c + 1}: not an integer: {tok!r}")
-            if not 0 <= val <= 100:
-                _fail(path, 2 + r, f"field {c + 1}: level {val} outside [0, 100]")
-            levels[r, c] = val
-    _reject_trailing(path, lines, height)
+        row = lines[1 + r].split()
+        if len(row) != width:
+            _fail(path, 2 + r, f"expected {width} values, found {len(row)}")
+        values[r] = parse_row(path, 2 + r, row)
+    for line_no, line in enumerate(lines[1 + height:], start=2 + height):
+        if line.strip():
+            _fail(path, line_no, f"expected {height} data rows, found more")
+    return values, fields
+
+
+def _check_resolution(path, resolution):
+    if not 0 < resolution < math.inf:
+        _fail(path, 1, f"resolution must be positive and finite, got {resolution}")
+
+
+def _level_row(path, line_no, fields):
+    row = []
+    for c, tok in enumerate(fields):
+        try:
+            val = int(tok)
+        except ValueError:
+            _fail(path, line_no, f"field {c + 1}: not an integer: {tok!r}")
+        if not 0 <= val <= 100:
+            _fail(path, line_no, f"field {c + 1}: level {val} outside [0, 100]")
+        row.append(val)
+    return row
+
+
+def read_grid(path) -> OccupancyGrid:
+    levels, (resolution,) = _read_rows(path, "grid", "H W resolution", _level_row,
+                                       np.uint8, _check_resolution)
     return OccupancyGrid(levels, resolution)
 
 
@@ -74,36 +97,19 @@ def write_grid(grid: OccupancyGrid, path) -> None:
             fh.write("\n")
 
 
-def read_mi_map(path) -> MIMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        _fail(path, 1, "empty file, expected header 'H W'")
-    header = lines[0].split()
-    if len(header) != 2:
-        _fail(path, 1, f"malformed header {lines[0]!r}, expected 'H W'")
+def _value_row(path, line_no, fields):
     try:
-        height, width = int(header[0]), int(header[1])
+        row = [float(tok) for tok in fields]
     except ValueError:
-        _fail(path, 1, f"malformed header {lines[0]!r}, expected 'H W'")
-    if height < 1 or width < 1:
-        _fail(path, 1, f"map dims must be positive, got {height}x{width}")
-    if len(lines) < 1 + height:
-        _fail(path, len(lines), f"expected {height} data rows, found {len(lines) - 1}")
-    values = np.empty((height, width), dtype=np.float64)
-    for r in range(height):
-        fields = lines[1 + r].split()
-        if len(fields) != width:
-            _fail(path, 2 + r, f"expected {width} values, found {len(fields)}")
-        try:
-            row = [float(tok) for tok in fields]
-        except ValueError:
-            _fail(path, 2 + r, "non-numeric value in row")
-        for c, val in enumerate(row):
-            if not math.isfinite(val):
-                _fail(path, 2 + r, f"field {c + 1}: non-finite value {fields[c]!r}")
-        values[r] = row
-    _reject_trailing(path, lines, height)
+        _fail(path, line_no, "non-numeric value in row")
+    for c, val in enumerate(row):
+        if not math.isfinite(val):
+            _fail(path, line_no, f"field {c + 1}: non-finite value {fields[c]!r}")
+    return row
+
+
+def read_mi_map(path) -> MIMap:
+    values, _ = _read_rows(path, "map", "H W", _value_row, np.float64)
     return MIMap(values)
 
 

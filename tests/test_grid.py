@@ -6,6 +6,7 @@ the line families against the scalar oracle.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from mimap import datapath, reference
 from mimap import grid as grid_module
 from mimap.explore import Environment, simulate_scan
 from mimap.grid import (
     CellCoord,
     FcmiParams,
+    LaneBlock,
     MIMap,
     OccupancyGrid,
     SensorConfig,
@@ -234,12 +237,9 @@ def test_lane_blocks_lay_out_every_line_of_every_heading(monkeypatch):
                                           fam.cells)
             lines[first + k] = sorted(fam.line_cells(i).tolist()
                                       for i in range(fam.n_lines))
-        # lane j is active at the steps t with j < active[t]
-        lane_len = np.bincount(np.concatenate([np.arange(n) for n in b.active]),
-                               minlength=len(b.lane_start))
-        assert np.all(np.diff(lane_len) <= 0)  # longest lane first
+        assert np.all(np.diff(b.lane_len) <= 0)  # longest lane first
         got = {h: [] for h in lines}
-        for start, heading, n in zip(b.lane_start, b.lane_heading, lane_len):
+        for start, heading, n in zip(b.lane_start, b.lane_heading, b.lane_len):
             assert start // n_cells == heading - first
             got[int(heading)].append(b.cells[start:start + n].tolist())
         assert {h: sorted(v) for h, v in got.items()} == lines
@@ -305,40 +305,47 @@ def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, pe
         state[0] = state[0] * 7 + cols[0]
         return state[0] % 1000
 
+    def visits_of_lines_through(cell):
+        return sum(len(fam.line_cells(i))
+                   for fam in (line_family(a, bounds) for a in sensor.angles)
+                   for i in range(fam.n_lines) if cell in fam.line_cells(i))
+
     def memo_holds(blocks):
         return (len(memo.blocks) == len(blocks)
-                and all(a is b for (a, _), b in zip(memo.blocks, blocks)))
+                and all(a is b for a, b in zip(memo.blocks, blocks)))
 
     memo = SweepMemo()
     first = sweep(levels, sensor.angles, table, step, np.add, np.int32, memo, "k")
     assert sum(stepped) == n_cells * 10
     np.testing.assert_array_equal(memo.levels, levels.reshape(-1))
     assert len(built) == n_blocks and memo_holds(built)
-    for block, by_pos in memo.blocks:
-        np.testing.assert_array_equal(by_pos, np.argsort(block.lane_start))
+    assert all(isinstance(block, LaneBlock) for block in memo.blocks)
     edited = levels.copy()
     edited[3, 5] = (edited[3, 5] + 1) % 101
     stepped.clear()
     got = sweep(edited, sensor.angles, table, step, np.add, np.int32, memo, "k")
     # one line of each heading holds the cell; only those lines step, on
     # the blocks the first call built
-    want_steps = 0
-    for angle in sensor.angles:
-        fam = line_family(angle, bounds)
-        want_steps += sum(len(fam.line_cells(i)) for i in range(fam.n_lines)
-                          if 3 * 12 + 5 in fam.line_cells(i))
-    assert sum(stepped) == want_steps
+    assert sum(stepped) == visits_of_lines_through(3 * 12 + 5)
     assert len(built) == n_blocks and memo_holds(built)
     cold = sweep(edited, sensor.angles, table, step, np.add, np.int32)
     np.testing.assert_array_equal(got, cold)
     assert not np.array_equal(got, first)
+    # a cell a line ends at steps that line too
+    end = int(line_family(sensor.angles[0], bounds).line_cells(0)[-1])
+    edited.reshape(-1)[end] = (edited.reshape(-1)[end] + 1) % 101
+    stepped.clear()
+    got = sweep(edited, sensor.angles, table, step, np.add, np.int32, memo, "k")
+    assert sum(stepped) == visits_of_lines_through(end)
+    cold = sweep(edited, sensor.angles, table, step, np.add, np.int32)
+    np.testing.assert_array_equal(got, cold)
     # unchanged levels step no line; under another key they step every
     # line, on new blocks, and the old ones are dropped
     for key, want, builds in (("k", 0, 0), ("other", n_cells * 10, n_blocks),
                               ("other", 0, 0)):
         stepped.clear()
         built.clear()
-        kept = [block for block, _ in memo.blocks]
+        kept = list(memo.blocks)
         sweep(edited, sensor.angles, table, step, np.add, np.int32, memo, key)
         assert sum(stepped) == want
         assert len(built) == builds and memo_holds(built if builds else kept)
@@ -366,6 +373,40 @@ def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, pe
     built.clear()
     sweep(edited, sensor.angles, table, step, np.add, np.int32, memo, "other")
     assert sum(stepped) == n_cells * 10 and len(built) == n_blocks
+
+
+@pytest.mark.parametrize("engine", [reference, datapath])
+def test_sweep_without_memo_holds_one_block_at_a_time(monkeypatch, engine):
+    # one heading per block; at each build no earlier block's cells or
+    # contribution buffer may still be alive
+    monkeypatch.setattr(grid_module, "LANE_BLOCK_CELLS", 1)
+    cells, bufs = [], []
+    lane_block = grid_module._lane_block
+
+    def checked_lane_block(*args):
+        assert all(ref() is None for ref in cells), "an earlier block's cells are alive"
+        assert all(ref() is None for ref in bufs), "an earlier buffer is alive"
+        block = lane_block(*args)
+        cells.append(weakref.ref(block.cells))
+        return block
+
+    def watched_sweep(levels, angles, table, step, add, *args):
+        def watched_add(acc, part):
+            if not bufs or bufs[-1]() is not part.base:
+                bufs.append(weakref.ref(part.base))
+            return add(acc, part)
+
+        return sweep(levels, angles, table, step, watched_add, *args)
+
+    monkeypatch.setattr(grid_module, "_lane_block", checked_lane_block)
+    monkeypatch.setattr(engine, "sweep", watched_sweep)
+    levels = np.random.default_rng(5).integers(0, 101, (9, 13), dtype=np.uint8)
+    sensor = SensorConfig(5)
+    run = engine.compute_mi_map if engine is reference else engine.compute_mi_map_fxp
+    got = run(OccupancyGrid(levels), sensor)
+    assert len(cells) == len(bufs) == 5
+    monkeypatch.undo()
+    np.testing.assert_array_equal(got.values, run(OccupancyGrid(levels), sensor).values)
 
 
 def family_lines(angle, bounds):
