@@ -34,18 +34,26 @@ UTILITY_DECAY = 0.05   # per-cell distance discount in the frontier utility
 
 @dataclass(frozen=True)
 class Environment:
-    """Hidden ground truth: boolean occupancy at the robot map's dims."""
+    """Hidden ground truth: boolean occupancy at the robot map's dims.
+
+    The environment keeps its own read-only copy of the array it is given,
+    so the first-hit tables ``simulate_scan`` caches on it, one per sensor,
+    cannot go stale when the caller edits that array.
+    """
 
     occupied: np.ndarray
     resolution: float = 1.0
+    _first_hits: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
-        occ = np.ascontiguousarray(np.asarray(self.occupied, dtype=bool))
+        occ = np.array(self.occupied, dtype=bool, order="C")
         if occ.ndim != 2 or occ.size == 0:
             raise ValueError("ground truth must be a non-empty 2-D array")
         if not 0 < self.resolution < math.inf:
             raise ValueError(
                 f"resolution must be positive and finite, got {self.resolution}")
+        occ.flags.writeable = False
         object.__setattr__(self, "occupied", occ)
 
     @property
@@ -158,6 +166,34 @@ def _scan_geometry(sensor: SensorConfig, shape: tuple[int, int],
     return tuple(out)
 
 
+def _first_hit_tables(env: Environment, sensor: SensorConfig) -> tuple[np.ndarray, ...]:
+    """Per sensor heading, one int32 entry per position of its
+    ``line_family``: for the beam that starts there, the position of its
+    first occupied cell, or -(f + 1) for f the farthest position it
+    reaches when it hits nothing.  A beam runs from its position back to
+    its line's start, cut at its reach, so its first occupied cell is the
+    nearest occupied position at or before its own on its line.  Built
+    once per sensor and cached on the environment, whose ground truth
+    cannot change."""
+    tables = env._first_hits.get(sensor)
+    if tables is not None:
+        return tables
+    occupied = env.occupied.ravel()
+    n_cells = occupied.size
+    at = np.arange(n_cells, dtype=np.int32)
+    tables = []
+    for fam, _, reach in _scan_geometry(sensor, env.shape, env.resolution):
+        # the reach caps at n_cells, longer than any line, before int():
+        # an infinite range, or one whose quotient overflowed, cuts nothing
+        line_start = np.repeat(fam.seg_start[:-1].astype(np.int32), fam.line_lengths())
+        farthest = np.maximum(line_start, at - int(min(reach, n_cells)))
+        hit = np.where(occupied[fam.cells], at, -1)
+        np.maximum.accumulate(hit, out=hit)
+        tables.append(np.where(hit >= farthest, hit, -1 - farthest))
+    tables = env._first_hits[sensor] = tuple(tables)
+    return tables
+
+
 def simulate_scan(env: Environment, pose: CellCoord,
                   sensor: SensorConfig = SensorConfig()) -> list[ScanRay]:
     """Cast every sensor ray from the pose through the hidden scene.
@@ -168,9 +204,13 @@ def simulate_scan(env: Environment, pose: CellCoord,
     holds at most ``int(max_range / cell_width) + 1`` cells and ends at
     its first occupied cell.  The cut is made only where that quotient is
     below the beam's length, so an infinite range, or a finite one whose
-    quotient overflows to infinity, keeps the whole beam.  Beams hold flat
-    cell indices; ``traversed`` is a fresh array, not a view of the cached
-    family.
+    quotient overflows to infinity, keeps the whole beam.  The scene is
+    fixed, so where each beam ends is looked up, not searched: the pose's
+    position in the family, then that position's entry in the
+    environment's first-hit table for this sensor (built on the first
+    scan), give the beam as one slice of the family's cells.  Beams hold
+    flat cell indices; ``traversed`` is a fresh array, not a view of the
+    cached family.
     """
     r, c = pose
     height, width = env.shape
@@ -178,21 +218,17 @@ def simulate_scan(env: Environment, pose: CellCoord,
         raise ValueError(f"pose {pose} outside {height}x{width} scene")
     if env.occupied[r, c]:
         raise ValueError(f"pose {pose} is on an occupied ground-truth cell")
-    occupied = env.occupied.ravel()
-    rays = []
     geometry = _scan_geometry(sensor, env.shape, env.resolution)
-    for k, (fam, position, reach) in enumerate(geometry):
-        p = int(position[r * width + c])
-        line_start = fam.seg_start[fam.seg_start.searchsorted(p, "right") - 1]
-        beam = fam.cells[line_start:p + 1][::-1]
-        if reach < len(beam):
-            beam = beam[:int(reach) + 1]
-        blocked = occupied[beam]
-        n = int(blocked.argmax())   # first occupied cell, or 0 if none
-        if blocked[n]:
-            rays.append(ScanRay(k, beam[:n].copy(), int(beam[n])))
+    tables = _first_hit_tables(env, sensor)
+    rays = []
+    for k, ((fam, position, _), table) in enumerate(zip(geometry, tables)):
+        p = position.item(r * width + c)
+        end = table.item(p)
+        if end >= 0:
+            rays.append(ScanRay(k, fam.cells[end + 1:p + 1][::-1].copy(),
+                                fam.cells.item(end)))
         else:
-            rays.append(ScanRay(k, beam.copy(), None))
+            rays.append(ScanRay(k, fam.cells[-1 - end:p + 1][::-1].copy(), None))
     return rays
 
 
@@ -239,48 +275,58 @@ def _free_mask(levels: np.ndarray) -> np.ndarray:
     return levels < UNKNOWN_LO
 
 
-def _four_neighbours(mask: np.ndarray) -> np.ndarray:
-    """Cells 4-adjacent to a set cell of the boolean ``mask``: the OR of
-    its four one-cell shifts."""
-    near = np.zeros_like(mask)
-    near[1:, :] |= mask[:-1, :]
-    near[:-1, :] |= mask[1:, :]
-    near[:, 1:] |= mask[:, :-1]
-    near[:, :-1] |= mask[:, 1:]
-    return near
-
-
 def _bfs_distances(levels: np.ndarray, start: CellCoord,
                    stop: CellCoord | None = None) -> np.ndarray:
     """4-connected hop counts through believed-free cells; -1 unreachable.
 
     The start cell is traversable regardless of its level: the robot is
-    standing on it.  The search is a wavefront over the whole grid: hop
-    ``d`` ORs the four one-cell shifts of the hop ``d - 1`` frontier, keeps
-    the passable cells not reached yet, and writes ``d`` into them.  With
-    ``stop`` given, the search ends after the hop that reaches that cell:
-    every cell at most that many hops away is final by then, and farther
-    cells read -1.
+    standing on it.  The search is a wavefront over a frontier list: the
+    map is padded by one impassable cell on every side, so the four
+    neighbours of a flat index are the index plus or minus 1 and plus or
+    minus the padded width, with no edge test.  Hop ``d`` takes the
+    neighbours of the hop ``d - 1`` frontier that are passable and not
+    reached yet, keeps one entry of each cell (cells reached from two
+    sides appear twice, and without the dedup the list would grow with the
+    number of shortest paths), and writes ``d`` into them.  With ``stop``
+    given, the search ends after the hop that reaches that cell: every
+    cell at most that many hops away is final by then, and farther cells
+    read -1.
     """
-    dist = np.full(levels.shape, -1, dtype=np.int32)
-    dist[start] = 0
-    unreached = _free_mask(levels)
-    unreached[start] = False
-    front = np.zeros_like(unreached)
-    front[start] = True
+    height, width = levels.shape
+    padded = width + 2
+    unreached = np.zeros((height + 2, padded), dtype=bool)
+    unreached[1:-1, 1:-1] = _free_mask(levels)
+    unreached = unreached.reshape(-1)
+    dist = np.full(unreached.size, -1, dtype=np.int32)
+    front = np.array([(start[0] + 1) * padded + start[1] + 1])
+    unreached[front] = False
+    dist[front] = 0
+    goal = -1 if stop is None else (stop[0] + 1) * padded + stop[1] + 1
+    steps = np.array([-1, 1, -padded, padded])
     hop = 0
-    while front.any() and (stop is None or dist[stop] < 0):
+    while front.size and (goal < 0 or dist[goal] < 0):
         hop += 1
-        front = _four_neighbours(front) & unreached
-        unreached &= ~front
+        near = (front[:, None] + steps).reshape(-1)
+        near = near[unreached[near]]
+        # dedup: each cell's dist holds the index of its last entry in
+        # ``near`` for a moment; every such cell then takes ``hop``
+        order = np.arange(near.size, dtype=np.int32)
+        dist[near] = order
+        front = near[dist[near] == order]
+        unreached[front] = False
         dist[front] = hop
-    return dist
+    return dist.reshape(height + 2, padded)[1:-1, 1:-1]
 
 
 def frontier_cells(levels: np.ndarray) -> np.ndarray:
     """Boolean mask of free cells 4-adjacent to at least one unknown cell."""
     unknown = (levels >= UNKNOWN_LO) & (levels <= UNKNOWN_HI)
-    return _free_mask(levels) & _four_neighbours(unknown)
+    near = np.zeros_like(unknown)
+    near[1:, :] |= unknown[:-1, :]
+    near[:-1, :] |= unknown[1:, :]
+    near[:, 1:] |= unknown[:, :-1]
+    near[:, :-1] |= unknown[:, 1:]
+    return _free_mask(levels) & near
 
 
 def gbl_select(mi_map: MIMap, grid: OccupancyGrid,

@@ -196,9 +196,6 @@ class LineFamily:
     def n_units(self) -> int:
         return len(self.unit_first_seg) - 1
 
-    def line_cells(self, i: int) -> np.ndarray:
-        return self.cells[self.seg_start[i]:self.seg_start[i + 1]]
-
     def line_lengths(self) -> np.ndarray:
         return np.diff(self.seg_start)
 
@@ -287,25 +284,43 @@ def _active(lane_len: np.ndarray) -> np.ndarray:
     return np.searchsorted(-lane_len, -np.arange(steps), side="left")
 
 
-def _touched_lanes(block: LaneBlock, changed: np.ndarray) -> np.ndarray:
-    """Mask of the block's lanes that hold a cell whose flag in
-    ``changed`` is set."""
-    # run[i]: changed cells among the block's first i positions
-    run = np.zeros(len(block.cells) + 1, dtype=np.int32)
-    np.cumsum(changed.take(block.cells), out=run[1:])
-    return run[block.lane_start + block.lane_len] > run[block.lane_start]
+def _lane_table(block: LaneBlock, n_cells: int) -> np.ndarray:
+    """The block's lane of each (heading, cell): entry [k, c] is the lane
+    of the block's k-th heading that holds cell c, in the smallest
+    unsigned type that holds every lane index of the block."""
+    # the lanes partition the block's positions; in position order, lane
+    # j covers its lane_len[j] positions from lane_start[j]
+    by_start = np.argsort(block.lane_start)
+    lane_at = np.repeat(by_start.astype(np.min_scalar_type(len(by_start) - 1)),
+                        block.lane_len[by_start])
+    cells = block.cells.reshape(block.n_headings, n_cells)
+    table = np.empty(cells.shape, dtype=lane_at.dtype)
+    table[np.arange(block.n_headings)[:, None], cells] = lane_at.reshape(cells.shape)
+    return table
+
+
+def _touched_lanes(lane_of: np.ndarray, n_lanes: int,
+                   changed: np.ndarray) -> np.ndarray:
+    """Mask of a block's ``n_lanes`` lanes that hold a cell of the flat
+    indices ``changed``, from the block's ``_lane_table``."""
+    hit = np.zeros(n_lanes, dtype=bool)
+    hit[lane_of[:, changed]] = True
+    return hit
 
 
 class SweepMemo:
     """Caller-owned state of one ``sweep`` call for the next call to reuse.
 
-    After a call it holds the call's flat levels, each heading block's
-    ``LaneBlock`` and contribution buffer (slot k*H*W + c for the block's
-    k-th heading and cell c) and the call's key; while a call runs, and
-    after a call that raised, it is empty.  An engine empties ``bufs``
-    after a call whose kept contributions the next call must not reuse
-    (the fixed-point engine does so after a call that saturated), which
-    keeps the lane blocks and makes the next call step every lane.
+    After a call it holds the call's flat levels, the call's key and, per
+    heading block, its ``LaneBlock``, its lane of each (heading, cell)
+    (``_lane_table``) and its contribution buffer (slot k*H*W + c
+    for the block's k-th heading and cell c).  Per heading and cell that
+    is one word of the block's cells, one of the lane table and one of
+    the buffer.  While a call runs, and after a call that raised, it is
+    empty.  An engine empties ``bufs`` after a call whose kept
+    contributions the next call must not reuse (the fixed-point engine
+    does so after a call that saturated), which keeps the lane blocks and
+    their tables and makes the next call step every lane.
     """
 
     def __init__(self):
@@ -313,6 +328,7 @@ class SweepMemo:
         self.levels: np.ndarray | None = None
         self.bufs: list[np.ndarray] = []
         self.blocks: list[LaneBlock] = []
+        self.lane_of: list[np.ndarray] = []
 
 
 def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
@@ -341,17 +357,23 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
     lanes that hold a cell whose level changed, keeping their longest
     first order, writes their contributions over the memo's buffers and
     folds every heading of every block again, so its result is that of a
-    cold call.  It runs warm only when the memo holds buffers under its
+    cold call.  It finds those lanes by looking the changed cells up in
+    each block's ``_lane_table``, which a call with a memo builds with
+    the blocks.  It runs warm only when the memo holds buffers under its
     key; otherwise it runs cold, stepping every lane.  The engine owns
     any rule beyond that: ``compute_mi_map_fxp`` empties the buffers
     after a call that saturated, so that the clips of kept lanes are
-    counted again.  The lane blocks depend only on shape and key, so a
-    call under the memo's key reuses them, cold or not.  The memo is
-    emptied when the call starts and filled again only when its sweep has
-    finished.  It holds every block and its buffer, H*W*rays words, so it
-    is owned by the caller and not hung on the returned map: a caller
-    keeping many maps would keep a buffer with each.  A call without a
-    memo holds one block at a time.
+    counted again.  The lane blocks and their tables depend only on shape
+    and key, so a call under the memo's key reuses them, cold or not.
+    The memo is emptied when the call starts and filled again only when
+    its sweep has finished.  It holds every block with its lane table and
+    its buffer: per (heading, cell), an int32 cell index, a lane index of
+    at most four bytes and a ``buf_dtype`` word.  For the fixed-point
+    engine at 57² and 60 rays (4 892 lanes, two-byte indices) that is
+    0.78 + 0.39 + 0.78 MB.  So it is owned by the caller and not hung on
+    the returned map: a caller keeping many maps would keep a buffer with
+    each.  A call without a memo builds no lane table and holds one block
+    at a time.
     """
     n_cells = levels.size
     levels_flat = levels.reshape(-1)
@@ -360,15 +382,16 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
     blocks = kept = None
     if memo is not None:
         if memo.key == key and memo.blocks:
-            blocks = memo.blocks
+            blocks, lane_of = memo.blocks, memo.lane_of
             if memo.bufs:
                 kept = memo.bufs
-                changed = memo.levels != levels_flat
-        memo.levels, memo.bufs, memo.blocks = None, [], []
+                changed = np.flatnonzero(memo.levels != levels_flat)
+        memo.levels, memo.bufs, memo.blocks, memo.lane_of = None, [], [], []
     if blocks is None:
         blocks = lane_blocks(angles, levels.shape)
         if memo is not None:
             blocks = list(blocks)
+            lane_of = [_lane_table(block, n_cells) for block in blocks]
     bufs = []
     for block in blocks:
         start, heading, lane_len = block.lane_start, block.lane_heading, block.lane_len
@@ -376,7 +399,7 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
             buf = np.empty(block.n_headings * n_cells, dtype=buf_dtype)
         else:
             buf = kept[len(bufs)]
-            hit = _touched_lanes(block, changed)
+            hit = _touched_lanes(lane_of[len(bufs)], len(start), changed)
             start, heading, lane_len = start[hit], heading[hit], lane_len[hit]
         base = start - start % n_cells
         lane_key = 101 * heading
@@ -394,5 +417,5 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
         del block, buf, part
     if memo is not None:
         memo.key, memo.levels, memo.bufs = key, levels_flat.copy(), bufs
-        memo.blocks = blocks
+        memo.blocks, memo.lane_of = blocks, lane_of
     return acc

@@ -66,15 +66,24 @@ def oracle_scan_ray(occupied: np.ndarray, pose: tuple[int, int],
                     ) -> tuple[list[tuple[int, int]], tuple[int, int] | None]:
     """One range-sensor ray: (free cells from the pose, first occupied
     cell or None).  The beam holds int(max_range / w) + 1 cells at most,
-    w being the major-axis chord resolution / max(|cos|, |sin|)."""
+    w being the major-axis chord resolution / max(|cos|, |sin|); a range
+    whose quotient overflows to infinity cuts nothing, as an infinite
+    one does."""
     beam = oracle_beam_cells(pose, angle, occupied.shape)
-    if math.isfinite(max_range):
-        w = resolution / max(abs(math.cos(angle)), abs(math.sin(angle)))
-        beam = beam[:int(max_range / w) + 1]
+    reach = max_range / (resolution / max(abs(math.cos(angle)), abs(math.sin(angle))))
+    if math.isfinite(reach):
+        beam = beam[:int(reach) + 1]
     for n, cell in enumerate(beam):
         if occupied[cell]:
             return beam[:n], cell
     return beam, None
+
+
+def family_line(fam, i: int) -> np.ndarray:
+    """Line ``i`` of a line family: its flat cells in scan order, the
+    slice of ``fam.cells`` between ``fam.seg_start[i]`` and the next
+    line's start."""
+    return fam.cells[fam.seg_start[i]:fam.seg_start[i + 1]]
 
 
 def ray_coords(ray, width: int
@@ -109,6 +118,17 @@ def dda_beam_cells(start: tuple[int, int], angle: float,
         minor_real += slope * step  # minor advance per major step
         k += 1
     return out
+
+
+def oracle_touched_lanes(cells: np.ndarray, lane_start: np.ndarray,
+                         lane_len: np.ndarray, changed: np.ndarray) -> np.ndarray:
+    """Mask of the lanes that hold a cell flagged in the boolean
+    ``changed``, lane j reading ``cells[lane_start[j] + t]`` for
+    t < ``lane_len[j]``: a lane is touched when the running count of
+    flagged cells over the positions grows across its span."""
+    run = np.zeros(len(cells) + 1, dtype=np.int64)
+    np.cumsum(changed[cells], out=run[1:])
+    return run[lane_start + lane_len] > run[lane_start]
 
 
 # ---------------------------------------------------------------- maps

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -65,6 +65,24 @@ def test_environment_validation():
     for resolution in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="resolution must be positive and finite"):
             Environment(np.zeros((3, 3), bool), resolution=resolution)
+
+
+def test_environment_owns_a_read_only_copy():
+    # a scan made before and one made after the caller edits its array
+    # both see the scene as it was built
+    source = np.zeros((5, 6), bool)
+    scanned, fresh = Environment(source), Environment(source)
+    pose, sensor = CellCoord(2, 2), SensorConfig(8)
+    before = simulate_scan(scanned, pose, sensor)
+    source[2, 4] = source[0, :] = True
+    for env in (scanned, fresh):
+        assert not env.occupied.any()
+        after = simulate_scan(env, pose, sensor)
+        assert all(ray.hit is None for ray in after)
+        assert [oracles.ray_coords(ray, 6) for ray in after] == [
+            oracles.ray_coords(ray, 6) for ray in before]
+    with pytest.raises(ValueError, match="read-only"):
+        scanned.occupied[0, 0] = True
 
 
 def test_environment_grid_round_trip():
@@ -293,7 +311,20 @@ def level_maps(draw):
     return levels, CellCoord(*draw(cell)), CellCoord(*draw(cell))
 
 
+def levels_of(*rows):
+    """A level map from strings, "0" a free cell (10) and "1" an unknown
+    one (60)."""
+    return np.array([[int(c) * 50 + 10 for c in row] for row in rows], np.uint8)
+
+
+# a 1xN and an Nx1 map, a start on a blocked cell, stop == start, and a
+# stop no path reaches
 @given(level_maps())
+@example((levels_of("000000"), CellCoord(0, 1), CellCoord(0, 5)))
+@example((levels_of(*"000100"), CellCoord(5, 0), CellCoord(0, 0)))
+@example((levels_of("0000", "0100", "0000"), CellCoord(1, 1), CellCoord(2, 3)))
+@example((levels_of("000", "010", "000"), CellCoord(2, 2), CellCoord(2, 2)))
+@example((levels_of("00100", "00100", "00100"), CellCoord(0, 0), CellCoord(1, 4)))
 def test_bfs_matches_queue_oracle(case):
     levels, start, stop = case
     want = oracles.oracle_bfs_distances(levels < UNKNOWN_LO, start)

@@ -204,6 +204,23 @@ def test_beam_properties(scene, ray_count, resolution, max_range):
         assert np.all(np.abs(np.diff(major)) == 1)  # one major step per cell
 
 
+@given(scenes(), st.sampled_from([0.1, 1.0]))
+def test_each_sensor_scans_an_environment_with_its_own_beams(scene, resolution):
+    # one environment, two sensors taking turns: each reads the first-hit
+    # tables of its own headings and reach (1e308 overflows the reach at
+    # 0.1 m and keeps a huge finite one at 1 m)
+    occupied, pose = scene
+    env = Environment(occupied, resolution)
+    sensors = (SensorConfig(7, 2.5), SensorConfig(12, 1e308))
+    for sensor in sensors + sensors:
+        rays = simulate_scan(env, CellCoord(*pose), sensor)
+        assert [ray.ray for ray in rays] == list(range(sensor.ray_count))
+        for ray, angle in zip(rays, sensor.angles):
+            want = oracles.oracle_scan_ray(occupied, pose, float(angle), resolution,
+                                           sensor.max_range)
+            assert oracles.ray_coords(ray, occupied.shape[1]) == want
+
+
 # ---------------------------------------------------------------- families
 
 
@@ -235,7 +252,7 @@ def test_lane_blocks_lay_out_every_line_of_every_heading(monkeypatch):
             fam = line_family(sensor.angles[first + k], bounds)
             np.testing.assert_array_equal(b.cells[k * n_cells:(k + 1) * n_cells],
                                           fam.cells)
-            lines[first + k] = sorted(fam.line_cells(i).tolist()
+            lines[first + k] = sorted(oracles.family_line(fam, i).tolist()
                                       for i in range(fam.n_lines))
         assert np.all(np.diff(b.lane_len) <= 0)  # longest lane first
         got = {h: [] for h in lines}
@@ -244,6 +261,35 @@ def test_lane_blocks_lay_out_every_line_of_every_heading(monkeypatch):
             got[int(heading)].append(b.cells[start:start + n].tolist())
         assert {h: sorted(v) for h, v in got.items()} == lines
         first += b.n_headings
+
+
+LANE_SHAPES = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 14)),
+    st.tuples(st.integers(1, 14), st.just(1)),
+    st.tuples(st.integers(2, 11), st.integers(2, 11)),
+)
+
+
+@given(LANE_SHAPES, st.integers(1, 13), st.integers(1, 5),
+       st.sampled_from([0.0, 0.05, 0.3, 1.0]), st.integers(0, 2 ** 32 - 1))
+def test_lane_table_touches_the_lanes_the_running_count_finds(
+        shape, rays, per_block, share, seed):
+    # every block of every layout, one to five headings a block: the lanes
+    # the lane table finds for the changed cells are those whose span of
+    # block positions holds a changed cell
+    n_cells = shape[0] * shape[1]
+    changed = np.random.default_rng(seed).random(n_cells) < share
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grid_module, "LANE_BLOCK_CELLS", per_block * n_cells)
+        blocks = list(lane_blocks(SensorConfig(rays).angles, shape))
+    assert len(blocks) == -(-rays // per_block)
+    for block in blocks:
+        lane_of = grid_module._lane_table(block, n_cells)
+        got = grid_module._touched_lanes(lane_of, len(block.lane_start),
+                                         np.flatnonzero(changed))
+        want = oracles.oracle_touched_lanes(block.cells, block.lane_start,
+                                            block.lane_len, changed)
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("buf_dtype", [np.float64, np.int32])
@@ -265,7 +311,7 @@ def test_sweep_steps_every_line_in_scan_order_and_folds_by_heading(
     for h, angle in enumerate(sensor.angles):
         fam = line_family(angle, bounds)
         for i in range(fam.n_lines):
-            cells = fam.line_cells(i)
+            cells = oracles.family_line(fam, i)
             want[cells] += np.arange(1, len(cells) + 1) * 1000 + h + 1
     got = sweep(levels, sensor.angles, table, step, np.add, buf_dtype)
     assert got.dtype == np.float64
@@ -306,9 +352,10 @@ def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, pe
         return state[0] % 1000
 
     def visits_of_lines_through(cell):
-        return sum(len(fam.line_cells(i))
-                   for fam in (line_family(a, bounds) for a in sensor.angles)
-                   for i in range(fam.n_lines) if cell in fam.line_cells(i))
+        lines = [oracles.family_line(fam, i)
+                 for fam in (line_family(a, bounds) for a in sensor.angles)
+                 for i in range(fam.n_lines)]
+        return sum(len(line) for line in lines if cell in line)
 
     def memo_holds(blocks):
         return (len(memo.blocks) == len(blocks)
@@ -332,7 +379,7 @@ def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, pe
     np.testing.assert_array_equal(got, cold)
     assert not np.array_equal(got, first)
     # a cell a line ends at steps that line too
-    end = int(line_family(sensor.angles[0], bounds).line_cells(0)[-1])
+    end = int(oracles.family_line(line_family(sensor.angles[0], bounds), 0)[-1])
     edited.reshape(-1)[end] = (edited.reshape(-1)[end] + 1) % 101
     stepped.clear()
     got = sweep(edited, sensor.angles, table, step, np.add, np.int32, memo, "k")
@@ -413,7 +460,7 @@ def family_lines(angle, bounds):
     """The lines of one heading's family as (row, col) lists in scan order."""
     fam = line_family(angle, bounds)
     width = bounds[1]
-    return [[divmod(int(f), width) for f in fam.line_cells(i)]
+    return [[divmod(int(f), width) for f in oracles.family_line(fam, i)]
             for i in range(fam.n_lines)]
 
 
