@@ -154,9 +154,6 @@ DEFAULT_CFG = """\
 cores = 16
 banks = 16
 clock_hz = 1e8
-interleave_depth = 8
-max_map = 512
-features.banking = true
 features.interleaving = true
 features.wrapping = true
 """

@@ -72,6 +72,7 @@ CONTEXTS_PER_SLOT = 2  # live ray contexts per pipeline slot
 MI_QUEUE_DEPTH = 64    # per-bank accumulate FIFO entries
 PIPELINE_STAGES = 19   # preprocess 1-10, feedback 11-18, postprocess 19
 FEEDBACK_DEPTH = 8     # stages 11-18: min issue spacing of one ray slot
+MAX_MAP = 512          # largest grid side the on-chip memories hold
 
 
 @dataclass(frozen=True)
@@ -98,35 +99,29 @@ class EnergyParams:
 
 @dataclass(frozen=True)
 class ArchConfig:
+    """Accelerator settings; each feature the paper ablates is one value.
+    No banking is one bank (``n_banks=1``; ``None`` gives one per core).
+    Interleaving keeps ``CONTEXTS_PER_SLOT * FEEDBACK_DEPTH`` ray contexts
+    per core; without it one context pays the full feedback spacing."""
+
     n_cores: int = 16
     clock_hz: float = 1e8
     n_banks: int | None = None          # None -> n_cores
-    interleave_depth: int = 8
-    banking: bool = True
     interleaving: bool = True
     wrapping: bool = True
-    max_map: int = 512
     energy: EnergyParams = field(default_factory=EnergyParams)
 
     def __post_init__(self):
-        if self.n_cores < 1 or self.interleave_depth < 1:
-            raise ValueError("cores and interleave_depth must be >= 1")
+        if self.n_cores < 1:
+            raise ValueError(f"cores must be >= 1, got {self.n_cores}")
         if not 0 < self.clock_hz < inf:
             raise ValueError(f"clock_hz must be positive and finite, got {self.clock_hz}")
         if self.n_banks is not None and self.n_banks < 1:
             raise ValueError(f"banks must be >= 1, got {self.n_banks}")
-        if self.max_map < 1:
-            raise ValueError(f"max_map must be >= 1, got {self.max_map}")
 
     @property
     def eff_banks(self) -> int:
-        if not self.banking:
-            return 1
         return self.n_cores if self.n_banks is None else self.n_banks
-
-    @property
-    def eff_depth(self) -> int:
-        return self.interleave_depth if self.interleaving else 1
 
 
 @dataclass
@@ -401,16 +396,13 @@ def simulate(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
     identical either way because values never influence the cycle loop.
     """
     height, width = grid.shape
-    if max(height, width) > config.max_map:
-        raise ValueError(
-            f"grid {height}x{width} exceeds configured capacity {config.max_map}")
+    if max(height, width) > MAX_MAP:
+        raise ValueError(f"grid {height}x{width} exceeds capacity {MAX_MAP}")
     n = config.n_cores
-    n_banks = config.eff_banks
-    depth = config.eff_depth
-    window = CONTEXTS_PER_SLOT * depth if depth > 1 else 1
-    chain_pen = FEEDBACK_DEPTH if depth == 1 else 0
+    window, chain_pen = ((CONTEXTS_PER_SLOT * FEEDBACK_DEPTH, 0) if config.interleaving
+                         else (1, FEEDBACK_DEPTH))
     last_issue, backlog, busy, per_bank, stalls = _sim_kernel(
-        *_flat_schedule((height, width), sensor, config), n_banks, window,
+        *_flat_schedule((height, width), sensor, config), config.eff_banks, window,
         FEEDBACK_DEPTH, chain_pen)
     total_cycles = last_issue + PIPELINE_STAGES + 1 + backlog
     latency_s = total_cycles / config.clock_hz
@@ -486,13 +478,9 @@ def parse_config(path) -> ArchConfig:
                     scalars["n_banks"] = int(val)
                 elif key == "clock_hz":
                     scalars["clock_hz"] = float(val)
-                elif key == "interleave_depth":
-                    scalars["interleave_depth"] = int(val)
-                elif key == "max_map":
-                    scalars["max_map"] = int(val)
                 elif key.startswith("features."):
                     flag = key.split(".", 1)[1]
-                    if flag not in ("banking", "interleaving", "wrapping"):
+                    if flag not in ("interleaving", "wrapping"):
                         raise ValueError(f"unknown feature {flag!r}")
                     low = val.lower()
                     if low not in _TRUE | _FALSE:

@@ -13,7 +13,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -37,14 +36,14 @@ class Environment:
     """Hidden ground truth: boolean occupancy at the robot map's dims.
 
     The environment keeps its own read-only copy of the array it is given,
-    so the first-hit tables ``simulate_scan`` caches on it, one per sensor,
+    so the scan tables ``simulate_scan`` caches on it, one set per sensor,
     cannot go stale when the caller edits that array.
     """
 
     occupied: np.ndarray
     resolution: float = 1.0
-    _first_hits: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
+    _scan_tables: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         occ = np.array(self.occupied, dtype=bool, order="C")
@@ -149,48 +148,39 @@ class ScanRay(NamedTuple):
     hit: int | None         # first occupied cell, None = max range
 
 
-@lru_cache(maxsize=8)
-def _scan_geometry(sensor: SensorConfig, shape: tuple[int, int],
-                   resolution: float) -> tuple[tuple[LineFamily, np.ndarray, float], ...]:
+def _scan_tables(env: Environment, sensor: SensorConfig
+                 ) -> tuple[tuple[LineFamily, np.ndarray, np.ndarray], ...]:
     """Per sensor heading: its ``line_family``, the position of every flat
     cell in that family's cells (the inverse of the permutation
-    ``cells``) and the beam's reach in cells, ``max_range / cell_width``."""
-    n_cells = shape[0] * shape[1]
-    out = []
-    for ang in sensor.angles:
-        ang = float(ang)
-        fam = line_family(ang, shape)
-        pos = np.empty(n_cells, dtype=np.int32)
-        pos[fam.cells] = np.arange(n_cells, dtype=np.int32)
-        out.append((fam, pos, sensor.max_range / cell_width(ang, resolution)))
-    return tuple(out)
-
-
-def _first_hit_tables(env: Environment, sensor: SensorConfig) -> tuple[np.ndarray, ...]:
-    """Per sensor heading, one int32 entry per position of its
-    ``line_family``: for the beam that starts there, the position of its
-    first occupied cell, or -(f + 1) for f the farthest position it
-    reaches when it hits nothing.  A beam runs from its position back to
-    its line's start, cut at its reach, so its first occupied cell is the
-    nearest occupied position at or before its own on its line.  Built
-    once per sensor and cached on the environment, whose ground truth
-    cannot change."""
-    tables = env._first_hits.get(sensor)
+    ``cells``), and the first-hit table, one int32 entry per family
+    position: for the beam that starts there, the position of its first
+    occupied cell, or -(f + 1) for f the farthest position it reaches when
+    it hits nothing.  A beam runs from its position back to its line's
+    start, cut at its reach of ``max_range / cell_width`` cells, so its
+    first occupied cell is the nearest occupied position at or before its
+    own on its line.  Built once per sensor and cached on the environment,
+    whose ground truth cannot change."""
+    tables = env._scan_tables.get(sensor)
     if tables is not None:
         return tables
     occupied = env.occupied.ravel()
     n_cells = occupied.size
     at = np.arange(n_cells, dtype=np.int32)
     tables = []
-    for fam, _, reach in _scan_geometry(sensor, env.shape, env.resolution):
+    for ang in sensor.angles:
+        ang = float(ang)
+        fam = line_family(ang, env.shape)
+        position = np.empty(n_cells, dtype=np.int32)
+        position[fam.cells] = at
+        reach = sensor.max_range / cell_width(ang, env.resolution)
         # the reach caps at n_cells, longer than any line, before int():
         # an infinite range, or one whose quotient overflowed, cuts nothing
         line_start = np.repeat(fam.seg_start[:-1].astype(np.int32), fam.line_lengths())
         farthest = np.maximum(line_start, at - int(min(reach, n_cells)))
         hit = np.where(occupied[fam.cells], at, -1)
         np.maximum.accumulate(hit, out=hit)
-        tables.append(np.where(hit >= farthest, hit, -1 - farthest))
-    tables = env._first_hits[sensor] = tuple(tables)
+        tables.append((fam, position, np.where(hit >= farthest, hit, -1 - farthest)))
+    tables = env._scan_tables[sensor] = tuple(tables)
     return tables
 
 
@@ -218,10 +208,8 @@ def simulate_scan(env: Environment, pose: CellCoord,
         raise ValueError(f"pose {pose} outside {height}x{width} scene")
     if env.occupied[r, c]:
         raise ValueError(f"pose {pose} is on an occupied ground-truth cell")
-    geometry = _scan_geometry(sensor, env.shape, env.resolution)
-    tables = _first_hit_tables(env, sensor)
     rays = []
-    for k, ((fam, position, _), table) in enumerate(zip(geometry, tables)):
+    for k, (fam, position, table) in enumerate(_scan_tables(env, sensor)):
         p = position.item(r * width + c)
         end = table.item(p)
         if end >= 0:

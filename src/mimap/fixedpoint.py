@@ -40,17 +40,6 @@ def saturation_count() -> int:
     return _sat_events
 
 
-def _saturate(raw: int) -> int:
-    global _sat_events
-    if raw > RAW_MAX:
-        _sat_events += 1
-        return RAW_MAX
-    if raw < RAW_MIN:
-        _sat_events += 1
-        return RAW_MIN
-    return raw
-
-
 def encode(x: float) -> int:
     """Real -> raw word, round-to-nearest-ties-even, saturating.  A value
     whose scaled word is not finite (NaN, infinity, or beyond about 4e304)
@@ -58,7 +47,7 @@ def encode(x: float) -> int:
     scaled = float(x) * SCALE
     if not math.isfinite(scaled):
         raise ValueError(f"cannot encode {x} as a Q20.12 word")
-    return _saturate(round(scaled))
+    return int(arr_clip(np.rint(np.float64(scaled))))
 
 
 def decode(raw: int) -> float:

@@ -1,13 +1,14 @@
 """Cycle-level accelerator model: schedule, timing rules, reports."""
 
+import ast
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -15,6 +16,7 @@ from mimap.archsim import (
     CONTEXTS_PER_SLOT,
     ArchConfig,
     FEEDBACK_DEPTH,
+    MAX_MAP,
     MI_QUEUE_DEPTH,
     PIPELINE_STAGES,
     EnergyParams,
@@ -177,10 +179,14 @@ def test_schedule_unwrapped_oblique_is_imbalanced():
 # ---------------------------------------------------------------- simulate
 
 
-def test_simulate_rejects_oversized_grid(rng):
-    cfg = replace(ArchConfig(), max_map=16)
-    with pytest.raises(ValueError):
-        simulate(small_grid(rng, 17), SensorConfig(4), PARAMS, cfg)
+def test_simulate_rejects_oversized_grid():
+    assert MAX_MAP == 512
+    _, rep = simulate(OccupancyGrid.uniform((1, MAX_MAP)), SensorConfig(1), PARAMS,
+                      ArchConfig(), compute_values=False)
+    assert rep.busy_cycles() == MAX_MAP
+    with pytest.raises(ValueError, match="grid 1x513 exceeds capacity 512"):
+        simulate(OccupancyGrid.uniform((1, MAX_MAP + 1)), SensorConfig(4), PARAMS,
+                 ArchConfig())
 
 
 def test_work_conservation_and_bound(rng):
@@ -189,7 +195,7 @@ def test_work_conservation_and_bound(rng):
         ArchConfig(),
         replace(ArchConfig(), wrapping=False),
         replace(ArchConfig(), interleaving=False),
-        replace(ArchConfig(), banking=False, n_banks=1),
+        replace(ArchConfig(), n_banks=1),
         replace(ArchConfig(), n_cores=4, n_banks=4),
     ):
         _, rep = simulate(grid, SensorConfig(60), PARAMS, cfg, compute_values=False)
@@ -203,8 +209,9 @@ def test_mi_map_identical_across_timing_features(rng):
     grid = small_grid(rng, 21)
     sensor = SensorConfig(8)
     want = compute_mi_map_fxp(grid, sensor, PARAMS)
-    for banking, interleaving, wrapping in itertools.product((True, False), repeat=3):
-        cfg = replace(ArchConfig(), banking=banking, interleaving=interleaving,
+    for n_banks, interleaving, wrapping in itertools.product((None, 1), (True, False),
+                                                             (True, False)):
+        cfg = replace(ArchConfig(), n_banks=n_banks, interleaving=interleaving,
                       wrapping=wrapping)
         mi, _ = simulate(grid, sensor, PARAMS, cfg)
         np.testing.assert_array_equal(mi.raw, want.raw)
@@ -246,7 +253,7 @@ GOLDEN_REPORTS = Path(__file__).parent / "goldens" / "archsim_reports.txt"
 GOLDEN_CONFIGS = (("default", ArchConfig()),
                   ("no-wrap", replace(ArchConfig(), wrapping=False)),
                   ("depth1", replace(ArchConfig(), interleaving=False)),
-                  ("no-bank", replace(ArchConfig(), banking=False)))
+                  ("no-bank", replace(ArchConfig(), n_banks=1)))
 GOLDEN_CYCLES = {  # (shape, rays) -> total_cycles per GOLDEN_CONFIGS entry
     ((21, 21), 8): (365, 365, 1839, 3562),
     ((3, 40), 60): (780, 734, 3846, 7394),
@@ -289,19 +296,49 @@ def test_reports_match_golden():
 @settings(max_examples=120)
 @given(height=st.integers(1, 12), width=st.integers(1, 12), rays=st.integers(1, 13),
        n_cores=st.integers(1, 5), n_banks=st.integers(1, 6),
-       interleave_depth=st.integers(1, 8), wrapping=st.booleans(),
-       banking=st.booleans())
+       interleave_depth=st.integers(1, 8), wrapping=st.booleans())
 def test_kernel_matches_per_cycle_oracle(height, width, rays, n_cores, n_banks,
-                                         interleave_depth, wrapping, banking):
-    config = ArchConfig(n_cores=n_cores, n_banks=n_banks,
-                        interleave_depth=interleave_depth, wrapping=wrapping,
-                        banking=banking)
-    depth = config.eff_depth
-    window = CONTEXTS_PER_SLOT * depth if depth > 1 else 1
-    chain_pen = FEEDBACK_DEPTH if depth == 1 else 0
+                                         interleave_depth, wrapping):
+    # simulate passes depth 8 (interleaving on) or 1 (off); the kernel
+    # is checked at every depth in between as well
+    config = ArchConfig(n_cores=n_cores, n_banks=n_banks, wrapping=wrapping)
+    window = CONTEXTS_PER_SLOT * interleave_depth if interleave_depth > 1 else 1
+    chain_pen = FEEDBACK_DEPTH if interleave_depth == 1 else 0
     args = (*_flat_schedule((height, width), SensorConfig(rays), config),
             config.eff_banks, window, FEEDBACK_DEPTH, chain_pen)
     assert _sim_kernel(*args) == oracles.oracle_sim_kernel(*args, MI_QUEUE_DEPTH)
+
+
+def degenerate_shapes():
+    """1xN, Nx1 and non-square grids up to 40 cells a side."""
+    side = st.integers(1, 40)
+    return st.one_of(side.map(lambda n: (1, n)), side.map(lambda n: (n, 1)),
+                     st.tuples(side, side).filter(lambda hw: hw[0] != hw[1]))
+
+
+@settings(max_examples=60)
+@given(shape=degenerate_shapes(), rays=st.integers(1, 15).filter(lambda r: r % 4),
+       n_cores=st.integers(1, 16), n_banks=st.one_of(st.none(), st.integers(1, 17)),
+       wrapping=st.booleans(), interleaving=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(shape=(40, 39), rays=15, n_cores=1, n_banks=None, wrapping=True,
+         interleaving=False, seed=0)
+@example(shape=(1, 40), rays=13, n_cores=16, n_banks=1, wrapping=False,
+         interleaving=True, seed=1)
+@example(shape=(40, 1), rays=3, n_cores=5, n_banks=3, wrapping=True,
+         interleaving=True, seed=2)
+def test_cycle_model_on_degenerate_shapes(shape, rays, n_cores, n_banks, wrapping,
+                                          interleaving, seed):
+    levels = np.random.default_rng(seed).integers(0, 101, size=shape, dtype=np.uint8)
+    grid = OccupancyGrid(levels, 0.1)
+    sensor = SensorConfig(rays)
+    cfg = ArchConfig(n_cores=n_cores, n_banks=n_banks, wrapping=wrapping,
+                     interleaving=interleaving)
+    mi, rep = simulate(grid, sensor, PARAMS, cfg)
+    assert rep.busy_cycles() == shape[0] * shape[1] * rays
+    assert rep.latency_s >= rep.lower_bound_s
+    assert rep.total_cycles == round(rep.latency_s * cfg.clock_hz)
+    check_per_core_stalls(rep, cfg)
+    np.testing.assert_array_equal(mi.raw, compute_mi_map_fxp(grid, sensor, PARAMS).raw)
 
 
 def test_simulate_is_deterministic(rng):
@@ -353,9 +390,6 @@ def test_parse_config_full(tmp_path):
         "cores = 8\n"
         "banks = 8\n"
         "clock_hz = 2e8\n"
-        "interleave_depth = 8\n"
-        "max_map = 256\n"
-        "features.banking = on\n"
         "features.interleaving = off\n"
         "features.wrapping = true\n"
         "energy.e_static_per_s = 0.25\n"
@@ -364,8 +398,7 @@ def test_parse_config_full(tmp_path):
     assert cfg.n_cores == 8
     assert cfg.n_banks == 8
     assert cfg.clock_hz == 2e8
-    assert cfg.max_map == 256
-    assert cfg.banking and cfg.wrapping and not cfg.interleaving
+    assert cfg.wrapping and not cfg.interleaving
     assert cfg.energy.e_static_per_s == 0.25
     assert cfg.energy.e_core_cycle == EnergyParams().e_core_cycle  # default kept
 
@@ -376,7 +409,7 @@ def test_parse_config_errors(tmp_path):
     with pytest.raises(ValueError, match=r"bad\.cfg:2"):
         parse_config(bad_key)
     bad_bool = tmp_path / "bool.cfg"
-    bad_bool.write_text("features.banking = maybe\n")
+    bad_bool.write_text("features.wrapping = maybe\n")
     with pytest.raises(ValueError, match="boolean"):
         parse_config(bad_bool)
     no_eq = tmp_path / "noeq.cfg"
@@ -387,9 +420,8 @@ def test_parse_config_errors(tmp_path):
     for line, message in (
             ("banks = 0", "banks must be >= 1, got 0"),
             ("banks = -2", "banks must be >= 1, got -2"),
-            ("max_map = 0", "max_map must be >= 1, got 0"),
-            ("max_map = -3", "max_map must be >= 1, got -3"),
-            ("cores = 0", "cores and interleave_depth must be >= 1"),
+            ("cores = 0", "cores must be >= 1, got 0"),
+            ("cores = -1", "cores must be >= 1, got -1"),
             ("clock_hz = nan", "clock_hz must be positive and finite"),
             ("clock_hz = inf", "clock_hz must be positive and finite"),
             ("clock_hz = -1", "clock_hz must be positive and finite"),
@@ -397,6 +429,43 @@ def test_parse_config_errors(tmp_path):
             ("energy.e_core_cycle = -1", "e_core_cycle must be nonnegative"),
             ("energy.e_static_per_s = inf", "e_static_per_s must be nonnegative")):
         bad_value = tmp_path / "value.cfg"
-        bad_value.write_text(f"# arch\ncores = 4\n{line}\nmax_map = 64\n")
+        bad_value.write_text(f"# arch\ncores = 4\n{line}\nbanks = 4\n")
         with pytest.raises(ValueError, match=rf"value\.cfg:3: {message}"):
             parse_config(bad_value)
+
+
+REMOVED_KEYS = (("interleave_depth = 8", "unknown key 'interleave_depth'"),
+                ("max_map = 512", "unknown key 'max_map'"),
+                ("features.banking = true", "unknown feature 'banking'"))
+
+
+@pytest.mark.parametrize("line,message", REMOVED_KEYS)
+def test_parse_config_rejects_removed_keys_at_their_line(tmp_path, line, message):
+    # no banking is banks = 1, interleaving a switch, map capacity a constant
+    path = tmp_path / "old.cfg"
+    path.write_text(f"cores = 16\n{line}\nbanks = 16\n")
+    with pytest.raises(ValueError) as info:
+        parse_config(path)
+    assert str(info.value) == f"{path}:2: {message}"
+
+
+def test_shipped_config_is_the_default(data_dir):
+    shipped = parse_config(data_dir / "default.cfg")
+    default = ArchConfig()
+    for f in fields(ArchConfig):
+        if f.name != "n_banks":
+            assert getattr(shipped, f.name) == getattr(default, f.name), f.name
+    assert shipped.n_banks == 16 and default.n_banks is None
+    assert shipped.eff_banks == default.eff_banks == 16
+    grid = OccupancyGrid.uniform((9, 14))
+    reports = [report_csv(simulate(grid, SensorConfig(7), PARAMS, cfg,
+                                   compute_values=False)[1])
+               for cfg in (shipped, default)]
+    assert reports[0] == reports[1]
+    # scripts/make_data.py writes the shipped file from its DEFAULT_CFG
+    script = Path(__file__).parents[1] / "scripts" / "make_data.py"
+    module = ast.parse(script.read_text())
+    (text,) = [ast.literal_eval(node.value) for node in module.body
+               if isinstance(node, ast.Assign)
+               and getattr(node.targets[0], "id", None) == "DEFAULT_CFG"]
+    assert text.encode() == (data_dir / "default.cfg").read_bytes()

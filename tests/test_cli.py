@@ -275,7 +275,7 @@ def test_simulate_rejects_zero_banks(tmp_path, capsys):
     ("clock_hz = nan", "clock_hz must be positive and finite, got nan"),
     ("clock_hz = inf", "clock_hz must be positive and finite, got inf"),
     ("energy.e_core_cycle = nan", "e_core_cycle must be nonnegative and finite, got nan"),
-    ("max_map = 0", "max_map must be >= 1, got 0"),
+    ("cores = 0", "cores must be >= 1, got 0"),
 ])
 def test_simulate_rejects_non_finite_config(tmp_path, capsys, line, message):
     grid = tmp_path / "g.grid"
@@ -287,6 +287,23 @@ def test_simulate_rejects_non_finite_config(tmp_path, capsys, line, message):
     assert code == EXIT_USAGE
     assert out == ""
     assert err == f"error: {cfg}:1: {message}\n"
+
+
+@pytest.mark.parametrize("line,message", [
+    ("interleave_depth = 8", "unknown key 'interleave_depth'"),
+    ("max_map = 512", "unknown key 'max_map'"),
+    ("features.banking = true", "unknown feature 'banking'"),
+])
+def test_simulate_rejects_removed_config_keys(tmp_path, capsys, line, message):
+    grid = tmp_path / "g.grid"
+    write_grid(OccupancyGrid.uniform((2, 2)), grid)
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"cores = 4\n{line}\n")
+    code, out, err = run(capsys, "simulate", "--grid", str(grid), "--rays", "4",
+                         "--config", str(cfg))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {cfg}:2: {message}\n"
 
 
 def test_sweep_csv(grid_file, tmp_path, capsys):
