@@ -150,10 +150,9 @@ def quads_57() -> np.ndarray:
 SCENES = {"scene_a": rooms_57, "scene_b": bands_57, "scene_c": quads_57}
 
 DEFAULT_CFG = """\
-# accelerator model defaults: 16 cores, 16 banks, 100 MHz, depth-8 interleave
+# accelerator model defaults: 16 cores, 16 banks, depth-8 interleave
 cores = 16
 banks = 16
-clock_hz = 1e8
 features.interleaving = true
 features.wrapping = true
 """

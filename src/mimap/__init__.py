@@ -6,8 +6,8 @@ accelerator, and an exploration harness that ties MI compute rates to how
 fast a robot's map entropy falls.
 """
 
-from .archsim import (ArchConfig, EnergyParams, SimReport, bank_of,
-                      lower_bound_latency, scaling_sweep, simulate)
+from .archsim import (ArchConfig, SimReport, bank_of, lower_bound_latency,
+                      scaling_sweep, simulate)
 from .datapath import (FxpConstants, OccLutEntry, PwlExpTable, build_occ_lut,
                        build_pwl_exp, compute_mi_map_fxp, dump_tables)
 from .explore import (Environment, PlatformProfile, PLATFORMS, RobotState,
@@ -23,7 +23,7 @@ from .reference import compute_mi_map, map_entropy
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArchConfig", "CellCoord", "EnergyParams", "Environment", "FcmiParams",
+    "ArchConfig", "CellCoord", "Environment", "FcmiParams",
     "FxpConstants", "GridFormatError", "LineFamily", "MIMap", "OccLutEntry",
     "OccupancyGrid", "PLATFORMS", "PlatformProfile", "PwlExpTable",
     "RobotState", "SensorConfig", "SimReport", "SweepMemo", "TrialLog",

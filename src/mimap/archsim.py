@@ -60,8 +60,9 @@ because the Q20.12 accumulator never saturates on in-range workloads.
 """
 
 from array import array
-from dataclasses import dataclass, field, replace
-from math import gcd, inf
+from dataclasses import dataclass, replace
+from math import gcd
+from typing import ClassVar
 
 import numpy as np
 
@@ -73,28 +74,16 @@ MI_QUEUE_DEPTH = 64    # per-bank accumulate FIFO entries
 PIPELINE_STAGES = 19   # preprocess 1-10, feedback 11-18, postprocess 19
 FEEDBACK_DEPTH = 8     # stages 11-18: min issue spacing of one ray slot
 MAX_MAP = 512          # largest grid side the on-chip memories hold
+CLOCK_HZ = 1e8         # core clock
 
-
-@dataclass(frozen=True)
-class EnergyParams:
-    """Per-event energy constants.
-
-    Defaults are calibrated, not measured: the stall cycle costs a quarter
-    of an active cycle, static power is sized at 10% of the reference
-    201x201/60-ray/16-core run, and the remaining 90% splits 70/30 between
-    core cycles and memory accesses, scaled so that run totals 1.7e-3 J.
-    """
-
-    e_core_cycle: float = 4.4068397774278455e-10
-    e_stall_cycle: float = 1.1017099443569614e-10
-    e_mem_access: float = 6.311724957303037e-11
-    e_static_per_s: float = 0.1110486915851221
-
-    def __post_init__(self):
-        for name in ("e_core_cycle", "e_stall_cycle", "e_mem_access", "e_static_per_s"):
-            value = getattr(self, name)
-            if not 0 <= value < inf:
-                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+# Per-event energy, calibrated, not measured: a stall cycle costs a quarter
+# of an active cycle, static power is sized at 10% of the reference
+# 201x201/60-ray/16-core run, and the remaining 90% splits 70/30 between
+# core cycles and memory accesses, scaled so that run totals 1.7e-3 J.
+E_CORE_CYCLE = 4.4068397774278455e-10   # J per issue cycle
+E_STALL_CYCLE = 1.1017099443569614e-10  # J per stall cycle
+E_MEM_ACCESS = 6.311724957303037e-11    # J per memory word access
+E_STATIC_PER_S = 0.1110486915851221     # W of static power
 
 
 @dataclass(frozen=True)
@@ -102,20 +91,19 @@ class ArchConfig:
     """Accelerator settings; each feature the paper ablates is one value.
     No banking is one bank (``n_banks=1``; ``None`` gives one per core).
     Interleaving keeps ``CONTEXTS_PER_SLOT * FEEDBACK_DEPTH`` ray contexts
-    per core; without it one context pays the full feedback spacing."""
+    per core; without it one context pays the full feedback spacing.
+    The clock is the constant ``CLOCK_HZ`` on every config."""
+
+    clock_hz: ClassVar[float] = CLOCK_HZ
 
     n_cores: int = 16
-    clock_hz: float = 1e8
     n_banks: int | None = None          # None -> n_cores
     interleaving: bool = True
     wrapping: bool = True
-    energy: EnergyParams = field(default_factory=EnergyParams)
 
     def __post_init__(self):
         if self.n_cores < 1:
             raise ValueError(f"cores must be >= 1, got {self.n_cores}")
-        if not 0 < self.clock_hz < inf:
-            raise ValueError(f"clock_hz must be positive and finite, got {self.clock_hz}")
         if self.n_banks is not None and self.n_banks < 1:
             raise ValueError(f"banks must be >= 1, got {self.n_banks}")
 
@@ -149,13 +137,12 @@ class SimReport:
         return int(round(sum(self.per_core_busy) * self.total_cycles))
 
 
-def lower_bound_latency(shape: tuple[int, int], ray_count: int, n_cores: int,
-                        clock_hz: float) -> float:
+def lower_bound_latency(shape: tuple[int, int], ray_count: int, n_cores: int) -> float:
     """One cell-visit per core per cycle with unlimited memory bandwidth."""
     height, width = shape
-    if min(height, width, ray_count, n_cores) < 1 or not 0 < clock_hz < inf:
-        raise ValueError("all arguments must be positive, and clock_hz finite")
-    return height * width * ray_count / (n_cores * clock_hz)
+    if min(height, width, ray_count, n_cores) < 1:
+        raise ValueError("all arguments must be positive")
+    return height * width * ray_count / (n_cores * CLOCK_HZ)
 
 
 def bank_of(coord: CellCoord, n_banks: int) -> int:
@@ -380,11 +367,11 @@ def _sim_kernel(banks, seg_start, queues, n_banks, window, gap, chain_pen):
 
 
 def energy_of(busy_cycles: int, stall_cycles: int, mem_accesses: int,
-              latency_s: float, params: EnergyParams) -> float:
-    return (params.e_core_cycle * busy_cycles
-            + params.e_stall_cycle * stall_cycles
-            + params.e_mem_access * mem_accesses
-            + params.e_static_per_s * latency_s)
+              latency_s: float) -> float:
+    return (E_CORE_CYCLE * busy_cycles
+            + E_STALL_CYCLE * stall_cycles
+            + E_MEM_ACCESS * mem_accesses
+            + E_STATIC_PER_S * latency_s)
 
 
 def simulate(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
@@ -405,17 +392,16 @@ def simulate(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
         *_flat_schedule((height, width), sensor, config), config.eff_banks, window,
         FEEDBACK_DEPTH, chain_pen)
     total_cycles = last_issue + PIPELINE_STAGES + 1 + backlog
-    latency_s = total_cycles / config.clock_hz
+    latency_s = total_cycles / CLOCK_HZ
     per_core_stalls = [tuple(row) for row in stalls]
     stall_cycles = dict(zip(("bank_conflict", "feedback_wait", "drain"),
                             map(sum, zip(*per_core_stalls))))
     energy = energy_of(sum(busy), sum(stall_cycles.values()),
-                       3 * sum(per_bank), latency_s, config.energy)
+                       3 * sum(per_bank), latency_s)
     report = SimReport(
         total_cycles=total_cycles,
         latency_s=latency_s,
-        lower_bound_s=lower_bound_latency((height, width), sensor.ray_count,
-                                          n, config.clock_hz),
+        lower_bound_s=lower_bound_latency((height, width), sensor.ray_count, n),
         stall_cycles=stall_cycles,
         per_core_busy=[b / total_cycles for b in busy],
         per_core_stalls=per_core_stalls,
@@ -460,7 +446,6 @@ def parse_config(path) -> ArchConfig:
     """Line-based ``key = value`` config; '#' starts a comment.  Every line
     is checked as it is read, so a bad value is reported at its line."""
     scalars: dict = {}
-    energy: dict = {}
     config = ArchConfig()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw_line in enumerate(fh, start=1):
@@ -476,8 +461,6 @@ def parse_config(path) -> ArchConfig:
                     scalars["n_cores"] = int(val)
                 elif key == "banks":
                     scalars["n_banks"] = int(val)
-                elif key == "clock_hz":
-                    scalars["clock_hz"] = float(val)
                 elif key.startswith("features."):
                     flag = key.split(".", 1)[1]
                     if flag not in ("interleaving", "wrapping"):
@@ -486,16 +469,10 @@ def parse_config(path) -> ArchConfig:
                     if low not in _TRUE | _FALSE:
                         raise ValueError(f"not a boolean: {val!r}")
                     scalars[flag] = low in _TRUE
-                elif key.startswith("energy."):
-                    name = key.split(".", 1)[1]
-                    if name not in ("e_core_cycle", "e_stall_cycle",
-                                    "e_mem_access", "e_static_per_s"):
-                        raise ValueError(f"unknown energy constant {name!r}")
-                    energy[name] = float(val)
                 else:
                     raise ValueError(f"unknown key {key!r}")
                 # the values before this line passed, so a failure is its own
-                config = ArchConfig(**scalars, energy=EnergyParams(**energy))
+                config = ArchConfig(**scalars)
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
     return config

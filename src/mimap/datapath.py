@@ -290,8 +290,7 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
     buffer.
     """
     sat0 = fx.saturation_count()
-    w_raws = np.array([fx.encode(cell_width(float(a), grid.resolution))
-                       for a in sensor.angles], dtype=np.float64)
+    w_raws = fx.encode([cell_width(float(a), grid.resolution) for a in sensor.angles])
     # the sweep reads only the rows of levels the grid holds, so only
     # those are preprocessed.  The first np.unique call raises peak RSS by
     # about 1 MB; bincount does not.

@@ -8,20 +8,19 @@ running total; a consumer takes the difference of two
 ``saturation_count()`` readings to learn how often a workload clipped,
 and ``compute_mi_map_fxp`` does so for each call.
 
-``encode`` turns a real into a word; the ``arr_*`` ops work on whole
-numpy arrays of words.  The datapath holds every word it makes as an
-integer-valued float64, which rests on one invariant.  Take two words a
-and b, so |a|, |b| <= 2^31.  Either |a*b| < 2^53, so the float product
-a * (b * 2^-12) is exact and ``np.rint`` rounds it half to even; or
-|a*b| >= 2^53, so the word is past 2^41 and saturates whatever the float
-rounding does.  Sums of two words are below 2^32 and exact.  So each op
+``encode`` turns a real, or an array of reals, into words; the ``arr_*``
+ops work on whole numpy arrays of words.  The datapath holds every word
+it makes as an integer-valued float64, which rests on one invariant.
+Take two words a and b, so |a|, |b| <= 2^31.  Either |a*b| < 2^53, so
+the float product a * (b * 2^-12) is exact and ``np.rint`` rounds it
+half to even; or |a*b| >= 2^53, so the word is past 2^41 and saturates
+whatever the float rounding does.  Sums of two words are below 2^32 and
+exact.  So each op
 is an exact float op (``np.add``, ``np.subtract``, ``round_product``)
 followed by the range clip and count of ``arr_clip``.  The test suite
 checks the ops against exact integer and decimal models, and its oracles
 hold the scalar Q20.12 chain that is the datapath's bit-exact reference.
 """
-
-import math
 
 import numpy as np
 
@@ -40,14 +39,17 @@ def saturation_count() -> int:
     return _sat_events
 
 
-def encode(x: float) -> int:
-    """Real -> raw word, round-to-nearest-ties-even, saturating.  A value
+def encode(x):
+    """Real -> raw word, round-to-nearest-ties-even, saturating.  An array
+    of reals encodes elementwise to a float64 array of words.  A value
     whose scaled word is not finite (NaN, infinity, or beyond about 4e304)
     has no word to saturate to and raises ValueError."""
-    scaled = float(x) * SCALE
-    if not math.isfinite(scaled):
+    with np.errstate(over="ignore"):  # an overflow is the inf caught below
+        scaled = np.asarray(x, dtype=np.float64) * SCALE
+    if not np.isfinite(scaled).all():
         raise ValueError(f"cannot encode {x} as a Q20.12 word")
-    return int(arr_clip(np.rint(np.float64(scaled))))
+    words = arr_clip(np.rint(scaled))
+    return words if words.ndim else int(words)
 
 
 def decode(raw: int) -> float:

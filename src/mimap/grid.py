@@ -104,9 +104,6 @@ class OccupancyGrid:
     def shape(self) -> tuple[int, int]:
         return self.levels.shape
 
-    def probabilities(self) -> np.ndarray:
-        return self.levels.astype(np.float64) / 100.0
-
     @classmethod
     def uniform(cls, shape, level: int = 50, resolution: float = 1.0):
         return cls(np.full(shape, level, dtype=np.uint8), resolution)

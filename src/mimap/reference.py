@@ -98,10 +98,18 @@ def compute_mi_map(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
     return MIMap(mi_flat.reshape(grid.shape), grid.resolution)
 
 
-def map_entropy(grid: OccupancyGrid) -> float:
-    """Total occupancy entropy of the grid in nats (0*log 0 taken as 0)."""
-    o = grid.probabilities()
+def _level_entropy() -> np.ndarray:
+    """Occupancy entropy in nats of each level 0..100 (0*log 0 taken as 0)."""
+    o = np.arange(101) / 100.0
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -o * np.log(o) - (1.0 - o) * np.log(1.0 - o)
-    h[~np.isfinite(h)] = 0.0
-    return float(h.sum())
+    h[[0, 100]] = 0.0
+    return h
+
+
+_LEVEL_ENTROPY = _level_entropy()
+
+
+def map_entropy(grid: OccupancyGrid) -> float:
+    """Total occupancy entropy of the grid in nats (0*log 0 taken as 0)."""
+    return float(_LEVEL_ENTROPY[grid.levels].sum())

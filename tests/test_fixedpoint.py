@@ -49,6 +49,11 @@ def test_encode_saturates_out_of_range():
     sat0 = fx.saturation_count()
     assert fx.encode(1e5) == 409600000  # in range: no event
     assert fx.saturation_count() == sat0
+    # an array encodes elementwise, each clipped element counted once
+    words = fx.encode([1e6, 0.25, -1e6, 2.0 ** -13])
+    assert words.dtype == np.float64
+    np.testing.assert_array_equal(words, [fx.RAW_MAX, 1024, fx.RAW_MIN, 0])
+    assert fx.saturation_count() - sat0 == 2
 
 
 @pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan"), 1e306])
@@ -56,6 +61,8 @@ def test_encode_rejects_values_without_a_word(x):
     # the scaled value is not finite, so there is nothing to saturate to
     with pytest.raises(ValueError, match="cannot encode"):
         fx.encode(x)
+    with pytest.raises(ValueError, match="cannot encode"):
+        fx.encode([0.0, x])
 
 
 def test_decode_range_ends():

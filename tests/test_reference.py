@@ -213,13 +213,17 @@ def test_map_all_free_is_zero():
 
 
 def test_map_matches_brute_force_oracle(rng):
-    levels = rng.integers(0, 101, size=(5, 5), dtype=np.uint8)
-    grid = OccupancyGrid(levels, resolution=0.25)
-    for rays in (4, 8, 60):
-        got = compute_mi_map(grid, SensorConfig(rays), CAP).values
-        want = oracles.brute_force_mi_map(levels, rays, 0.25)
-        scale = np.abs(want).max()
-        assert np.abs(got - want).max() <= 1e-9 * scale
+    # square, 1xN, Nx1 and non-square grids; ray counts off multiples of 4
+    for shape, ray_counts in (((5, 5), (4, 8, 60)), ((1, 20), (5, 13)),
+                              ((17, 1), (7, 8)), ((3, 8), (5, 7, 13)),
+                              ((8, 5), (7, 60))):
+        levels = rng.integers(0, 101, size=shape, dtype=np.uint8)
+        grid = OccupancyGrid(levels, resolution=0.25)
+        for rays in ray_counts:
+            got = compute_mi_map(grid, SensorConfig(rays), CAP).values
+            want = oracles.brute_force_mi_map(levels, rays, 0.25)
+            scale = np.abs(want).max()
+            assert np.abs(got - want).max() <= 1e-9 * scale, (shape, rays)
 
 
 def test_map_rotation_symmetry_axis_rays():
