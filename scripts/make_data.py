@@ -1,4 +1,7 @@
-"""Regenerate everything under src/mimap/data/.
+"""Regenerate the grids under src/mimap/data/.
+
+The hand-written accelerator config ``default.cfg`` in the same directory
+is not generated and is left alone.
 
 Fully deterministic: fixed layouts, fixed pose walks, fixed seeds.  The
 script verifies each artifact against the bound it is bundled to satisfy
@@ -149,15 +152,6 @@ def quads_57() -> np.ndarray:
 
 SCENES = {"scene_a": rooms_57, "scene_b": bands_57, "scene_c": quads_57}
 
-DEFAULT_CFG = """\
-# accelerator model defaults: 16 cores, 16 banks, depth-8 interleave
-cores = 16
-banks = 16
-features.interleaving = true
-features.wrapping = true
-"""
-
-
 def check_accuracy(name: str, grid: OccupancyGrid) -> float:
     sensor = SensorConfig(60)
     params = FcmiParams()
@@ -196,8 +190,7 @@ def main() -> None:
         env = Environment(layout(), RES)
         check_ordering(name, env)
         write_grid(env.to_grid(), DATA / f"{name}.grid")
-    (DATA / "default.cfg").write_text(DEFAULT_CFG)
-    print(f"wrote {len(SNAPSHOTS) + len(SCENES) + 1} files to {DATA}")
+    print(f"wrote {len(SNAPSHOTS) + len(SCENES)} files to {DATA}")
 
 
 if __name__ == "__main__":

@@ -180,42 +180,44 @@ def _stagger_stride(m: int, n_cores: int, n_banks: int) -> int:
 
 
 def _unit_ranges(fam, config: ArchConfig) -> list[tuple[int, int]]:
-    """Per-angle unit list as (first_seg, last_seg) pairs in dispatch order."""
+    """Per-angle unit list as (first_cell, end_cell) pairs in dispatch order."""
     if config.wrapping:
-        ufs = fam.unit_first_seg
         m = fam.n_units
+        size = len(fam.cells) // m
         k = _stagger_stride(m, config.n_cores, config.eff_banks)
-        return [(int(ufs[(j * k) % m]), int(ufs[(j * k) % m + 1])) for j in range(m)]
+        return [((j * k) % m * size, ((j * k) % m + 1) * size) for j in range(m)]
     order = np.argsort(fam.seg_phase, kind="stable")
-    return [(int(s), int(s) + 1) for s in order]
+    return [(int(fam.seg_start[s]), int(fam.seg_start[s + 1])) for s in order]
 
 
 def _flat_schedule(bounds: tuple[int, int], sensor: SensorConfig, config: ArchConfig):
     """The kernel's three inputs, over the headings' concatenated line-family
-    cells: the bank of every cell, the start cell of every segment (plus a
-    closing end), and per core the queue of ``(heading, first_seg,
-    end_seg)`` units it is dealt.  Units go out round-robin in heading and
-    dispatch order, so the dealing cursor persists across headings and
+    cells, H*W positions per heading: the bank of every position, a
+    ``line_starts`` byte that is 1 at the first position of every line and
+    at the closing end, and per core the queue of ``(lo, hi)`` position
+    ranges of the units it is dealt.  Units go out round-robin in heading
+    and dispatch order, so the dealing cursor persists across headings and
     per-core totals stay balanced."""
     width = bounds[1]
     n_banks = config.eff_banks
     banks = array("i")  # 4 bytes a cell; a list would hold 8-byte pointers
-    seg_start = [0]
+    line_starts = bytearray()
     units = []
-    for heading, angle in enumerate(sensor.angles):
+    for angle in sensor.angles:
         fam = line_family(float(angle), bounds)
-        seg_base = len(seg_start) - 1
-        seg_start += (fam.seg_start[1:] + len(banks)).tolist()
+        base = len(banks)
+        flags = np.bincount(fam.seg_start[:-1], minlength=len(fam.cells))
+        line_starts += flags.astype(np.uint8).tobytes()
         banks.extend(bank_of((fam.cells // width, fam.cells % width), n_banks).tolist())
-        units += [(heading, seg_base + lo, seg_base + hi)
-                  for lo, hi in _unit_ranges(fam, config)]
+        units += [(base + lo, base + hi) for lo, hi in _unit_ranges(fam, config)]
+    line_starts.append(1)
     n = config.n_cores
-    return banks, seg_start, [units[i::n] for i in range(n)]
+    return banks, line_starts, [units[i::n] for i in range(n)]
 
 
-def _sim_kernel(banks, seg_start, queues, n_banks, window, gap, chain_pen):
+def _sim_kernel(banks, line_starts, queues, hw, n_banks, window, gap, chain_pen):
     """Cycle loop over the awake cores until every dealt unit has issued
-    its last cell.
+    its last cell.  Schedule position p is of heading p // ``hw`` (H*W).
 
     A core that can only wait leaves the loop: it sleeps in a wake ring
     until its one live context is ready, or leaves for good once drained,
@@ -235,9 +237,7 @@ def _sim_kernel(banks, seg_start, queues, n_banks, window, gap, chain_pen):
     slots = range(window)
     orders = [[(r + d) % window for d in slots] for r in slots]
     pos = [[-1] * window for _ in queues]    # next cell of a context; -1 free
-    seg = [[0] * window for _ in queues]     # its current segment
-    end = [[0] * window for _ in queues]     # its unit's end segment
-    head = [[0] * window for _ in queues]    # its heading
+    end = [[0] * window for _ in queues]     # its unit's end position
     ready = [[0] * window for _ in queues]   # first cycle it may issue again
     nlive = [0] * n_cores                    # live contexts per core
     # the heading gate holds a core's next unit until one of its contexts
@@ -271,21 +271,21 @@ def _sim_kernel(banks, seg_start, queues, n_banks, window, gap, chain_pen):
             stay = []
             for i in awake:
                 queue = queues[i]
-                p, g, e, r = pos[i], seg[i], end[i], ready[i]
+                p, e, r = pos[i], end[i], ready[i]
                 live = nlive[i]
                 # refill free contexts from the core's queue; a context only
                 # accepts rays of the heading the core is currently scanning,
                 # so a new heading starts once the previous one fully drains
                 k = nxt[i]
                 if k < len(queue) and live < window and not held[i]:
-                    hd = head[i]
-                    heading = next((hd[d] for d in slots if p[d] >= 0), -1)
+                    heading = next((p[d] // hw for d in slots if p[d] >= 0), -1)
                     for d in slots:
                         if k == len(queue):
                             break
                         if p[d] >= 0:
                             continue
-                        h, lo, hi = queue[k]
+                        lo, hi = queue[k]
+                        h = lo // hw
                         trickle = heading >= 0 and h != heading
                         # starvation trickle: when the tail of a heading
                         # leaves fewer live rays than the feedback gap and
@@ -298,7 +298,7 @@ def _sim_kernel(banks, seg_start, queues, n_banks, window, gap, chain_pen):
                             break
                         k += 1
                         live += 1
-                        p[d], g[d], e[d], hd[d], r[d] = seg_start[lo], lo, hi, h, t
+                        p[d], e[d], r[d] = lo, hi, t
                         if trickle:
                             break
                         heading = h
@@ -329,17 +329,17 @@ def _sim_kernel(banks, seg_start, queues, n_banks, window, gap, chain_pen):
                 per_bank[b] += 1
                 busy[i] += 1
                 w = r[s] = t + gap
-                p[s] += 1
-                if p[s] == seg_start[g[s] + 1]:
-                    g[s] += 1
-                    if g[s] < e[s]:
+                ps += 1
+                if ps == e[s]:
+                    p[s] = -1
+                    live -= 1
+                    held[i] = False
+                    unfinished -= 1
+                else:
+                    p[s] = ps
+                    if line_starts[ps]:
                         # the unit chains on into its next line
                         w = r[s] = w + chain_pen
-                    else:
-                        p[s] = -1
-                        live -= 1
-                        held[i] = False
-                        unfinished -= 1
                 # resume the scan at the skipped slot if there was one: the
                 # passed-over ray keeps its place at the head of the rotation
                 # instead of waiting out a whole round
@@ -389,8 +389,8 @@ def simulate(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
     window, chain_pen = ((CONTEXTS_PER_SLOT * FEEDBACK_DEPTH, 0) if config.interleaving
                          else (1, FEEDBACK_DEPTH))
     last_issue, backlog, busy, per_bank, stalls = _sim_kernel(
-        *_flat_schedule((height, width), sensor, config), config.eff_banks, window,
-        FEEDBACK_DEPTH, chain_pen)
+        *_flat_schedule((height, width), sensor, config), height * width,
+        config.eff_banks, window, FEEDBACK_DEPTH, chain_pen)
     total_cycles = last_issue + PIPELINE_STAGES + 1 + backlog
     latency_s = total_cycles / CLOCK_HZ
     per_core_stalls = [tuple(row) for row in stalls]

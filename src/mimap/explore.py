@@ -329,15 +329,14 @@ def gbl_select(mi_map: MIMap, grid: OccupancyGrid,
     cand = frontier_cells(levels) & (dist >= 0)
     if not cand.any():
         return None
-    best = None
-    best_u = -math.inf
-    best_d = 0
-    for r, c in np.argwhere(cand):
-        d = int(dist[r, c])
-        u = float(mi_map.values[r, c]) * math.exp(-UTILITY_DECAY * d)
-        if u > best_u or (u == best_u and d < best_d):
-            best, best_u, best_d = CellCoord(int(r), int(c)), u, d
-    return best
+    rows, cols = np.nonzero(cand)
+    d = dist[rows, cols]
+    # math.exp per distance: numpy's vector exp may round differently
+    decay = np.array([math.exp(-UTILITY_DECAY * k) for k in range(int(d.max()) + 1)])
+    utility = mi_map.values[rows, cols] * decay[d]
+    # lexsort is stable and sorts by its last key first
+    best = np.lexsort((d, -utility))[0]
+    return CellCoord(int(rows[best]), int(cols[best]))
 
 
 @dataclass
@@ -436,9 +435,8 @@ def run_trial(env: Environment, sensor: SensorConfig = SensorConfig(),
             latest, latest_map = in_flight, None
             computes += 1
             if latest.basis_step < step:
-                start = max(in_flight.finish_s, 0.0)
                 in_flight = _MICompute(grid.levels.copy(), step,
-                                       start + platform.mi_latency_s)
+                                       in_flight.finish_s + platform.mi_latency_s)
             else:
                 in_flight = None
 

@@ -171,27 +171,25 @@ class LineFamily:
     exactly once, in scan order within each line (far end of the beam
     first).
     Lines are grouped into wrap units: phases congruent modulo the minor
-    extent M form the modular continuation of a single beam across the map
+    extent form the modular continuation of a single beam across the map
     boundary, and each unit covers every major coordinate exactly once, so
-    all units of one heading hold exactly the same number of cells.
+    the ``n_units`` units (one per minor coordinate) of one heading hold
+    exactly the same number U = len(cells) // n_units of cells.  A unit
+    starts a line, so every multiple of U is in ``seg_start``.
 
       cells[seg_start[i] : seg_start[i+1]]   -> line i (one wrap segment)
-      lines unit_first_seg[j] .. unit_first_seg[j+1]-1  -> wrap unit j
+      cells[j*U : (j+1)*U]                    -> wrap unit j
       seg_phase[i]                            -> phase of line i
     """
 
     cells: np.ndarray
     seg_start: np.ndarray
-    unit_first_seg: np.ndarray
     seg_phase: np.ndarray
+    n_units: int
 
     @property
     def n_lines(self) -> int:
         return len(self.seg_start) - 1
-
-    @property
-    def n_units(self) -> int:
-        return len(self.unit_first_seg) - 1
 
     def line_lengths(self) -> np.ndarray:
         return np.diff(self.seg_start)
@@ -221,10 +219,8 @@ def _family_cached(angle: float, height: int, width: int) -> LineFamily:
     starts = np.flatnonzero(brk.ravel()).astype(np.int64)
     seg_start = np.append(starts, v_max * u_max)
     seg_phase = phase.ravel()[starts]
-    segs_per_unit = brk.sum(axis=1)
-    unit_first_seg = np.concatenate(([0], np.cumsum(segs_per_unit))).astype(np.int64)
     return LineFamily(np.ascontiguousarray(flat.ravel(), dtype=np.int32),
-                      seg_start, unit_first_seg, seg_phase)
+                      seg_start, seg_phase, v_max)
 
 
 def line_family(angle: float, bounds: tuple[int, int]) -> LineFamily:
@@ -236,18 +232,18 @@ class LaneBlock(NamedTuple):
     """Consecutive headings laid out as one set of lanes for the engines.
 
     ``cells`` concatenates the ``line_family`` cells of the block's
-    ``n_headings`` headings in heading order, H*W of them per heading.
-    Every line of those families is a lane: lane j, of heading
-    ``lane_heading[j]``, reads ``cells[lane_start[j] + t]`` at sweep steps
-    t < ``lane_len[j]``, and its heading is the k-th of the block for
-    k = ``lane_start[j] // (H*W)``.  Lanes run longest first, so the
-    lanes still active at step t are the first ``_active(lane_len)[t]``.
+    ``n_headings`` headings from heading ``first`` on, in heading order,
+    H*W of them per heading.  Every line of those families is a lane:
+    lane j reads ``cells[lane_start[j] + t]`` at sweep steps
+    t < ``lane_len[j]``, and its heading is ``first + lane_start[j] //
+    (H*W)``.  Lanes run longest first, so the lanes still active at step
+    t are the first ``_active(lane_len)[t]``.
     """
 
+    first: int
     n_headings: int
     cells: np.ndarray
     lane_start: np.ndarray
-    lane_heading: np.ndarray
     lane_len: np.ndarray
 
 
@@ -268,11 +264,9 @@ def _lane_block(angles, first: int, bounds: tuple[int, int]) -> LaneBlock:
     lengths = np.concatenate([f.line_lengths() for f in fams])
     starts = np.concatenate([f.seg_start[:-1] + k * n_cells
                              for k, f in enumerate(fams)])
-    headings = np.repeat(np.arange(first, first + len(fams)),
-                         [f.n_lines for f in fams])
     order = np.argsort(-lengths, kind="stable")
-    return LaneBlock(len(fams), np.concatenate([f.cells for f in fams]),
-                     starts[order], headings[order], lengths[order])
+    return LaneBlock(first, len(fams), np.concatenate([f.cells for f in fams]),
+                     starts[order], lengths[order])
 
 
 def _active(lane_len: np.ndarray) -> np.ndarray:
@@ -391,14 +385,15 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
             lane_of = [_lane_table(block, n_cells) for block in blocks]
     bufs = []
     for block in blocks:
-        start, heading, lane_len = block.lane_start, block.lane_heading, block.lane_len
+        start, lane_len = block.lane_start, block.lane_len
         if kept is None:
             buf = np.empty(block.n_headings * n_cells, dtype=buf_dtype)
         else:
             buf = kept[len(bufs)]
             hit = _touched_lanes(lane_of[len(bufs)], len(start), changed)
-            start, heading, lane_len = start[hit], heading[hit], lane_len[hit]
+            start, lane_len = start[hit], lane_len[hit]
         base = start - start % n_cells
+        heading = block.first + start // n_cells
         lane_key = 101 * heading
         state = np.zeros((4, len(start)), dtype=table.dtype)
         for t, na in enumerate(_active(lane_len).tolist()):

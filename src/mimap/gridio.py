@@ -52,16 +52,17 @@ def _read_rows(path, what: str, form: str, parse_row, dtype, check_header=None):
         check_header(path, *fields)
     if len(lines) < 1 + height:
         _fail(path, len(lines), f"expected {height} data rows, found {len(lines) - 1}")
-    values = np.empty((height, width), dtype=dtype)
+    # no array sized by the header is made before every row has passed
+    rows = []
     for r in range(height):
         row = lines[1 + r].split()
         if len(row) != width:
             _fail(path, 2 + r, f"expected {width} values, found {len(row)}")
-        values[r] = parse_row(path, 2 + r, row)
+        rows.append(parse_row(path, 2 + r, row))
     for line_no, line in enumerate(lines[1 + height:], start=2 + height):
         if line.strip():
             _fail(path, line_no, f"expected {height} data rows, found more")
-    return values, fields
+    return np.array(rows, dtype=dtype), fields
 
 
 def _check_resolution(path, resolution):

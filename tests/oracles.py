@@ -186,6 +186,20 @@ def oracle_bfs_distances(passable: np.ndarray,
     return dist
 
 
+def oracle_gbl_select(values: np.ndarray, candidates: np.ndarray,
+                      dist: np.ndarray, decay: float):
+    """The candidate cell of highest utility ``value * exp(-decay * d)``,
+    ties to the nearer one and then to the first in row-major order, by
+    a scan of the candidates; None when there is none."""
+    best, best_u, best_d = None, -math.inf, 0
+    for r, c in np.argwhere(candidates):
+        d = int(dist[r, c])
+        u = float(values[r, c]) * math.exp(-decay * d)
+        if u > best_u or (u == best_u and d < best_d):
+            best, best_u, best_d = (int(r), int(c)), u, d
+    return best
+
+
 # ---------------------------------------------------------- cycle model
 
 def oracle_sim_kernel(banks, seg_start, queues, n_banks, window, gap,

@@ -1,6 +1,5 @@
 """Cycle-level accelerator model: schedule, timing rules, reports."""
 
-import ast
 import itertools
 from dataclasses import fields, replace
 from pathlib import Path
@@ -126,15 +125,32 @@ def test_energy_of_closed_form():
 
 def dealt_units(bounds, sensor, config):
     """Per-core dealt units of the kernel schedule as (heading index, flat
-    cells) pairs; a unit (heading, lo, hi) spans cells
-    seg_start[lo]:seg_start[hi] of the headings' concatenated line-family
-    cells."""
-    _, seg_start, queues = _flat_schedule(bounds, sensor, config)
+    cells) pairs; a unit (lo, hi) spans cells lo:hi of the headings'
+    concatenated line-family cells, H*W of them per heading."""
+    _, _, queues = _flat_schedule(bounds, sensor, config)
     cells = np.concatenate([line_family(float(a), bounds).cells
                             for a in sensor.angles])
-    return [[(heading, cells[seg_start[lo]:seg_start[hi]])
-             for heading, lo, hi in queue]
-            for queue in queues]
+    hw = bounds[0] * bounds[1]
+    return [[(lo // hw, cells[lo:hi]) for lo, hi in queue] for queue in queues]
+
+
+@pytest.mark.parametrize("bounds", [(17, 17), (1, 17), (13, 1), (9, 14)])
+def test_schedule_units_tile_each_heading_once(bounds):
+    # the units of heading k cover its positions [k*hw, (k+1)*hw) once,
+    # and a line starts at every unit's first position
+    sensor = SensorConfig(13)
+    hw = bounds[0] * bounds[1]
+    for wrapping in (True, False):
+        cfg = replace(ArchConfig(), wrapping=wrapping)
+        banks, line_starts, queues = _flat_schedule(bounds, sensor, cfg)
+        assert len(banks) == sensor.ray_count * hw
+        assert len(line_starts) == len(banks) + 1 and line_starts[-1] == 1
+        units = sorted(unit for queue in queues for unit in queue)
+        for k in range(sensor.ray_count):
+            mine = [(lo, hi) for lo, hi in units if k * hw <= lo < (k + 1) * hw]
+            assert mine[0][0] == k * hw and mine[-1][1] == (k + 1) * hw
+            assert all(hi == lo2 for (_, hi), (lo2, _) in zip(mine, mine[1:]))
+            assert all(lo < hi and line_starts[lo] for lo, hi in mine)
 
 
 def test_schedule_axis_family_is_balanced():
@@ -300,6 +316,12 @@ def test_reports_match_golden():
 @given(height=st.integers(1, 12), width=st.integers(1, 12), rays=st.integers(1, 13),
        n_cores=st.integers(1, 5), n_banks=st.integers(1, 6),
        interleave_depth=st.integers(1, 8), wrapping=st.booleans())
+# a core refills while the first live context in its slot order sits,
+# not yet issued, at its heading's first position
+@example(height=4, width=5, rays=10, n_cores=4, n_banks=2, interleave_depth=2,
+         wrapping=False)
+@example(height=8, width=10, rays=11, n_cores=3, n_banks=2, interleave_depth=4,
+         wrapping=True)
 def test_kernel_matches_per_cycle_oracle(height, width, rays, n_cores, n_banks,
                                          interleave_depth, wrapping):
     # simulate passes depth 8 (interleaving on) or 1 (off); the kernel
@@ -307,9 +329,20 @@ def test_kernel_matches_per_cycle_oracle(height, width, rays, n_cores, n_banks,
     config = ArchConfig(n_cores=n_cores, n_banks=n_banks, wrapping=wrapping)
     window = CONTEXTS_PER_SLOT * interleave_depth if interleave_depth > 1 else 1
     chain_pen = FEEDBACK_DEPTH if interleave_depth == 1 else 0
-    args = (*_flat_schedule((height, width), SensorConfig(rays), config),
-            config.eff_banks, window, FEEDBACK_DEPTH, chain_pen)
-    assert _sim_kernel(*args) == oracles.oracle_sim_kernel(*args, MI_QUEUE_DEPTH)
+    banks, line_starts, queues = _flat_schedule((height, width), SensorConfig(rays),
+                                                config)
+    hw = height * width
+    got = _sim_kernel(banks, line_starts, queues, hw, config.eff_banks, window,
+                      FEEDBACK_DEPTH, chain_pen)
+    # the oracle walks segments: the flagged positions, each unit given as
+    # its heading and the segments of its first and end positions
+    seg_start = [p for p, flag in enumerate(line_starts) if flag]
+    seg_of = {p: i for i, p in enumerate(seg_start)}
+    seg_queues = [[(lo // hw, seg_of[lo], seg_of[hi]) for lo, hi in queue]
+                  for queue in queues]
+    assert got == oracles.oracle_sim_kernel(banks, seg_start, seg_queues,
+                                            config.eff_banks, window, FEEDBACK_DEPTH,
+                                            chain_pen, MI_QUEUE_DEPTH)
 
 
 def degenerate_shapes():
@@ -467,10 +500,3 @@ def test_shipped_config_is_the_default(data_dir):
                                    compute_values=False)[1])
                for cfg in (shipped, default)]
     assert reports[0] == reports[1]
-    # scripts/make_data.py writes the shipped file from its DEFAULT_CFG
-    script = Path(__file__).parents[1] / "scripts" / "make_data.py"
-    module = ast.parse(script.read_text())
-    (text,) = [ast.literal_eval(node.value) for node in module.body
-               if isinstance(node, ast.Assign)
-               and getattr(node.targets[0], "id", None) == "DEFAULT_CFG"]
-    assert text.encode() == (data_dir / "default.cfg").read_bytes()

@@ -214,6 +214,26 @@ def test_compare_rejects_trailing_map_row(tmp_path, capsys):
     assert err == f"error: {pb}:4: expected 2 data rows, found more\n"
 
 
+def test_mi_ref_rejects_grid_header_wider_than_its_rows(tmp_path, capsys):
+    grid = tmp_path / "g.grid"
+    grid.write_text("1 1000000000000 0.1\n0 0\n")
+    code, out, err = run(capsys, "mi-ref", "--grid", str(grid), "--rays", "4",
+                         "--out", str(tmp_path / "m.mimap"))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {grid}:2: expected 1000000000000 values, found 2\n"
+
+
+def test_compare_rejects_map_header_wider_than_its_rows(tmp_path, capsys):
+    pa, pb = tmp_path / "a.mimap", tmp_path / "b.mimap"
+    write_mi_map(MIMap(np.zeros((1, 2))), pa)
+    pb.write_text("1 1000000000000\n0 0\n")
+    code, out, err = run(capsys, "compare", str(pa), str(pb))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {pb}:2: expected 1000000000000 values, found 2\n"
+
+
 def test_compare_dim_mismatch(tmp_path, capsys):
     pa, pb = tmp_path / "a.mimap", tmp_path / "b.mimap"
     write_mi_map(MIMap(np.zeros((2, 2))), pa)
@@ -259,31 +279,20 @@ def test_bad_config_line_number(grid_file, tmp_path, capsys):
     assert "bad.cfg:2" in err
 
 
-def test_simulate_rejects_zero_banks(tmp_path, capsys):
+@pytest.mark.parametrize("text,message", [
+    ("cores = 0\n", "1: cores must be >= 1, got 0"),
+    ("cores = 4\nbanks = 0\n", "2: banks must be >= 1, got 0"),
+], ids=["cores", "banks"])
+def test_simulate_rejects_zero_cores_or_banks(tmp_path, capsys, text, message):
     grid = tmp_path / "g.grid"
     write_grid(OccupancyGrid.uniform((2, 2)), grid)
-    cfg = tmp_path / "banks.cfg"
-    cfg.write_text("cores = 4\nbanks = 0\n")
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(text)
     code, out, err = run(capsys, "simulate", "--grid", str(grid), "--rays", "4",
                          "--config", str(cfg))
     assert code == EXIT_USAGE
     assert out == ""
-    assert err == f"error: {cfg}:2: banks must be >= 1, got 0\n"
-
-
-@pytest.mark.parametrize("line,message", [
-    ("cores = 0", "cores must be >= 1, got 0"),
-])
-def test_simulate_rejects_non_finite_config(tmp_path, capsys, line, message):
-    grid = tmp_path / "g.grid"
-    write_grid(OccupancyGrid.uniform((2, 2)), grid)
-    cfg = tmp_path / "finite.cfg"
-    cfg.write_text(line + "\n")
-    code, out, err = run(capsys, "simulate", "--grid", str(grid), "--rays", "4",
-                         "--config", str(cfg))
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert err == f"error: {cfg}:1: {message}\n"
+    assert err == f"error: {cfg}:{message}\n"
 
 
 @pytest.mark.parametrize("line,message", [

@@ -20,6 +20,7 @@ from mimap.explore import (
     LEVEL_FLOOR,
     PLATFORMS,
     UNKNOWN_LO,
+    UTILITY_DECAY,
     Environment,
     PlatformProfile,
     RobotState,
@@ -457,6 +458,20 @@ def test_gbl_none_when_exploration_complete():
     assert gbl_select(MIMap(np.ones((1, 5))), fully_known, robot) is None
     all_unknown = OccupancyGrid.uniform((1, 5), 50)
     assert gbl_select(MIMap(np.ones((1, 5))), all_unknown, robot) is None
+
+
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_gbl_select_matches_scan_oracle(height, width, n_values, seed):
+    # few distinct MI values, zero among them, make utility ties common
+    rng = np.random.default_rng(seed)
+    levels = rng.choice(np.array([0, 50, 100], dtype=np.uint8), (height, width),
+                        p=[0.5, 0.35, 0.15])
+    values = rng.integers(0, n_values, (height, width)) / 2.0
+    pos = CellCoord(int(rng.integers(height)), int(rng.integers(width)))
+    dist = _bfs_distances(levels, pos)
+    want = oracles.oracle_gbl_select(values, frontier_cells(levels) & (dist >= 0),
+                                     dist, UTILITY_DECAY)
+    assert gbl_select(MIMap(values), OccupancyGrid(levels), RobotState(pos)) == want
 
 
 # ---------------------------------------------------------------- trials

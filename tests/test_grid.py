@@ -5,6 +5,7 @@ tests run it on all-free (or random) scenes and check what it reads from
 the line families against the scalar oracle.
 """
 
+import itertools
 import math
 import weakref
 
@@ -62,7 +63,7 @@ def test_grid_rejects_out_of_range_levels():
     np.testing.assert_array_equal(whole.levels, [[0, 50, 100]])
 
 
-def test_grid_probabilities_and_uniform():
+def test_grid_uniform():
     g = OccupancyGrid.uniform((2, 3), level=50, resolution=0.1)
     assert g.levels.dtype == np.uint8
     assert g.shape == (2, 3)
@@ -231,10 +232,14 @@ def test_family_covers_every_cell_once(size):
 
 
 def test_family_wrap_units_have_equal_totals():
-    for angle in SensorConfig(60).angles:
-        fam = line_family(angle, (33, 33))
-        unit_tot = np.add.reduceat(fam.line_lengths(), fam.unit_first_seg[:-1])
-        assert unit_tot.min() == unit_tot.max() == 33
+    # wrap unit j is cells[j*U:(j+1)*U]: the units fill the family and
+    # each starts a line
+    for bounds, angle in itertools.product([(33, 33), (1, 17), (13, 1)],
+                                           SensorConfig(60).angles):
+        fam = line_family(angle, bounds)
+        size = len(fam.cells) // fam.n_units
+        assert fam.n_units * size == len(fam.cells)
+        assert set(range(0, len(fam.cells) + 1, size)) <= set(fam.seg_start.tolist())
 
 
 def test_lane_blocks_lay_out_every_line_of_every_heading(monkeypatch):
@@ -254,9 +259,9 @@ def test_lane_blocks_lay_out_every_line_of_every_heading(monkeypatch):
                                       for i in range(fam.n_lines))
         assert np.all(np.diff(b.lane_len) <= 0)  # longest lane first
         got = {h: [] for h in lines}
-        for start, heading, n in zip(b.lane_start, b.lane_heading, b.lane_len):
-            assert start // n_cells == heading - first
-            got[int(heading)].append(b.cells[start:start + n].tolist())
+        assert b.first == first
+        for start, n in zip(b.lane_start, b.lane_len):
+            got[first + int(start) // n_cells].append(b.cells[start:start + n].tolist())
         assert {h: sorted(v) for h, v in got.items()} == lines
         first += b.n_headings
 
