@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="trial CSV (default stdout)")
     p.set_defaults(func=_cmd_explore)
 
-    p = sub.add_parser("dump-tables", help="occupancy LUT and PWL segment dump")
+    p = sub.add_parser("dump-tables", help="occupancy LUT and exp knot dump")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_dump_tables)
 

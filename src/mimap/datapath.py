@@ -1,11 +1,11 @@
-"""Fixed-point datapath model: occupancy LUTs, the piecewise-linear
-exponential, and the Q20.12 realization of the expectation recursion.
+"""Fixed-point datapath model: occupancy LUTs, the exponential, and the
+Q20.12 realization of the expectation recursion.
 
 The dataflow mirrors the hardware split:
 
   preprocess  - per cell: LUT fetch (lam, -log lam, 1/lam), x = lam*w, the
-                PWL exponential E = pwl(-x), the three gamma values, and
-                the four additive constants C1..C4
+                exponential E = e^-x, the three gamma values, and the four
+                additive constants C1..C4
   feedback    - the recursive update of (a1, b1, a0, b0)
   postprocess - MI contribution (a1 - (1 - log cap)*b1) * dtheta and the
                 read-modify-write into the MI accumulator
@@ -18,7 +18,27 @@ rows.  Feedback and postprocess are the step of ``grid.sweep``, which
 runs every scan line of every heading as a lane and folds the
 contributions into the accumulator in heading order.
 
-Every word is an integer-valued float64 (the LUT and exp-table words
+The exponential (``exp_neg``) computes e^-x as 2^-(n+f): y = x*log2(e)
+to 20 fraction bits splits into its integer part n and fraction f, 2^-f
+interpolates linearly between two of 33 knots 2^(-k/32), and a shift
+right by n + 8 makes the word.  It is within 1 ulp of e^-x on every
+word, which matters near x = 0: there 1/lam, up to 100, multiplies each
+ulp of g2 = 1 - E(1+x).  Against a 16-segment line fit (a slope and an
+intercept word a segment), it costs one more multiply (x*log2(e); the
+interpolation's multiply takes the place of the fit's m*x), a shifter,
+and 33 table words against 32.  ``archsim.PIPELINE_STAGES`` (19) still
+holds.  Take a preprocess stage to be one multiply, table read or
+shift, with the adds next to it.  From the LUT read to C1, preprocess
+then takes 9 stages with this exp (LUT; lam*w; x*log2(e); the two knot
+reads and their difference; the interpolating multiply; the subtract
+from the knot and the shift; E*(1+x); g2*(-log lam); 1/lam*(...))
+against 8 with the fitted one (LUT; lam*w; negate, clamp and segment
+index; table read; m*x + c; then the same three), within the 10 the
+cycle model gives it.  Preprocess reads no recursion state, so the
+8-stage feedback loop and the issue spacing it sets do not change
+either way.
+
+Every word is an integer-valued float64 (the LUT words and exp knots
 stay ints), and every op is an exact float op plus the range clip of
 ``fixedpoint`` (see its docstring for why that is exact).  The step
 keeps its multipliers E, x, the cell width, k1 and dtheta scaled by
@@ -46,30 +66,16 @@ from . import fixedpoint as fx
 from .grid import (FcmiParams, MIMap, OccupancyGrid, SensorConfig, SweepMemo,
                    cell_width, sweep)
 
-PWL_SEGMENTS = 16
-PWL_LO = -8.0
-PWL_LO_RAW = fx.encode(PWL_LO)            # -32768
-PWL_SEG_RAW = (-PWL_LO_RAW) // PWL_SEGMENTS  # 2048 raw units per segment
+EXP_FRAC_BITS = 20   # fraction bits of y = x*log2(e) and of the knots
+EXP_KNOT_BITS = 5    # 2^5 = 32 knot intervals of 2^-f over 0 <= f < 1
+EXP_MAX_N = 40       # past this integer part of y, e^-x is 0
+LOG2E_RAW = round(math.log2(math.e) * (1 << EXP_FRAC_BITS))  # 1512775
 
 
 class OccLutEntry(NamedTuple):
     lam: int
     neg_log_lam: int
     inv_lam: int
-
-
-@dataclass(frozen=True, eq=False)
-class PwlExpTable:
-    """16 uniform segments fitting exp(x) on [-8, 0].
-
-    ``m``/``c`` are the exact continuous least-squares coefficients,
-    ``m_raw``/``c_raw`` their Q20.12 roundings used by the datapath.
-    """
-
-    m: np.ndarray
-    c: np.ndarray
-    m_raw: np.ndarray
-    c_raw: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -101,58 +107,41 @@ def build_occ_lut() -> list[OccLutEntry]:
     return entries
 
 
-def build_pwl_exp() -> PwlExpTable:
-    """Continuous least-squares line fit of exp(x) per uniform segment.
+def build_exp_knots() -> np.ndarray:
+    """The 33 knots of 2^-f on 0 <= f <= 1, round(2^(-k/32) * 2^20) for
+    k = 0..32, as int64 words with 20 fraction bits."""
+    return np.array([round(2.0 ** (-k / (1 << EXP_KNOT_BITS)) * (1 << EXP_FRAC_BITS))
+                     for k in range((1 << EXP_KNOT_BITS) + 1)], dtype=np.int64)
 
-    Minimizing the integral of (exp(x) - m*x - c)^2 over [a, b] gives the
-    normal equations
 
-        m*I_xx + c*I_x = J_x      I_xx = (b^3 - a^3)/3   J_x = x exp x - exp x |
-        m*I_x  + c*L   = J        I_x  = (b^2 - a^2)/2   J   = exp b - exp a
+def exp_neg(x_raw: np.ndarray, knots: np.ndarray) -> np.ndarray:
+    """Datapath exponential e^-x of an array of words x >= 0, as 2^-(n+f).
 
-    solved in closed form with the exact antiderivatives of exp and x exp.
-
-    The raw words are quantization-aware: the slope is rounded first, then
-    the intercept is refit to the rounded slope (c + (m - m_q)*(a+b)/2,
-    the least-squares intercept given that slope) before its own rounding.
-    Rounding both independently would let the slope's half-ulp error be
-    amplified by |x| up to 8 at the left edge; the refit cancels all but
-    the residual tilt across one segment, keeping the evaluated error
-    within 2 ulp of the unrounded fit everywhere.
+    y = x*log2(e) is taken to 20 fraction bits and split into its integer
+    part n and fraction f.  The top 5 bits of f pick the knots around it,
+    and 2^-f interpolates linearly between them over the other 15 bits.
+    That 20-bit word shifts right by n + 8 to 12 fraction bits.  Each
+    shift rounds half up, and n > 40 gives 0.  Every result is within
+    1 ulp of e^-x, and at most ``ONE_RAW``; the result does not grow with
+    x.  The shifts need integers, so the words work in int64 here and
+    come back as float64 words.
     """
-    width = (0.0 - PWL_LO) / PWL_SEGMENTS
-    m = np.empty(PWL_SEGMENTS)
-    c = np.empty(PWL_SEGMENTS)
-    m_raw = np.empty(PWL_SEGMENTS, dtype=np.int64)
-    c_raw = np.empty(PWL_SEGMENTS, dtype=np.int64)
-    for k in range(PWL_SEGMENTS):
-        a = PWL_LO + k * width
-        b = a + width
-        ea, eb = math.exp(a), math.exp(b)
-        big_j = eb - ea
-        big_jx = (b - 1.0) * eb - (a - 1.0) * ea
-        i_xx = (b ** 3 - a ** 3) / 3.0
-        i_x = (b * b - a * a) / 2.0
-        det = i_xx * width - i_x * i_x
-        m[k] = (big_jx * width - big_j * i_x) / det
-        c[k] = (big_j * i_xx - big_jx * i_x) / det
-        m_raw[k] = fx.encode(m[k])
-        c_raw[k] = fx.encode(c[k] + (m[k] - m_raw[k] / fx.SCALE) * (a + b) / 2.0)
-    return PwlExpTable(m, c, m_raw, c_raw)
-
-
-def pwl_exp(x_raw: np.ndarray, table: PwlExpTable) -> np.ndarray:
-    """Datapath exponential of an array of words: clamp to [-8, 0], then
-    m*x + c of the covering segment with the saturating ops."""
-    xc = np.clip(x_raw, PWL_LO_RAW, 0)
-    k = np.minimum((xc - PWL_LO_RAW) // PWL_SEG_RAW, PWL_SEGMENTS - 1).astype(np.intp)
-    return fx.arr_add(fx.arr_mul(table.m_raw[k], xc), table.c_raw[k])
+    interp_bits = EXP_FRAC_BITS - EXP_KNOT_BITS
+    x = x_raw.astype(np.int64)
+    y = (x * LOG2E_RAW + (1 << (fx.FRAC_BITS - 1))) >> fx.FRAC_BITS
+    n, f = y >> EXP_FRAC_BITS, y & ((1 << EXP_FRAC_BITS) - 1)
+    k, r = f >> interp_bits, f & ((1 << interp_bits) - 1)
+    left = knots[k]
+    two_f = left - (((left - knots[k + 1]) * r + (1 << (interp_bits - 1))) >> interp_bits)
+    shift = np.minimum(n, EXP_MAX_N) + (EXP_FRAC_BITS - fx.FRAC_BITS)
+    e = (two_f + (1 << (shift - 1))) >> shift
+    return np.where(n > EXP_MAX_N, 0, e).astype(np.float64)
 
 
 @lru_cache(maxsize=1)
-def _tables() -> tuple[list[OccLutEntry], PwlExpTable]:
-    """The occupancy LUT and the exp table; no parameter changes them."""
-    return build_occ_lut(), build_pwl_exp()
+def _tables() -> tuple[list[OccLutEntry], np.ndarray]:
+    """The occupancy LUT and the exp knots; no parameter changes them."""
+    return build_occ_lut(), build_exp_knots()
 
 
 def _preprocess_rows(w_raws: np.ndarray, levels: list[int],
@@ -166,7 +155,7 @@ def _preprocess_rows(w_raws: np.ndarray, levels: list[int],
     array pass of the saturating ops; levels 0 and 100 take constant rows
     and pass through no op.
     """
-    lut, table = _tables()
+    lut, knots = _tables()
     rows = np.zeros((6, len(w_raws), 101))
     if 0 in levels:
         # E=1, x=0 and zero constants turn the update into the pass-through
@@ -184,7 +173,7 @@ def _preprocess_rows(w_raws: np.ndarray, levels: list[int],
     lam, neg_log_lam, inv_lam = np.array([lut[level] for level in mid]).T
     # (heading, level) arrays from here on
     x = fx.arr_mul(lam, w_raws[:, None])
-    e = pwl_exp(fx.arr_sub(0, x), table)
+    e = exp_neg(x, knots)
     g1 = fx.arr_sub(fx.ONE_RAW, e)
     g2 = fx.arr_sub(fx.ONE_RAW, fx.arr_mul(e, fx.arr_add(fx.ONE_RAW, x)))
     xx = fx.arr_mul(x, x)
@@ -310,9 +299,8 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
 
 
 def dump_tables() -> str:
-    """Golden-file text dump: LUT entries then PWL segments, raw words."""
-    lut, table = _tables()
+    """Golden-file text dump: LUT entries then exp knots, raw words."""
+    lut, knots = _tables()
     lines = [f"{i} {e.lam} {e.neg_log_lam} {e.inv_lam}" for i, e in enumerate(lut)]
-    lines += [f"{k} {int(table.m_raw[k])} {int(table.c_raw[k])}"
-              for k in range(PWL_SEGMENTS)]
+    lines += [f"{k} {knot}" for k, knot in enumerate(knots.tolist())]
     return "\n".join(lines) + "\n"

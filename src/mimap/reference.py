@@ -111,5 +111,8 @@ _LEVEL_ENTROPY = _level_entropy()
 
 
 def map_entropy(grid: OccupancyGrid) -> float:
-    """Total occupancy entropy of the grid in nats (0*log 0 taken as 0)."""
-    return float(_LEVEL_ENTROPY[grid.levels].sum())
+    """Total occupancy entropy of the grid in nats (0*log 0 taken as 0).
+
+    Summed over the level histogram, so grids holding the same cells in
+    any order give the same float, bit for bit."""
+    return float(np.bincount(grid.levels.reshape(-1), minlength=101) @ _LEVEL_ENTROPY)

@@ -7,9 +7,9 @@ log-odds map update as a per-cell fold over sets of observed cells,
 hop counts by a breadth-first queue, the accelerator's timing as a loop
 that visits every core on every cycle, beam MI as a from-scratch recursion
 per pose, the Q20.12 datapath as a scalar chain of word ops with its own
-rounding and saturation count, gammas by adaptive quadrature, table
-constants at 50-digit precision, and the piecewise exponential fit by
-numeric normal equations.
+rounding and saturation count and its exponential as 2^-(n+f) from
+knots of its own, gammas by adaptive quadrature, and table constants at
+50-digit precision.
 """
 
 import math
@@ -404,6 +404,18 @@ Q_RAW_MIN = -(1 << 31)
 Q_RAW_MAX = (1 << 31) - 1
 Q_ONE = Q_SCALE
 Q_TWO = 2 * Q_SCALE
+# the exponential's words: log2(e) and the knots 2^(-k/32), k = 0..32, all
+# with 20 fraction bits
+Q_EXP_ONE = 1 << 20
+Q_LOG2E = int(mpmath.nint(Q_EXP_ONE / mpmath.log(2)))
+Q_EXP_KNOTS = [int(mpmath.nint(Q_EXP_ONE * mpmath.power(2, -mpmath.mpf(k) / 32)))
+               for k in range(33)]
+
+
+def round_half_up(a: int, d: int) -> int:
+    """a / d rounded to the nearest integer, ties upward, for d > 0."""
+    q, r = divmod(a, d)
+    return q + (2 * r >= d)
 
 
 class QChain:
@@ -411,15 +423,12 @@ class QChain:
 
     Every op rounds to nearest with ties to even, then clamps to
     [Q_RAW_MIN, Q_RAW_MAX] and adds each clip to ``saturations``.  The
-    occupancy LUT words ``lut[level] = (lam, -log lam, 1/lam)`` and the
-    exponential's per-segment slope and intercept words come in as data;
-    the cap-derived constants are encoded here from ``lambda_cap``.
+    occupancy LUT words ``lut[level] = (lam, -log lam, 1/lam)`` come in as
+    data; the cap-derived constants are encoded here from ``lambda_cap``.
     """
 
-    def __init__(self, lut, m_raw, c_raw, lambda_cap: float = 1e7):
+    def __init__(self, lut, lambda_cap: float = 1e7):
         self.lut = [tuple(int(v) for v in entry) for entry in lut]
-        self.m_raw = [int(v) for v in m_raw]
-        self.c_raw = [int(v) for v in c_raw]
         self.saturations = 0
         ln_cap = math.log(lambda_cap)
         self.k1 = self.encode(1.0 - ln_cap)
@@ -452,14 +461,21 @@ class QChain:
             q += 1
         return self.clamp(q)
 
-    def exp(self, x: int) -> int:
-        """e^x of a word: clamp to [-8, 0], then m*x + c of the segment
-        that covers it, the segments splitting [-8, 0] evenly."""
-        lo = -8 * Q_SCALE
-        xc = min(max(x, lo), 0)
-        n = len(self.m_raw)
-        k = min((xc - lo) * n // -lo, n - 1)
-        return self.add(self.mul(self.m_raw[k], xc), self.c_raw[k])
+    def exp_neg(self, x: int) -> int:
+        """e^-x of a word x >= 0, as 2^-n * 2^-f with n + f = x*log2(e).
+
+        x*log2(e) is rounded to 20 fraction bits, n is its integer part
+        and f its fraction.  f lies between the knots k/32 and (k+1)/32;
+        2^-f is read off the line between their words, rounded to 20
+        fraction bits, and 2^-n scales it to a 12-bit word.  Both steps
+        round ties upward.  Past n = 40 the word is 0."""
+        n, f = divmod(round_half_up(x * Q_LOG2E, Q_SCALE), Q_EXP_ONE)
+        if n > 40:
+            return 0
+        k, r = divmod(f, Q_EXP_ONE // 32)
+        left, right = Q_EXP_KNOTS[k], Q_EXP_KNOTS[k + 1]
+        two_f = left - round_half_up((left - right) * r, Q_EXP_ONE // 32)
+        return round_half_up(two_f, Q_EXP_ONE // Q_SCALE * 2 ** n)
 
     def preprocess(self, level: int, w: int) -> tuple:
         """(E, x, C1, C2, C3, C4) of an occupancy level at cell width ``w``."""
@@ -470,7 +486,7 @@ class QChain:
             return self.occupied
         lam, neg_log_lam, inv_lam = self.lut[level]
         x = self.mul(lam, w)
-        e = self.exp(self.sub(0, x))
+        e = self.exp_neg(x)
         g1 = self.sub(Q_ONE, e)
         g2 = self.sub(Q_ONE, self.mul(e, self.add(Q_ONE, x)))
         poly = self.add(self.mul(x, x), self.add(self.add(x, x), Q_TWO))
@@ -529,23 +545,3 @@ def q_mi_map(levels: np.ndarray, ray_count: int, resolution: float,
             states[cell] = chain.step(prev, rows[int(levels[cell])], w)
             acc[cell] = chain.add(int(acc[cell]), chain.contribution(states[cell], dth))
     return acc
-
-
-# ------------------------------------------------------------ PWL fits
-
-def lsq_exp_segment(a: float, b: float) -> tuple[float, float]:
-    """Continuous least-squares line for exp on [a, b], by quadrature.
-
-    Solves the 2x2 normal equations with numerically integrated moments
-    rather than antiderivatives.
-    """
-    big_j, _ = integrate.quad(math.exp, a, b, epsabs=1e-14, epsrel=1e-14)
-    big_jx, _ = integrate.quad(lambda t: t * math.exp(t), a, b,
-                               epsabs=1e-14, epsrel=1e-14)
-    length = b - a
-    i_x = (b * b - a * a) / 2.0
-    i_xx = (b ** 3 - a ** 3) / 3.0
-    det = i_xx * length - i_x * i_x
-    m = (big_jx * length - big_j * i_x) / det
-    c = (big_j * i_xx - big_jx * i_x) / det
-    return m, c

@@ -1,8 +1,9 @@
-"""Fixed-point datapath: occupancy LUT, PWL exponential, step, map.
+"""Fixed-point datapath: occupancy LUT, exponential, step, map.
 
 The scalar Q20.12 chain in ``oracles`` is the bit-exact reference: it
-takes the package's LUT and exp words as data and checks the array
-preprocess, the sweep step and the map, words and saturation counts.
+takes the package's LUT words as data, builds its exponential from its
+own knots, and checks the exp, the array preprocess, the sweep step and
+the map, words and saturation counts.
 """
 
 import math
@@ -17,17 +18,14 @@ import oracles
 import mimap.datapath as datapath
 import mimap.fixedpoint as fx
 from mimap.datapath import (
-    PWL_LO_RAW,
-    PWL_SEG_RAW,
-    PWL_SEGMENTS,
     FxpConstants,
     _preprocess_rows,
     _sweep_step,
+    build_exp_knots,
     build_occ_lut,
-    build_pwl_exp,
     compute_mi_map_fxp,
     dump_tables,
-    pwl_exp,
+    exp_neg,
 )
 from mimap.grid import FcmiParams, OccupancyGrid, SensorConfig, SweepMemo, cell_width
 from mimap.reference import compute_mi_map
@@ -43,11 +41,14 @@ EXPLORE_LINE = (
 
 
 def chain() -> oracles.QChain:
-    """The scalar oracle chain on the package's LUT and exp words, at the
-    default cap."""
-    table = build_pwl_exp()
-    return oracles.QChain(build_occ_lut(), table.m_raw, table.c_raw,
-                          FcmiParams().lambda_cap)
+    """The scalar oracle chain on the package's LUT words, at the default
+    cap."""
+    return oracles.QChain(build_occ_lut(), FcmiParams().lambda_cap)
+
+
+def package_exp(xs) -> list[int]:
+    """The package's exp of the words ``xs``, as ints."""
+    return [int(e) for e in exp_neg(np.array(xs, dtype=np.float64), build_exp_knots())]
 
 
 def package_steps(prev, levels, w_raw: int, dth_raw: int = 0) -> list:
@@ -96,92 +97,51 @@ def test_lut_faithful_to_half_ulp():
             assert abs(raw - exact * fx.SCALE) <= 0.5 + 1e-12
 
 
-# ---------------------------------------------------------------- pwl table
+# ---------------------------------------------------------------- exponential
 
 
-def test_pwl_table_shape():
-    table = build_pwl_exp()
-    assert len(table.m) == PWL_SEGMENTS == 16
-    assert PWL_LO_RAW == -32768
+def test_exp_knots_match_extended_precision_oracle():
+    knots = build_exp_knots()
+    assert knots.dtype == np.int64
+    assert knots.tolist() == oracles.Q_EXP_KNOTS
+    assert knots[0] == 2 ** 20 and knots[32] == 2 ** 19
 
 
-def test_pwl_last_segment_matches_continuous_lsq():
-    table = build_pwl_exp()
-    m, c = oracles.lsq_exp_segment(-0.5, 0.0)
-    assert table.m[15] == pytest.approx(m, rel=1e-10)
-    assert table.c[15] == pytest.approx(c, rel=1e-10)
-    # discrete least squares converges on the same line
-    xs = np.linspace(-0.5, 0.0, 100_000)
-    dm, dc = np.polyfit(xs, np.exp(xs), 1)
-    assert table.m[15] == pytest.approx(dm, abs=1e-6)
-    assert table.c[15] == pytest.approx(dc, abs=1e-6)
+def test_exp_within_one_ulp_on_every_word():
+    # every word x of [-8, 0] against the word nearest to e^x
+    xs = np.arange(8 * fx.SCALE + 1)
+    want = np.rint(np.exp(-xs / fx.SCALE) * fx.SCALE)
+    got = np.array(package_exp(xs))
+    assert len(xs) == 32_769
+    assert np.abs(got - want).max() <= 1
+    assert got[0] == fx.ONE_RAW
+    assert np.all(np.diff(got) <= 0)
 
 
-def test_pwl_all_segments_match_quadrature_oracle():
-    table = build_pwl_exp()
-    for k in range(PWL_SEGMENTS):
-        a = -8.0 + 0.5 * k
-        m, c = oracles.lsq_exp_segment(a, a + 0.5)
-        assert table.m[k] == pytest.approx(m, rel=1e-9)
-        assert table.c[k] == pytest.approx(c, rel=1e-9)
-        assert table.m_raw[k] == fx.encode(m)
-        # intercept word is refit to the rounded slope before rounding
-        refit = c + (m - table.m_raw[k] / fx.SCALE) * (a + a + 0.5) / 2.0
-        assert table.c_raw[k] == fx.encode(refit)
+def test_exp_point_examples():
+    # e^-1 = 0.36788 and e^-ln 2 = 0.5: x = round(4096 ln 2) = 2839
+    assert package_exp([0, fx.ONE_RAW, 2839]) == [fx.ONE_RAW, 1507, 2048]
 
 
-def test_pwl_relative_error_pre_rounding():
-    table = build_pwl_exp()
-    xs = np.linspace(-8.0, 0.0, 10_000)
-    seg = np.minimum(((xs + 8.0) * 2.0).astype(int), 15)
-    fit = table.m[seg] * xs + table.c[seg]
-    rel = np.abs(fit - np.exp(xs)) / np.exp(xs)
-    assert rel.max() <= 0.03
+def test_exp_is_zero_past_the_shifter():
+    # n = floor(x log2 e) passes 40 at the word x = 116 405 (41 ln 2 is
+    # 116 404.6 words); e^-x is 0 well before, and past it the largest
+    # words stay 0 without shifting by more than 48
+    xs = [116_404, 116_405, 10 ** 9, fx.RAW_MAX]
+    assert package_exp(xs) == [0, 0, 0, 0]
+    assert np.all(np.diff(package_exp(np.arange(0, fx.RAW_MAX, 65_537))) <= 0)
 
 
-def test_pwl_error_post_rounding():
-    table = build_pwl_exp()
-    ulp = 1.0 / fx.SCALE
-    raws = np.linspace(PWL_LO_RAW, 0, 10_000).astype(np.int64)
-    got = pwl_exp(raws, table) * ulp
-    want = np.exp(raws * ulp)
-    assert np.all(np.abs(got - want) <= 0.03 * want + 2 * ulp)
-
-
-def test_pwl_point_examples():
-    table = build_pwl_exp()
-    ulp = 1.0 / fx.SCALE
-    at = lambda x: int(pwl_exp(np.array([fx.encode(x)]), table)[0]) * ulp
-    assert abs(at(0.0) - 1.0) <= 0.03
-    assert abs(at(-1.0) - 0.367879) <= 0.03 * 0.367879
-    e8 = math.exp(-8.0)
-    assert abs(at(-8.0) - e8) <= max(0.03 * e8, 2 * ulp)
-
-
-def test_pwl_quarter_is_exact_segment_arithmetic():
-    table = build_pwl_exp()
+def test_exp_matches_scalar_chain_on_every_word():
+    # every word of [0, 10], the words around n = 40, and the largest
+    # words, against the oracle's exp from its own knots
     q = chain()
-    x = fx.encode(-0.25)
-    assert (x - PWL_LO_RAW) // PWL_SEG_RAW == 15
-    want = q.add(q.mul(int(table.m_raw[15]), x), int(table.c_raw[15]))
-    assert pwl_exp(np.array([x]), table).tolist() == [want]
-
-
-def test_pwl_clamps_out_of_domain():
-    table = build_pwl_exp()
-    got = pwl_exp(np.array([fx.encode(-12.0), PWL_LO_RAW, fx.encode(3.0), 0]), table)
-    assert got[0] == got[1] and got[2] == got[3]
-
-
-def test_pwl_exp_matches_scalar_chain_on_every_word():
-    # every word of [-8, 0], and 2 of input range past each end
-    table = build_pwl_exp()
-    q = chain()
-    raws = np.arange(PWL_LO_RAW - 2 * fx.SCALE, 2 * fx.SCALE + 1, dtype=np.int64)
+    xs = (list(range(10 * fx.SCALE + 1)) + list(range(116_000, 117_000))
+          + [2 ** 30, fx.RAW_MAX - 1, fx.RAW_MAX])
     sat0 = fx.saturation_count()
-    got = pwl_exp(raws, table)
+    got = package_exp(xs)
     assert fx.saturation_count() == sat0
-    assert got.tolist() == [q.exp(x) for x in raws.tolist()]
+    assert got == [q.exp_neg(x) for x in xs]
     assert q.saturations == 0
 
 
@@ -239,9 +199,8 @@ def test_step_fxp_half_occupied_beta0():
     q = chain()
     (state, _), = package_steps((0, 0, 0, 0), [50], fx.encode(1.0))
     # x = lam*w = round(4096 ln 2) at w = 1
-    assert state[3] == q.sub(fx.ONE_RAW, q.exp(-2839))
-    assert state[3] == fx.ONE_RAW - int(pwl_exp(np.array([-2839]), build_pwl_exp())[0])
-    assert abs(state[3] / fx.SCALE - 0.5) <= 0.03 * 0.5
+    assert state[3] == q.sub(fx.ONE_RAW, q.exp_neg(2839))
+    assert state[3] == fx.ONE_RAW - package_exp([2839])[0] == 2048
 
 
 def test_step_fxp_chain_tracks_float_reference():

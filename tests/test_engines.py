@@ -74,3 +74,15 @@ def test_block_size_leaves_outputs_unchanged(monkeypatch, shape, rays, resolutio
                      fxp.raw.tobytes(), fxp.saturations))
     assert runs[0] == runs[1] == runs[2]
     assert (runs[0][2] > 0) == (resolution == 1e9)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("resolution", [0.1, 1.0])
+def test_fxp_map_within_accuracy_bound_on_full_range_maps(seed, resolution):
+    # every level 0..100 in random places, at 60 rays: the normalized
+    # fixed-point map stays within 0.05 of the float map
+    grid = random_grid(seed, (40, 40), resolution)
+    ref = compute_mi_map(grid, SensorConfig()).normalized()
+    fxp = compute_mi_map_fxp(grid, SensorConfig())
+    assert fxp.saturations == 0
+    assert np.abs(fxp.normalized() - ref).max() < 0.05

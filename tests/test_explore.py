@@ -39,6 +39,7 @@ from mimap.explore import (
 )
 from mimap.grid import CellCoord, MIMap, OccupancyGrid, SensorConfig
 from mimap.gridio import read_grid
+from mimap.reference import compute_mi_map
 
 GOLDEN_TRIALS = Path(__file__).parent / "goldens" / "trial_digests.txt"
 
@@ -501,6 +502,49 @@ def test_trial_csvs_match_golden(data_dir):
     # pins every byte of the logs: one scan, update or planning step that
     # moves the robot or a level shows here
     assert golden_trial_digests(data_dir) == GOLDEN_TRIALS.read_text()
+
+
+@pytest.fixture(scope="module")
+def replans(data_dir):
+    """Every replan of the scene_a, seed 3, fpga trial at 60 rays: the
+    fixed-point map the planner read, the float map of the same basis
+    grid, and the goals ``gbl_select`` picks on each."""
+    engine, select = explore.compute_mi_map_fxp, explore.gbl_select
+    basis, out = [], []
+
+    def recorded_engine(grid, *args, **kwargs):
+        basis.append(grid)
+        return engine(grid, *args, **kwargs)
+
+    def recorded_select(mi_map, grid, robot):
+        ref = compute_mi_map(basis[-1], SensorConfig())
+        out.append((mi_map, ref, select(mi_map, grid, robot), select(ref, grid, robot)))
+        return out[-1][2]
+
+    env = Environment.from_grid(read_grid(data_dir / "scene_a.grid"))
+    explore.compute_mi_map_fxp, explore.gbl_select = recorded_engine, recorded_select
+    try:
+        run_trial(env, SensorConfig(), seed=3)
+    finally:
+        explore.compute_mi_map_fxp, explore.gbl_select = engine, select
+    return out
+
+
+def test_trial_planner_picks_the_float_engines_goals(replans):
+    # the planner's goal on the fixed-point map is the one the float map
+    # of the same basis gives, at every replan
+    assert [fxp_goal for _, _, fxp_goal, _ in replans] == [
+        ref_goal for _, _, _, ref_goal in replans]
+    assert len(replans) == 23
+
+
+def test_trial_planner_maps_within_accuracy_bound(replans):
+    # planner maps hold the clamp levels 1 and 99, not 0 and 100, so their
+    # free cells run the exp near x = 0; at the middle and the last replan
+    # the normalized fixed-point map stays within 0.05 of the float one
+    for mi_map, ref, _, _ in (replans[len(replans) // 2], replans[-1]):
+        assert mi_map.saturations == 0
+        assert np.abs(mi_map.normalized() - ref.normalized()).max() < 0.05
 
 
 def test_trial_log_invariants():

@@ -163,7 +163,7 @@ def test_array_ops_match_scalar_ops(pairs):
     # the oracle's scalar ops, the bit-exact reference of the map tests,
     # give the array ops' words and clip counts
     a, b = (words(*side) for side in zip(*pairs))
-    q = oracles.QChain([], [], [])
+    q = oracles.QChain([])
     for op, scalar in ((fx.arr_add, q.add), (fx.arr_sub, q.sub), (fx.arr_mul, q.mul)):
         sat0, scalar_sat0 = fx.saturation_count(), q.saturations
         assert op(a, b).tolist() == [scalar(x, y) for x, y in pairs]
@@ -176,7 +176,7 @@ def test_array_mul_ties_and_extremes_match_scalar():
     pairs = [(1, HALF_ULP), (-1, HALF_ULP), (3, HALF_ULP),
              (-3, HALF_ULP), (fx.RAW_MIN, HALF_ULP), (fx.RAW_MAX, fx.RAW_MAX)]
     want = [0, 0, 2, -2, fx.RAW_MIN // 2, fx.RAW_MAX]
-    q = oracles.QChain([], [], [])
+    q = oracles.QChain([])
     assert [q.mul(a, b) for a, b in pairs] == want
     assert q.saturations == 1
     a, b = (words(*side) for side in zip(*pairs))
@@ -245,7 +245,7 @@ def oracle_step(state, rows, w, k1, dth):
     """The sweep step by the oracle's scalar chain, lane by lane, on
     unscaled words: the new state, the contributions and the chain's
     clip count."""
-    q = oracles.QChain([], [], [])
+    q = oracles.QChain([])
     q.k1 = k1
     ints = lambda col: tuple(int(v) for v in col)
     new = [q.step(ints(s), ints(row), int(wj))

@@ -267,3 +267,18 @@ def test_map_entropy_values():
     assert map_entropy(known) == 0.0
     one = OccupancyGrid(np.array([[25]], dtype=np.uint8))
     assert map_entropy(one) == pytest.approx(0.562335, abs=1e-6)
+
+
+def test_map_entropy_ignores_cell_order():
+    # the same cells in any order give the same float, bit for bit, and
+    # that float is the per-cell sum
+    rng = np.random.default_rng(11)
+    levels = rng.integers(0, 101, (57, 57), dtype=np.uint8)
+    h = map_entropy(OccupancyGrid(levels))
+    o = levels.reshape(-1) / 100.0
+    inner = o[(o > 0) & (o < 1)]
+    assert h == pytest.approx(math.fsum(-inner * np.log(inner) - (1 - inner) * np.log1p(-inner)),
+                              rel=1e-13)
+    for _ in range(20):
+        shuffled = rng.permutation(levels.reshape(-1)).reshape(levels.shape)
+        assert map_entropy(OccupancyGrid(shuffled)) == h
