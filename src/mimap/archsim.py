@@ -68,6 +68,7 @@ import numpy as np
 
 from .datapath import compute_mi_map_fxp
 from .grid import CellCoord, FcmiParams, MIMap, OccupancyGrid, SensorConfig, line_family
+from .gridio import read_lines
 
 CONTEXTS_PER_SLOT = 2  # live ray contexts per pipeline slot
 MI_QUEUE_DEPTH = 64    # per-bank accumulate FIFO entries
@@ -215,9 +216,11 @@ def _flat_schedule(bounds: tuple[int, int], sensor: SensorConfig, config: ArchCo
     return banks, line_starts, [units[i::n] for i in range(n)]
 
 
-def _sim_kernel(banks, line_starts, queues, hw, n_banks, window, gap, chain_pen):
+def _sim_kernel(banks, line_starts, queues, hw, n_banks, window):
     """Cycle loop over the awake cores until every dealt unit has issued
     its last cell.  Schedule position p is of heading p // ``hw`` (H*W).
+    A core holds ``window`` ray contexts; with one, a unit that chains on
+    into its next line waits out a second ``FEEDBACK_DEPTH``.
 
     A core that can only wait leaves the loop: it sleeps in a wake ring
     until its one live context is ready, or leaves for good once drained,
@@ -234,6 +237,8 @@ def _sim_kernel(banks, line_starts, queues, hw, n_banks, window, gap, chain_pen)
     schedule.
     """
     n_cores = len(queues)
+    gap = FEEDBACK_DEPTH
+    chain_pen = FEEDBACK_DEPTH if window == 1 else 0
     slots = range(window)
     orders = [[(r + d) % window for d in slots] for r in slots]
     pos = [[-1] * window for _ in queues]    # next cell of a context; -1 free
@@ -385,12 +390,10 @@ def simulate(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
     height, width = grid.shape
     if max(height, width) > MAX_MAP:
         raise ValueError(f"grid {height}x{width} exceeds capacity {MAX_MAP}")
-    n = config.n_cores
-    window, chain_pen = ((CONTEXTS_PER_SLOT * FEEDBACK_DEPTH, 0) if config.interleaving
-                         else (1, FEEDBACK_DEPTH))
+    window = CONTEXTS_PER_SLOT * FEEDBACK_DEPTH if config.interleaving else 1
     last_issue, backlog, busy, per_bank, stalls = _sim_kernel(
         *_flat_schedule((height, width), sensor, config), height * width,
-        config.eff_banks, window, FEEDBACK_DEPTH, chain_pen)
+        config.eff_banks, window)
     total_cycles = last_issue + PIPELINE_STAGES + 1 + backlog
     latency_s = total_cycles / CLOCK_HZ
     per_core_stalls = [tuple(row) for row in stalls]
@@ -401,7 +404,7 @@ def simulate(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
     report = SimReport(
         total_cycles=total_cycles,
         latency_s=latency_s,
-        lower_bound_s=lower_bound_latency((height, width), sensor.ray_count, n),
+        lower_bound_s=lower_bound_latency(grid.shape, sensor.ray_count, config.n_cores),
         stall_cycles=stall_cycles,
         per_core_busy=[b / total_cycles for b in busy],
         per_core_stalls=per_core_stalls,
@@ -447,32 +450,31 @@ def parse_config(path) -> ArchConfig:
     is checked as it is read, so a bad value is reported at its line."""
     scalars: dict = {}
     config = ArchConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw_line in enumerate(fh, start=1):
-            line = raw_line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            try:
-                if key == "cores":
-                    scalars["n_cores"] = int(val)
-                elif key == "banks":
-                    scalars["n_banks"] = int(val)
-                elif key.startswith("features."):
-                    flag = key.split(".", 1)[1]
-                    if flag not in ("interleaving", "wrapping"):
-                        raise ValueError(f"unknown feature {flag!r}")
-                    low = val.lower()
-                    if low not in _TRUE | _FALSE:
-                        raise ValueError(f"not a boolean: {val!r}")
-                    scalars[flag] = low in _TRUE
-                else:
-                    raise ValueError(f"unknown key {key!r}")
-                # the values before this line passed, so a failure is its own
-                config = ArchConfig(**scalars)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
+    for line_no, raw_line in enumerate(read_lines(path), start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{line_no}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        try:
+            if key == "cores":
+                scalars["n_cores"] = int(val)
+            elif key == "banks":
+                scalars["n_banks"] = int(val)
+            elif key.startswith("features."):
+                flag = key.split(".", 1)[1]
+                if flag not in ("interleaving", "wrapping"):
+                    raise ValueError(f"unknown feature {flag!r}")
+                low = val.lower()
+                if low not in _TRUE | _FALSE:
+                    raise ValueError(f"not a boolean: {val!r}")
+                scalars[flag] = low in _TRUE
+            else:
+                raise ValueError(f"unknown key {key!r}")
+            # the values before this line passed, so a failure is its own
+            config = ArchConfig(**scalars)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
     return config

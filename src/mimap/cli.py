@@ -1,8 +1,8 @@
 """Command-line front end: one subcommand per pipeline stage.
 
 Exit codes: 0 success, 1 failed value assertion (``compare --assert-max``),
-2 usage, parse, or I/O errors.  Every subcommand writes byte-stable output
-for fixed inputs and seed.
+2 usage, parse, I/O or allocation errors.  Every subcommand writes
+byte-stable output for fixed inputs and seed.
 """
 
 import argparse
@@ -50,7 +50,7 @@ def _cmd_mi(args) -> int:
     if mi.saturations:
         print(f"warning: {mi.saturations} saturations", file=sys.stderr)
     values = mi.normalized() if args.normalize else mi.values
-    write_mi_map(MIMap(values, mi.resolution), args.out)
+    write_mi_map(MIMap(values), args.out)
     if args.pgm:
         write_pgm(values, args.pgm)
     return EXIT_OK
@@ -185,6 +185,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # numpy's message names the size it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

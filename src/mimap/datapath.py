@@ -23,20 +23,14 @@ to 20 fraction bits splits into its integer part n and fraction f, 2^-f
 interpolates linearly between two of 33 knots 2^(-k/32), and a shift
 right by n + 8 makes the word.  It is within 1 ulp of e^-x on every
 word, which matters near x = 0: there 1/lam, up to 100, multiplies each
-ulp of g2 = 1 - E(1+x).  Against a 16-segment line fit (a slope and an
-intercept word a segment), it costs one more multiply (x*log2(e); the
-interpolation's multiply takes the place of the fit's m*x), a shifter,
-and 33 table words against 32.  ``archsim.PIPELINE_STAGES`` (19) still
-holds.  Take a preprocess stage to be one multiply, table read or
-shift, with the adds next to it.  From the LUT read to C1, preprocess
-then takes 9 stages with this exp (LUT; lam*w; x*log2(e); the two knot
+ulp of g2 = 1 - E(1+x).  Take a preprocess stage to be one multiply,
+table read or shift, with the adds next to it.  From the LUT read to
+C1, preprocess then takes 9 stages (LUT; lam*w; x*log2(e); the two knot
 reads and their difference; the interpolating multiply; the subtract
-from the knot and the shift; E*(1+x); g2*(-log lam); 1/lam*(...))
-against 8 with the fitted one (LUT; lam*w; negate, clamp and segment
-index; table read; m*x + c; then the same three), within the 10 the
-cycle model gives it.  Preprocess reads no recursion state, so the
-8-stage feedback loop and the issue spacing it sets do not change
-either way.
+from the knot and the shift; E*(1+x); g2*(-log lam); 1/lam*(...)),
+within the 10 that ``archsim.PIPELINE_STAGES`` (19) gives it.
+Preprocess reads no recursion state, so it does not touch the 8-stage
+feedback loop or the spacing that loop sets between a ray's cells.
 
 Every word is an integer-valued float64 (the LUT words and exp knots
 stay ints), and every op is an exact float op plus the range clip of
@@ -216,9 +210,10 @@ def _sweep_step(rows: np.ndarray, w_raws: np.ndarray, k1: int, dth_raw: int):
     """The ``sweep`` table and step of the Q20.12 engine.
 
     ``rows`` are the preprocess rows of ``_preprocess_rows`` and
-    ``w_raws`` the headings' cell-width words.  ``rows`` becomes the
-    table: its maxima are read, then its multiplier rows E and x are
-    scaled by 2^-12 in place.
+    ``w_raws`` the headings' cell-width words.  The table is a new array
+    with the multiplier rows E, x and the cell width w of each column's
+    heading, all scaled by 2^-12, then the rows C1..C4; ``rows`` is only
+    read.
 
     Each step runs one op chain on the stacked (a1, b1, a0, b0) state in
     place: ``(a1, a0) += x*(b1, b0)``, then ``(a1, b1) += w*(a0, b0)``,
@@ -233,22 +228,22 @@ def _sweep_step(rows: np.ndarray, w_raws: np.ndarray, k1: int, dth_raw: int):
     maxima = (int(np.abs(rows[1]).max()), int(np.abs(w_raws).max()),
               int(np.abs(rows[0]).max()), int(np.abs(rows[2:]).max()),
               abs(k1), abs(dth_raw))
-    rows[:2] *= fx.ULP
-    w_scaled = w_raws * fx.ULP
+    w_row = np.repeat(w_raws, rows.shape[1] // len(w_raws))
+    table = np.concatenate([rows[:2] * fx.ULP, w_row[None] * fx.ULP, rows[2:]])
     k1_scaled = k1 * fx.ULP
     dth_scaled = dth_raw * fx.ULP
 
-    def step(s, row, headings):
+    def step(s, row):
         m = int(max(s.max(), -s.min()))
         in_range = _step_bound(m, *maxima) <= fx.RAW_MAX
         add, sub, mul = _EXACT_OPS if in_range else _SATURATING_OPS
-        e, x, c, w = row[0], row[1], row[2:], w_scaled.take(headings)
+        e, x, w, c = row[0], row[1], row[2], row[3:]
         s[0::2] = add(s[0::2], mul(x, s[1::2]))
         s[:2] = add(s[:2], mul(w, s[2:]))
         s[:] = add(mul(e, s), c)
         return mul(sub(s[0], mul(k1_scaled, s[1])), dth_scaled)
 
-    return rows, step
+    return table, step
 
 
 def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
@@ -257,7 +252,8 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
     """Map-wide MI on the fixed-point datapath; accumulator also Q20.12.
 
     Runs ``grid.sweep`` with the step of ``_sweep_step``: each lane takes
-    its heading's preprocess rows and cell width, and every element passes
+    the table column of its heading and cell level, which holds the
+    preprocess words and the heading's cell width, and every element passes
     through the op sequence of the scalar Q20.12 chain, with the clip
     skipped where a bound shows no op can saturate.  The sweep folds with
     the saturating add in heading order, so every cell saturates exactly
@@ -294,8 +290,7 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
     if memo is not None and saturations:
         memo.bufs = []
     raw = mi_flat.reshape(grid.shape).astype(np.int32)
-    return MIMap(raw.astype(np.float64) / fx.SCALE, grid.resolution, raw=raw,
-                 saturations=saturations)
+    return MIMap(raw.astype(np.float64) / fx.SCALE, raw=raw, saturations=saturations)
 
 
 def dump_tables() -> str:

@@ -75,7 +75,6 @@ class Environment:
 class PlatformProfile:
     """Latency and energy of one full-map MI compute on a platform."""
 
-    name: str
     mi_latency_s: float
     mi_energy_j: float
 
@@ -93,15 +92,9 @@ class PlatformProfile:
 # logs do not move with the model.  The 100 ms profile stands in for a
 # desktop-GPU baseline at the measured speed and energy ratios relative to it.
 PLATFORMS = {
-    "fpga": PlatformProfile("fpga", 1.55e-3, 1.7e-3),
-    "gpu": PlatformProfile("gpu", 0.100, 4.5),
+    "fpga": PlatformProfile(1.55e-3, 1.7e-3),
+    "gpu": PlatformProfile(0.100, 4.5),
 }
-
-
-@dataclass
-class RobotState:
-    position: CellCoord
-    trajectory_m: float = 0.0
 
 
 class TrialRow(NamedTuple):
@@ -115,8 +108,6 @@ class TrialRow(NamedTuple):
 
 @dataclass
 class TrialLog:
-    platform: str
-    seed: int
     rows: list[TrialRow] = field(default_factory=list)
     complete: bool = False
 
@@ -143,7 +134,6 @@ class TrialLog:
 class ScanRay(NamedTuple):
     """One beam of a scan; cells are flat indices ``row*W + col``."""
 
-    ray: int
     traversed: np.ndarray   # int32 ground-truth-free cells, pose first
     hit: int | None         # first occupied cell, None = max range
 
@@ -209,14 +199,14 @@ def simulate_scan(env: Environment, pose: CellCoord,
     if env.occupied[r, c]:
         raise ValueError(f"pose {pose} is on an occupied ground-truth cell")
     rays = []
-    for k, (fam, position, table) in enumerate(_scan_tables(env, sensor)):
+    for fam, position, table in _scan_tables(env, sensor):
         p = position.item(r * width + c)
         end = table.item(p)
         if end >= 0:
-            rays.append(ScanRay(k, fam.cells[end + 1:p + 1][::-1].copy(),
+            rays.append(ScanRay(fam.cells[end + 1:p + 1][::-1].copy(),
                                 fam.cells.item(end)))
         else:
-            rays.append(ScanRay(k, fam.cells[-1 - end:p + 1][::-1].copy(), None))
+            rays.append(ScanRay(fam.cells[-1 - end:p + 1][::-1].copy(), None))
     return rays
 
 
@@ -318,14 +308,15 @@ def frontier_cells(levels: np.ndarray) -> np.ndarray:
 
 
 def gbl_select(mi_map: MIMap, grid: OccupancyGrid,
-               robot: RobotState) -> CellCoord | None:
-    """Reachable frontier cell maximizing MI discounted by path length.
+               position: CellCoord) -> CellCoord | None:
+    """Reachable frontier cell from ``position`` maximizing MI discounted
+    by path length.
 
     Ties fall to the nearer candidate, then to row-major order.  Returns
     None when no reachable frontier remains (exploration complete).
     """
     levels = grid.levels
-    dist = _bfs_distances(levels, robot.position)
+    dist = _bfs_distances(levels, position)
     cand = frontier_cells(levels) & (dist >= 0)
     if not cand.any():
         return None
@@ -409,16 +400,21 @@ def run_trial(env: Environment, sensor: SensorConfig = SensorConfig(),
     """
     if not 0 < scan_rate_hz < math.inf:
         raise ValueError(f"scan_rate_hz must be positive and finite, got {scan_rate_hz}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     rng = np.random.default_rng(seed)
     free_rows, free_cols = np.nonzero(~env.occupied)
     if free_rows.size == 0:
         raise ValueError("scene has no free cell to start from")
     pick = int(rng.integers(free_rows.size))
-    robot = RobotState(CellCoord(int(free_rows[pick]), int(free_cols[pick])))
+    position = CellCoord(int(free_rows[pick]), int(free_cols[pick]))
+    moves = 0
     grid = OccupancyGrid.uniform(env.shape, 50, env.resolution)
     period = 1.0 / scan_rate_hz
 
-    log = TrialLog(platform.name, seed)
+    log = TrialLog()
     in_flight: _MICompute | None = None
     latest: _MICompute | None = None
     latest_map: MIMap | None = None
@@ -440,7 +436,7 @@ def run_trial(env: Environment, sensor: SensorConfig = SensorConfig(),
             else:
                 in_flight = None
 
-        scan = simulate_scan(env, robot.position, sensor)
+        scan = simulate_scan(env, position, sensor)
         grid = update_occupancy(grid, scan)
         step += 1
         if in_flight is None:
@@ -453,20 +449,19 @@ def run_trial(env: Environment, sensor: SensorConfig = SensorConfig(),
                 latest_map = compute_mi_map_fxp(
                     OccupancyGrid(latest.basis, env.resolution), sensor, params,
                     memo=memo)
-            goal = gbl_select(latest_map, grid, robot)
+            goal = gbl_select(latest_map, grid, position)
             done = goal is None
         if goal is not None:
-            nxt = _step_toward(grid.levels, robot.position, goal, last_search)
+            nxt = _step_toward(grid.levels, position, goal, last_search)
             if nxt is None:
                 goal = None          # blocked: replan next cycle
             else:
-                robot.position = nxt
-                robot.trajectory_m += env.resolution
-                if robot.position == goal:
+                position = nxt
+                moves += 1
+                if position == goal:
                     goal = None
-        log.rows.append(TrialRow(
-            step, now, int(round(robot.trajectory_m / env.resolution)),
-            map_entropy(grid), computes, computes * platform.mi_energy_j))
+        log.rows.append(TrialRow(step, now, moves, map_entropy(grid), computes,
+                                 computes * platform.mi_energy_j))
         if done:
             log.complete = True
             break

@@ -52,10 +52,6 @@ def encode(x):
     return words if words.ndim else int(words)
 
 
-def decode(raw: int) -> float:
-    return raw / SCALE
-
-
 def arr_clip(q: np.ndarray) -> np.ndarray:
     """``q`` clamped to the word range, each clipped element counted."""
     global _sat_events

@@ -124,7 +124,6 @@ class MIMap:
     """
 
     values: np.ndarray
-    resolution: float = 1.0
     raw: np.ndarray | None = None
     saturations: int = 0
 
@@ -232,8 +231,8 @@ class LaneBlock(NamedTuple):
     """Consecutive headings laid out as one set of lanes for the engines.
 
     ``cells`` concatenates the ``line_family`` cells of the block's
-    ``n_headings`` headings from heading ``first`` on, in heading order,
-    H*W of them per heading.  Every line of those families is a lane:
+    headings from heading ``first`` on, in heading order, H*W of them per
+    heading.  Every line of those families is a lane:
     lane j reads ``cells[lane_start[j] + t]`` at sweep steps
     t < ``lane_len[j]``, and its heading is ``first + lane_start[j] //
     (H*W)``.  Lanes run longest first, so the lanes still active at step
@@ -241,7 +240,6 @@ class LaneBlock(NamedTuple):
     """
 
     first: int
-    n_headings: int
     cells: np.ndarray
     lane_start: np.ndarray
     lane_len: np.ndarray
@@ -265,7 +263,7 @@ def _lane_block(angles, first: int, bounds: tuple[int, int]) -> LaneBlock:
     starts = np.concatenate([f.seg_start[:-1] + k * n_cells
                              for k, f in enumerate(fams)])
     order = np.argsort(-lengths, kind="stable")
-    return LaneBlock(first, len(fams), np.concatenate([f.cells for f in fams]),
+    return LaneBlock(first, np.concatenate([f.cells for f in fams]),
                      starts[order], lengths[order])
 
 
@@ -284,9 +282,9 @@ def _lane_table(block: LaneBlock, n_cells: int) -> np.ndarray:
     by_start = np.argsort(block.lane_start)
     lane_at = np.repeat(by_start.astype(np.min_scalar_type(len(by_start) - 1)),
                         block.lane_len[by_start])
-    cells = block.cells.reshape(block.n_headings, n_cells)
+    cells = block.cells.reshape(-1, n_cells)
     table = np.empty(cells.shape, dtype=lane_at.dtype)
-    table[np.arange(block.n_headings)[:, None], cells] = lane_at.reshape(cells.shape)
+    table[np.arange(len(cells))[:, None], cells] = lane_at.reshape(cells.shape)
     return table
 
 
@@ -331,8 +329,8 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
     step loop, much as the hardware interleaves independent rays through
     one pipeline.  At step t the ``na`` lanes still active gather the
     ``table`` column of their next cell (key ``heading*101 + level``), and
-    ``step(state, cols, headings)`` updates their ``(4, na)`` state in place
-    and returns their contributions.  The contribution of the block's k-th
+    ``step(state, cols)`` updates their ``(4, na)`` state in place and
+    returns their contributions.  The contribution of the block's k-th
     heading to cell c waits in slot k*H*W + c of a ``buf_dtype`` buffer,
     addressed by cell as the hardware's MI banks are, until the block is
     done; then ``add(acc, part)`` folds the buffer's rows into the flat
@@ -387,19 +385,18 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
     for block in blocks:
         start, lane_len = block.lane_start, block.lane_len
         if kept is None:
-            buf = np.empty(block.n_headings * n_cells, dtype=buf_dtype)
+            buf = np.empty(len(block.cells), dtype=buf_dtype)
         else:
             buf = kept[len(bufs)]
             hit = _touched_lanes(lane_of[len(bufs)], len(start), changed)
             start, lane_len = start[hit], lane_len[hit]
         base = start - start % n_cells
-        heading = block.first + start // n_cells
-        lane_key = 101 * heading
+        lane_key = 101 * (block.first + start // n_cells)
         state = np.zeros((4, len(start)), dtype=table.dtype)
         for t, na in enumerate(_active(lane_len).tolist()):
             cells = block.cells[start[:na] + t]
             cols = table.take(lane_key[:na] + levels_flat[cells], axis=1)
-            buf[base[:na] + cells] = step(state[:, :na], cols, heading[:na])
+            buf[base[:na] + cells] = step(state[:, :na], cols)
         for part in buf.reshape(-1, n_cells):
             acc = add(acc, part)
         if memo is not None:

@@ -22,6 +22,17 @@ def _fail(path, line_no, msg):
     raise GridFormatError(f"{path}:{line_no}: {msg}")
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file.  A byte sequence that is not UTF-8
+    fails with the file and the line it is on."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        _fail(path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text")
+
+
 def _read_rows(path, what: str, form: str, parse_row, dtype, check_header=None):
     """The H x W ``dtype`` array of a grid or map file, and its header
     fields after H and W, read as floats.
@@ -33,8 +44,7 @@ def _read_rows(path, what: str, form: str, parse_row, dtype, check_header=None):
     fields)`` turns into the row's values.  Only blank lines may follow
     the H rows.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines:
         _fail(path, 1, f"empty file, expected header '{form}'")
     header = lines[0].split()

@@ -85,17 +85,18 @@ def compute_mi_map(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
     k1 = 1.0 - params.log_lambda_cap
     dth = sensor.delta_theta
 
-    def step(s, tt, _headings):
-        pa1, pb1, pa0, pb0 = s
-        n_a1 = tt[0] * pa1 + tt[1] * pb1 + tt[2] * pa0 + tt[3] * pb0 + tt[5]
-        n_b1 = tt[0] * pb1 + tt[2] * pb0 + tt[6]
-        n_a0 = tt[0] * pa0 + tt[4] * pb0 + tt[7]
-        n_b0 = tt[0] * pb0 + tt[8]
-        s[:] = n_a1, n_b1, n_a0, n_b0
-        return (n_a1 - k1 * n_b1) * dth
+    def step(s, tt):
+        # each word adds its terms in the order of its sum in _level_coeffs
+        n = tt[0] * s
+        n[0] += tt[1] * s[1]
+        n[:2] += tt[2] * s[2:]
+        n[0::2] += tt[3:5] * s[3]
+        n += tt[5:]
+        s[:] = n
+        return (n[0] - k1 * n[1]) * dth
 
     mi_flat = sweep(grid.levels, sensor.angles, coeffs, step, np.add, np.float64)
-    return MIMap(mi_flat.reshape(grid.shape), grid.resolution)
+    return MIMap(mi_flat.reshape(grid.shape))
 
 
 def _level_entropy() -> np.ndarray:

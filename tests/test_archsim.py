@@ -332,8 +332,7 @@ def test_kernel_matches_per_cycle_oracle(height, width, rays, n_cores, n_banks,
     banks, line_starts, queues = _flat_schedule((height, width), SensorConfig(rays),
                                                 config)
     hw = height * width
-    got = _sim_kernel(banks, line_starts, queues, hw, config.eff_banks, window,
-                      FEEDBACK_DEPTH, chain_pen)
+    got = _sim_kernel(banks, line_starts, queues, hw, config.eff_banks, window)
     # the oracle walks segments: the flagged positions, each unit given as
     # its heading and the segments of its first and end positions
     seg_start = [p for p, flag in enumerate(line_starts) if flag]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mimap import cli
 from mimap.cli import EXIT_ASSERT, EXIT_OK, EXIT_USAGE, main
 from mimap.datapath import compute_mi_map_fxp, dump_tables
 from mimap.grid import FcmiParams, MIMap, OccupancyGrid, SensorConfig
@@ -202,6 +203,47 @@ def test_mi_ref_rejects_trailing_grid_row(tmp_path, capsys):
     assert err == f"error: {grid}:4: expected 2 data rows, found more\n"
 
 
+@pytest.mark.parametrize("message,want", [
+    ("Unable to allocate 452. GiB for an array with shape (6, 100000000, 101) "
+     "and data type float64",
+     "Unable to allocate 452. GiB for an array with shape (6, 100000000, 101) "
+     "and data type float64"),
+    ("", "out of memory"),
+], ids=["numpy", "bare"])
+def test_allocation_failure_is_one_error_line(grid_file, tmp_path, capsys, monkeypatch,
+                                              message, want):
+    # the engine fails as numpy does when asked for more memory than there is
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "compute_mi_map_fxp", out_of_memory)
+    code, out, err = run(capsys, "mi-fxp", "--grid", str(grid_file),
+                         "--out", str(tmp_path / "m.mimap"))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {want}\n"
+
+
+@pytest.mark.parametrize("reader", ["grid", "map", "config"])
+def test_undecodable_input_names_its_file_and_line(grid_file, tmp_path, capsys, reader):
+    bad = tmp_path / "bad"
+    if reader == "grid":
+        bad.write_bytes(b"2 2 0.1\n0 0\n0 \xff\n")
+        argv, line = ("mi-ref", "--grid", str(bad), "--out", str(tmp_path / "m")), 3
+    elif reader == "map":
+        good = tmp_path / "good.mimap"
+        write_mi_map(MIMap(np.zeros((2, 2))), good)
+        bad.write_bytes(b"2 2\n0 \xff\n0 0\n")
+        argv, line = ("compare", str(good), str(bad)), 2
+    else:
+        bad.write_bytes(b"cores = 4\n\n# caf\xe9\nbanks = 4\n")
+        argv, line = ("simulate", "--grid", str(grid_file), "--config", str(bad)), 3
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {bad}:{line}: not UTF-8 text\n"
+
+
 def test_compare_rejects_trailing_map_row(tmp_path, capsys):
     pa, pb = tmp_path / "a.mimap", tmp_path / "b.mimap"
     write_mi_map(MIMap(np.zeros((2, 2))), pa)
@@ -362,6 +404,20 @@ def test_explore_rejects_non_finite_scan_rate(scene_file, capsys, rate):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: scan_rate_hz must be positive and finite")
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+    ("--max-steps", "0", "max_steps must be >= 1, got 0"),
+    ("--max-steps", "-5", "max_steps must be >= 1, got -5"),
+])
+def test_explore_rejects_negative_seed_and_no_steps(scene_file, capsys, flag, value,
+                                                     message):
+    code, out, err = run(capsys, "explore", "--scene", str(scene_file),
+                         "--rays", "8", flag, value)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_explore_unknown_platform(scene_file, capsys):

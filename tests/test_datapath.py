@@ -59,10 +59,9 @@ def package_steps(prev, levels, w_raw: int, dth_raw: int = 0) -> list:
     k1 = FxpConstants.from_params(FcmiParams()).k1
     table, step = _sweep_step(_preprocess_rows(w, sorted(set(levels))), w, k1, dth_raw)
     lane = np.array(prev, dtype=table.dtype)[:, None]
-    heading = np.zeros(1, dtype=np.int64)
     out = []
     for level in levels:
-        contribution = int(step(lane, table[:, [level]], heading)[0])
+        contribution = int(step(lane, table[:, [level]])[0])
         out.append((tuple(int(v) for v in lane[:, 0]), contribution))
     return out
 

@@ -23,7 +23,6 @@ from mimap.explore import (
     UTILITY_DECAY,
     Environment,
     PlatformProfile,
-    RobotState,
     ScanRay,
     TrialLog,
     TrialRow,
@@ -168,7 +167,7 @@ def test_scan_pose_errors():
 
 def test_update_free_hit_from_prior():
     grid = OccupancyGrid.uniform((1, 3), 50)
-    scan = [ScanRay(0, flat(0), 1)]   # traversed (0, 0), hit (0, 1)
+    scan = [ScanRay(flat(0), 1)]   # traversed (0, 0), hit (0, 1)
     out = update_occupancy(grid, scan)
     assert out.levels[0, 0] == 30   # sigma(-0.85) = 0.2994
     assert out.levels[0, 1] == 86   # sigma(+1.80) = 0.8581
@@ -178,7 +177,7 @@ def test_update_free_hit_from_prior():
 
 def test_update_repeated_free_converges_to_floor():
     grid = OccupancyGrid.uniform((1, 1), 50)
-    scan = [ScanRay(0, flat(0), None)]
+    scan = [ScanRay(flat(0), None)]
     seen = []
     for _ in range(10):
         grid = update_occupancy(grid, scan)
@@ -189,7 +188,7 @@ def test_update_repeated_free_converges_to_floor():
 
 def test_update_repeated_hits_converge_to_ceiling():
     grid = OccupancyGrid.uniform((1, 1), 50)
-    scan = [ScanRay(0, flat(), 0)]
+    scan = [ScanRay(flat(), 0)]
     for _ in range(10):
         grid = update_occupancy(grid, scan)
     assert grid.levels[0, 0] == 99
@@ -200,15 +199,15 @@ def test_update_certain_levels_enter_the_clamp_band(level, want):
     # levels 0 and 100 sit at infinite log-odds; either observation maps
     # them to the formula's limit, the nearest edge of the clamp band
     grid = OccupancyGrid(np.full((1, 2), level, np.uint8))
-    out = update_occupancy(grid, [ScanRay(0, flat(0), 1)])
+    out = update_occupancy(grid, [ScanRay(flat(0), 1)])
     np.testing.assert_array_equal(out.levels, [[want, want]])
 
 
 def test_update_each_cell_once_per_scan():
     # two rays crossing the same cell must not double-count it
     grid = OccupancyGrid.uniform((1, 2), 50)
-    scan = [ScanRay(0, flat(0), None),
-            ScanRay(1, flat(0, 1), None)]
+    scan = [ScanRay(flat(0), None),
+            ScanRay(flat(0, 1), None)]
     out = update_occupancy(grid, scan)
     assert out.levels[0, 0] == 30
     assert out.levels[0, 1] == 30
@@ -219,9 +218,9 @@ def test_update_cell_both_traversed_and_hit_moves_free_then_hit():
     # any rays: the free step goes first, so 0 -> 1 -> 6 and 100 -> 99 -> 99
     # (hit first would give 0 -> 1 -> 1 and 100 -> 99 -> 98)
     grid = OccupancyGrid(np.array([[0, 100]], np.uint8))
-    scan = [ScanRay(0, flat(0, 1), None),
-            ScanRay(1, flat(), 0),
-            ScanRay(2, flat(), 1)]
+    scan = [ScanRay(flat(0, 1), None),
+            ScanRay(flat(), 0),
+            ScanRay(flat(), 1)]
     out = update_occupancy(grid, scan)
     assert out.levels.tolist() == [[6, 99]]
     coords = [oracles.ray_coords(ray, 2) for ray in scan]
@@ -413,33 +412,33 @@ def test_step_toward_searches_once_along_an_unchanged_path(monkeypatch):
 
 def test_gbl_prefers_higher_mi_at_equal_distance():
     grid = corridor(11, unknown=(0, 10))
-    robot = RobotState(CellCoord(0, 5))
-    pick = gbl_select(mi_of((1, 11), c1=3.0, c9=1.0), grid, robot)
+    pos = CellCoord(0, 5)
+    pick = gbl_select(mi_of((1, 11), c1=3.0, c9=1.0), grid, pos)
     assert pick == CellCoord(0, 1)
-    pick = gbl_select(mi_of((1, 11), c1=1.0, c9=3.0), grid, robot)
+    pick = gbl_select(mi_of((1, 11), c1=1.0, c9=3.0), grid, pos)
     assert pick == CellCoord(0, 9)
 
 
 def test_gbl_prefers_nearer_at_equal_mi():
     grid = corridor(33, unknown=(0, 32))
-    robot = RobotState(CellCoord(0, 11))  # distances 10 and 20
-    pick = gbl_select(mi_of((1, 33), c1=2.0, c31=2.0), grid, robot)
+    pos = CellCoord(0, 11)  # distances 10 and 20
+    pick = gbl_select(mi_of((1, 33), c1=2.0, c31=2.0), grid, pos)
     assert pick == CellCoord(0, 1)
 
 
 def test_gbl_distance_discount_beats_raw_mi():
     # U = MI * exp(-0.05 d): 2.0 at d=0 vs 3.0 at d=9 -> 3 e^-0.45 = 1.913
     grid = corridor(12, unknown=(0, 11))
-    robot = RobotState(CellCoord(0, 1))
-    pick = gbl_select(mi_of((1, 12), c1=2.0, c10=3.0), grid, robot)
+    pos = CellCoord(0, 1)
+    pick = gbl_select(mi_of((1, 12), c1=2.0, c10=3.0), grid, pos)
     assert pick == CellCoord(0, 1)
     assert 3.0 * math.exp(-0.05 * 9) < 2.0
 
 
 def test_gbl_row_major_tie_break():
     grid = corridor(11, unknown=(0, 10))
-    robot = RobotState(CellCoord(0, 5))
-    pick = gbl_select(mi_of((1, 11), c1=2.0, c9=2.0), grid, robot)
+    pos = CellCoord(0, 5)
+    pick = gbl_select(mi_of((1, 11), c1=2.0, c9=2.0), grid, pos)
     assert pick == CellCoord(0, 1)
 
 
@@ -448,17 +447,17 @@ def test_gbl_ignores_unreachable_candidates():
     levels = grid.levels.copy()
     levels[0, 7] = 95  # wall cuts off the right frontier
     grid = OccupancyGrid(levels)
-    robot = RobotState(CellCoord(0, 5))
-    pick = gbl_select(mi_of((1, 11), c1=1.0, c9=9.0), grid, robot)
+    pos = CellCoord(0, 5)
+    pick = gbl_select(mi_of((1, 11), c1=1.0, c9=9.0), grid, pos)
     assert pick == CellCoord(0, 1)
 
 
 def test_gbl_none_when_exploration_complete():
-    robot = RobotState(CellCoord(0, 2))
+    pos = CellCoord(0, 2)
     fully_known = corridor(5, unknown=())
-    assert gbl_select(MIMap(np.ones((1, 5))), fully_known, robot) is None
+    assert gbl_select(MIMap(np.ones((1, 5))), fully_known, pos) is None
     all_unknown = OccupancyGrid.uniform((1, 5), 50)
-    assert gbl_select(MIMap(np.ones((1, 5))), all_unknown, robot) is None
+    assert gbl_select(MIMap(np.ones((1, 5))), all_unknown, pos) is None
 
 
 @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 5), st.integers(0, 2**32 - 1))
@@ -472,7 +471,7 @@ def test_gbl_select_matches_scan_oracle(height, width, n_values, seed):
     dist = _bfs_distances(levels, pos)
     want = oracles.oracle_gbl_select(values, frontier_cells(levels) & (dist >= 0),
                                      dist, UTILITY_DECAY)
-    assert gbl_select(MIMap(values), OccupancyGrid(levels), RobotState(pos)) == want
+    assert gbl_select(MIMap(values), OccupancyGrid(levels), pos) == want
 
 
 # ---------------------------------------------------------------- trials
@@ -516,9 +515,9 @@ def replans(data_dir):
         basis.append(grid)
         return engine(grid, *args, **kwargs)
 
-    def recorded_select(mi_map, grid, robot):
+    def recorded_select(mi_map, grid, pos):
         ref = compute_mi_map(basis[-1], SensorConfig())
-        out.append((mi_map, ref, select(mi_map, grid, robot), select(ref, grid, robot)))
+        out.append((mi_map, ref, select(mi_map, grid, pos), select(ref, grid, pos)))
         return out[-1][2]
 
     env = Environment.from_grid(read_grid(data_dir / "scene_a.grid"))
@@ -611,7 +610,7 @@ def test_trial_csv_shape():
 
 
 def test_entropy_at_lookup():
-    log = TrialLog("fpga", 0, rows=[
+    log = TrialLog(rows=[
         TrialRow(1, 0.0, 0, 100.0, 0, 0.0),
         TrialRow(2, 0.1, 1, 90.0, 1, 1.0),
         TrialRow(3, 0.2, 1, 80.0, 2, 2.0),
@@ -625,6 +624,6 @@ def test_entropy_at_lookup():
 def test_platform_profile_validation():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="mi_latency_s must be positive and finite"):
-            PlatformProfile("bad", bad, 1.0)
+            PlatformProfile(bad, 1.0)
         with pytest.raises(ValueError, match="mi_energy_j must be positive and finite"):
-            PlatformProfile("bad", 1.0, bad)
+            PlatformProfile(1.0, bad)

@@ -1,5 +1,5 @@
-"""Package surface: every exported name resolves, and the test oracles
-stand apart from the package."""
+"""Package surface: every exported name resolves, every package-data
+glob ships a file, and the test oracles stand apart from the package."""
 
 import ast
 import importlib
@@ -31,3 +31,13 @@ def test_oracles_import_no_mimap_module():
     assert "numpy" in imported
     assert [name for name in imported
             if name.startswith(".") or name.split(".")[0] == "mimap"] == []
+
+
+def test_every_package_data_glob_matches_a_file():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+    globs = package_data["mimap"]
+    assert globs
+    assert [g for g in globs if not any((root / "src" / "mimap").glob(g))] == []
