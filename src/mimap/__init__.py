@@ -8,8 +8,8 @@ fast a robot's map entropy falls.
 
 from .archsim import (ArchConfig, SimReport, bank_of, lower_bound_latency,
                       scaling_sweep, simulate)
-from .datapath import (FxpConstants, OccLutEntry, build_exp_knots, build_occ_lut,
-                       compute_mi_map_fxp, dump_tables)
+from .datapath import (build_exp_knots, build_occ_lut, cap_words, compute_mi_map_fxp,
+                       dump_tables)
 from .explore import (Environment, PlatformProfile, PLATFORMS, TrialLog,
                       gbl_select, run_trial, simulate_scan, update_occupancy)
 from .fixedpoint import encode
@@ -23,10 +23,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArchConfig", "CellCoord", "Environment", "FcmiParams",
-    "FxpConstants", "GridFormatError", "LineFamily", "MIMap", "OccLutEntry",
-    "OccupancyGrid", "PLATFORMS", "PlatformProfile",
-    "SensorConfig", "SimReport", "SweepMemo", "TrialLog",
-    "bank_of", "build_exp_knots", "build_occ_lut", "cell_width",
+    "GridFormatError", "LineFamily", "MIMap", "OccupancyGrid", "PLATFORMS",
+    "PlatformProfile", "SensorConfig", "SimReport", "SweepMemo", "TrialLog",
+    "bank_of", "build_exp_knots", "build_occ_lut", "cap_words", "cell_width",
     "compute_mi_map", "compute_mi_map_fxp", "dump_tables",
     "encode", "gbl_select", "line_family", "lower_bound_latency",
     "map_entropy", "read_grid", "read_mi_map", "run_trial", "scaling_sweep",

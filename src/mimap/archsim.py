@@ -160,8 +160,6 @@ def _stagger_stride(m: int, n_cores: int, n_banks: int) -> int:
     fraction of the orbit count so that (a) any n_banks consecutive
     dispatches sit on distinct bank diagonals and (b) the units a single
     core holds in flight (every n_cores-th dispatch) do too."""
-    if m <= 2:
-        return 1
     target = max(1, round(0.382 * m))
 
     def spread(step: int) -> bool:

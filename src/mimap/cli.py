@@ -6,6 +6,7 @@ byte-stable output for fixed inputs and seed.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -40,6 +41,12 @@ def _config(args) -> ArchConfig:
     return parse_config(args.config) if args.config else ArchConfig()
 
 
+def _warn_saturations(mi: MIMap) -> None:
+    """One stderr line counting the clips of the call that made ``mi``."""
+    if mi.saturations:
+        print(f"warning: {mi.saturations} saturations", file=sys.stderr)
+
+
 def _cmd_mi(args) -> int:
     grid = read_grid(args.grid)
     sensor = _sensor(args)
@@ -47,8 +54,7 @@ def _cmd_mi(args) -> int:
         mi = compute_mi_map(grid, sensor, FcmiParams())
     else:
         mi = compute_mi_map_fxp(grid, sensor, FcmiParams())
-    if mi.saturations:
-        print(f"warning: {mi.saturations} saturations", file=sys.stderr)
+    _warn_saturations(mi)
     values = mi.normalized() if args.normalize else mi.values
     write_mi_map(MIMap(values), args.out)
     if args.pgm:
@@ -61,6 +67,7 @@ def _cmd_simulate(args) -> int:
     mi, report = simulate(grid, _sensor(args), FcmiParams(), _config(args),
                           compute_values=args.map is not None)
     if args.map is not None:
+        _warn_saturations(mi)
         write_mi_map(mi, args.map)
     _emit(report_csv(report), args.out)
     return EXIT_OK
@@ -99,6 +106,11 @@ def _cmd_dump_tables(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    # no difference exceeds NaN, so a NaN bound would pass any two maps
+    if args.assert_max is not None and not (math.isfinite(args.assert_max)
+                                            and args.assert_max >= 0):
+        raise ValueError("--assert-max must be finite and >= 0, "
+                         f"got {args.assert_max}")
     a = read_mi_map(args.map_a)
     b = read_mi_map(args.map_b)
     if a.shape != b.shape:

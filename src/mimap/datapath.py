@@ -13,10 +13,10 @@ The dataflow mirrors the hardware split:
 Preprocess outputs depend only on (occupancy level, heading), so the map
 engine computes them for each heading and each level the grid holds in
 one pass of the saturating array ops over (heading, level), into one
-table keyed by ``heading*101 + level``; levels 0 and 100 take constant
-rows.  Feedback and postprocess are the step of ``grid.sweep``, which
-runs every scan line of every heading as a lane and folds the
-contributions into the accumulator in heading order.
+table keyed by ``heading*101 + level``; only level 100, whose lam is
+capped, takes a literal row.  Feedback and postprocess are the step of
+``grid.sweep``, which runs every scan line of every heading as a lane
+and folds the contributions into the accumulator in heading order.
 
 The exponential (``exp_neg``) computes e^-x as 2^-(n+f): y = x*log2(e)
 to 20 fraction bits splits into its integer part n and fraction f, 2^-f
@@ -32,9 +32,12 @@ within the 10 that ``archsim.PIPELINE_STAGES`` (19) gives it.
 Preprocess reads no recursion state, so it does not touch the 8-stage
 feedback loop or the spacing that loop sets between a ray's cells.
 
-Every word is an integer-valued float64 (the LUT words and exp knots
-stay ints), and every op is an exact float op plus the range clip of
-``fixedpoint`` (see its docstring for why that is exact).  The step
+The occupancy LUT (``OCC_LUT``) and the exp knots (``EXP_KNOTS``) are
+built once at import, and the cap words once per map.  Every word is an
+integer-valued float64, LUT and cap words included; only the knots stay
+int64, for the shifts of the exponential.  Every op is an exact float
+op plus the range clip of ``fixedpoint`` (see its docstring for why
+that is exact).  The step
 keeps its multipliers E, x, the cell width, k1 and dtheta scaled by
 2^-12, so its multiply is ``fixedpoint.round_product``, and runs one op
 chain on the lane state in place.  Each step first bounds every word of
@@ -50,9 +53,6 @@ it cell by cell and heading by heading, with preprocess once per
 """
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,39 +66,23 @@ EXP_MAX_N = 40       # past this integer part of y, e^-x is 0
 LOG2E_RAW = round(math.log2(math.e) * (1 << EXP_FRAC_BITS))  # 1512775
 
 
-class OccLutEntry(NamedTuple):
-    lam: int
-    neg_log_lam: int
-    inv_lam: int
+def cap_words(params: FcmiParams) -> np.ndarray:
+    """The cap-derived words (k1, occ_a1, occ_b1): k1 = 1 - log(cap), the
+    conditional-entropy weight, and the o = 1 limits (2 - log(cap))/cap
+    and 1/cap of C1 and C2."""
+    ln_cap = params.log_lambda_cap
+    return fx.encode([1.0 - ln_cap, (2.0 - ln_cap) / params.lambda_cap,
+                      1.0 / params.lambda_cap])
 
 
-@dataclass(frozen=True)
-class FxpConstants:
-    """Cap-derived datapath constants, encoded once in double precision."""
-
-    k1: int          # 1 - log(cap), the conditional-entropy weight
-    occ_a1: int      # (2 - log(cap)) / cap
-    occ_b1: int      # 1 / cap
-
-    @classmethod
-    def from_params(cls, params: FcmiParams) -> "FxpConstants":
-        cap = params.lambda_cap
-        ln_cap = params.log_lambda_cap
-        return cls(k1=fx.encode(1.0 - ln_cap),
-                   occ_a1=fx.encode((2.0 - ln_cap) / cap),
-                   occ_b1=fx.encode(1.0 / cap))
-
-
-def build_occ_lut() -> list[OccLutEntry]:
-    """101 entries of (lam, -log lam, 1/lam); levels 0 and 100 hold zero
-    words, which nothing reads: their preprocess rows are constants."""
-    entries = [OccLutEntry(0, 0, 0)]
-    for level in range(1, 100):
-        lam = -math.log1p(-level / 100.0)
-        entries.append(OccLutEntry(fx.encode(lam), fx.encode(-math.log(lam)),
-                                   fx.encode(1.0 / lam)))
-    entries.append(OccLutEntry(0, 0, 0))
-    return entries
+def build_occ_lut() -> np.ndarray:
+    """(101, 3) float64 words (lam, -log lam, 1/lam) of each occupancy
+    level.  Rows 0 and 100 hold zero words: at level 0, lam = 0 is exact
+    and the preprocess chain runs on it, and level 100 takes a literal
+    row."""
+    lams = [-math.log1p(-level / 100.0) for level in range(1, 100)]
+    reals = [(lam, -math.log(lam), 1.0 / lam) for lam in lams]
+    return fx.encode([(0.0, 0.0, 0.0)] + reals + [(0.0, 0.0, 0.0)])
 
 
 def build_exp_knots() -> np.ndarray:
@@ -108,7 +92,11 @@ def build_exp_knots() -> np.ndarray:
                      for k in range((1 << EXP_KNOT_BITS) + 1)], dtype=np.int64)
 
 
-def exp_neg(x_raw: np.ndarray, knots: np.ndarray) -> np.ndarray:
+OCC_LUT = build_occ_lut()
+EXP_KNOTS = build_exp_knots()
+
+
+def exp_neg(x_raw: np.ndarray) -> np.ndarray:
     """Datapath exponential e^-x of an array of words x >= 0, as 2^-(n+f).
 
     y = x*log2(e) is taken to 20 fraction bits and split into its integer
@@ -125,49 +113,40 @@ def exp_neg(x_raw: np.ndarray, knots: np.ndarray) -> np.ndarray:
     y = (x * LOG2E_RAW + (1 << (fx.FRAC_BITS - 1))) >> fx.FRAC_BITS
     n, f = y >> EXP_FRAC_BITS, y & ((1 << EXP_FRAC_BITS) - 1)
     k, r = f >> interp_bits, f & ((1 << interp_bits) - 1)
-    left = knots[k]
-    two_f = left - (((left - knots[k + 1]) * r + (1 << (interp_bits - 1))) >> interp_bits)
+    left, right = EXP_KNOTS[k], EXP_KNOTS[k + 1]
+    two_f = left - (((left - right) * r + (1 << (interp_bits - 1))) >> interp_bits)
     shift = np.minimum(n, EXP_MAX_N) + (EXP_FRAC_BITS - fx.FRAC_BITS)
     e = (two_f + (1 << (shift - 1))) >> shift
     return np.where(n > EXP_MAX_N, 0, e).astype(np.float64)
 
 
-@lru_cache(maxsize=1)
-def _tables() -> tuple[list[OccLutEntry], np.ndarray]:
-    """The occupancy LUT and the exp knots; no parameter changes them."""
-    return build_occ_lut(), build_exp_knots()
-
-
 def _preprocess_rows(w_raws: np.ndarray, levels: list[int],
-                     params: FcmiParams = FcmiParams()) -> np.ndarray:
+                     caps: np.ndarray) -> np.ndarray:
     """(6, headings*101) float64 matrix of preprocess words (E, x, C1, C2,
     C3, C4), column ``heading*101 + level``, for the headings' cell-width
-    words ``w_raws``.
+    words ``w_raws`` and the cap words ``caps`` of ``cap_words``.
 
-    Only the columns of ``levels`` are filled; the others stay zero.  The
-    interior levels of every heading run the preprocess op chain as one
-    array pass of the saturating ops; levels 0 and 100 take constant rows
-    and pass through no op.
+    Only the columns of ``levels`` are filled; the others stay zero.
+    Levels 0 to 99 of every heading run the preprocess op chain as one
+    array pass of the saturating ops; level 0's zero LUT words make its
+    row (1, 0, 0, 0, 0, 0), which turns the update into the pass-through
+    (a1 + w*a0, b1 + w*b0, a0, b0), and clip nothing.  Level 100 takes a
+    literal row and passes through no op: its lam is capped, and x would
+    leave the word range.
     """
-    lut, knots = _tables()
     rows = np.zeros((6, len(w_raws), 101))
-    if 0 in levels:
-        # E=1, x=0 and zero constants turn the update into the pass-through
-        # (a1 + w*a0, b1 + w*b0, a0, b0) exactly
-        rows[:, :, 0] = np.array([fx.ONE_RAW, 0, 0, 0, 0, 0])[:, None]
     if 100 in levels:
         # E=0 erases the previous state; the constants carry the o=1 limits
         # (2 - log cap)/cap, 1/cap, 1 - log cap and 1
-        consts = FxpConstants.from_params(params)
-        rows[:, :, 100] = np.array([0, 0, consts.occ_a1, consts.occ_b1,
-                                    consts.k1, fx.ONE_RAW])[:, None]
-    mid = [level for level in levels if 0 < level < 100]
-    if not mid:
+        k1, occ_a1, occ_b1 = caps
+        rows[:, :, 100] = np.array([0, 0, occ_a1, occ_b1, k1, fx.ONE_RAW])[:, None]
+    chained = [level for level in levels if level < 100]
+    if not chained:
         return rows.reshape(6, -1)
-    lam, neg_log_lam, inv_lam = np.array([lut[level] for level in mid]).T
+    lam, neg_log_lam, inv_lam = OCC_LUT[chained].T
     # (heading, level) arrays from here on
     x = fx.arr_mul(lam, w_raws[:, None])
-    e = exp_neg(x, knots)
+    e = exp_neg(x)
     g1 = fx.arr_sub(fx.ONE_RAW, e)
     g2 = fx.arr_sub(fx.ONE_RAW, fx.arr_mul(e, fx.arr_add(fx.ONE_RAW, x)))
     xx = fx.arr_mul(x, x)
@@ -176,7 +155,7 @@ def _preprocess_rows(w_raws: np.ndarray, levels: list[int],
     c1 = fx.arr_mul(inv_lam, fx.arr_add(g3, fx.arr_mul(g2, neg_log_lam)))
     c2 = fx.arr_mul(inv_lam, g2)
     c3 = fx.arr_add(g2, fx.arr_mul(g1, neg_log_lam))
-    rows[:, :, mid] = (e, x, c1, c2, c3, g1)
+    rows[:, :, chained] = (e, x, c1, c2, c3, g1)
     return rows.reshape(6, -1)
 
 
@@ -206,7 +185,7 @@ _SATURATING_OPS = (fx.arr_add, fx.arr_sub,
                    lambda a, b_scaled: fx.arr_clip(fx.round_product(a, b_scaled)))
 
 
-def _sweep_step(rows: np.ndarray, w_raws: np.ndarray, k1: int, dth_raw: int):
+def _sweep_step(rows: np.ndarray, w_raws: np.ndarray, k1: float, dth_raw: int):
     """The ``sweep`` table and step of the Q20.12 engine.
 
     ``rows`` are the preprocess rows of ``_preprocess_rows`` and
@@ -227,7 +206,7 @@ def _sweep_step(rows: np.ndarray, w_raws: np.ndarray, k1: int, dth_raw: int):
     """
     maxima = (int(np.abs(rows[1]).max()), int(np.abs(w_raws).max()),
               int(np.abs(rows[0]).max()), int(np.abs(rows[2:]).max()),
-              abs(k1), abs(dth_raw))
+              int(abs(k1)), abs(dth_raw))
     w_row = np.repeat(w_raws, rows.shape[1] // len(w_raws))
     table = np.concatenate([rows[:2] * fx.ULP, w_row[None] * fx.ULP, rows[2:]])
     k1_scaled = k1 * fx.ULP
@@ -280,9 +259,9 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
     # those are preprocessed.  The first np.unique call raises peak RSS by
     # about 1 MB; bincount does not.
     present = np.flatnonzero(np.bincount(grid.levels.reshape(-1), minlength=101)).tolist()
-    table, step = _sweep_step(_preprocess_rows(w_raws, present, params), w_raws,
-                              FxpConstants.from_params(params).k1,
-                              fx.encode(sensor.delta_theta))
+    caps = cap_words(params)
+    table, step = _sweep_step(_preprocess_rows(w_raws, present, caps), w_raws,
+                              caps[0], fx.encode(sensor.delta_theta))
     # int32 buffer: saturated words fit
     mi_flat = sweep(grid.levels, sensor.angles, table, step, fx.arr_add, np.int32,
                     memo, (sensor, grid.resolution, params))
@@ -295,7 +274,8 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
 
 def dump_tables() -> str:
     """Golden-file text dump: LUT entries then exp knots, raw words."""
-    lut, knots = _tables()
-    lines = [f"{i} {e.lam} {e.neg_log_lam} {e.inv_lam}" for i, e in enumerate(lut)]
-    lines += [f"{k} {knot}" for k, knot in enumerate(knots.tolist())]
+    lut = OCC_LUT.astype(np.int64).tolist()
+    lines = [f"{i} {lam} {neg_log_lam} {inv_lam}"
+             for i, (lam, neg_log_lam, inv_lam) in enumerate(lut)]
+    lines += [f"{k} {knot}" for k, knot in enumerate(EXP_KNOTS.tolist())]
     return "\n".join(lines) + "\n"

@@ -315,6 +315,9 @@ def gbl_select(mi_map: MIMap, grid: OccupancyGrid,
     Ties fall to the nearer candidate, then to row-major order.  Returns
     None when no reachable frontier remains (exploration complete).
     """
+    if mi_map.shape != grid.shape:
+        raise ValueError(f"MI map shape {mi_map.shape} does not match "
+                         f"grid shape {grid.shape}")
     levels = grid.levels
     dist = _bfs_distances(levels, position)
     cand = frontier_cells(levels) & (dist >= 0)

@@ -182,6 +182,18 @@ def test_compare_assert_max(tmp_path, capsys):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize("bound", ["nan", "inf", "-1"])
+def test_compare_rejects_assert_max_that_cannot_fail(tmp_path, capsys, bound):
+    # no difference exceeds NaN or inf, and none is below 0
+    pa, pb = tmp_path / "a.mimap", tmp_path / "b.mimap"
+    write_mi_map(MIMap(np.array([[0.0, 1.0]])), pa)
+    write_mi_map(MIMap(np.array([[1.0, 0.0]])), pb)
+    code, text, err = run(capsys, "compare", str(pa), str(pb), "--assert-max", bound)
+    assert code == EXIT_USAGE
+    assert text == ""
+    assert err == f"error: --assert-max must be finite and >= 0, got {float(bound)}\n"
+
+
 def test_compare_nan_map_fails_assert_max(tmp_path, capsys):
     # a map holding NaN is rejected as input, so it cannot pass as equal
     pa, pb = tmp_path / "a.mimap", tmp_path / "b.mimap"
@@ -299,6 +311,23 @@ def test_simulate_report_and_map(grid_file, tmp_path, capsys):
     assert float(rows["lower_bound_s"]) == pytest.approx(9 * 9 * 8 / 16e8)
     want = compute_mi_map_fxp(read_grid(grid_file), SensorConfig(8), FcmiParams())
     np.testing.assert_array_equal(read_mi_map(mi_out).values, want.values)
+
+
+def test_simulate_map_warns_of_saturation_as_mi_fxp_does(tmp_path, capsys, rng):
+    # the same map, the same stderr line; the report does not change
+    grid = OccupancyGrid(rng.integers(0, 101, size=(12, 12), dtype=np.uint8), 1e9)
+    g = tmp_path / "wide.grid"
+    write_grid(grid, g)
+    fxp, sim = tmp_path / "fxp.mimap", tmp_path / "sim.mimap"
+    report, bare = tmp_path / "r.csv", tmp_path / "bare.csv"
+    _, _, want = run(capsys, "mi-fxp", "--grid", str(g), "--rays", "8", "--out", str(fxp))
+    code, stdout, err = run(capsys, "simulate", "--grid", str(g), "--rays", "8",
+                            "--map", str(sim), "--out", str(report))
+    assert code == EXIT_OK and stdout == ""
+    assert want.startswith("warning: ") and err == want
+    assert sim.read_bytes() == fxp.read_bytes()
+    run(capsys, "simulate", "--grid", str(g), "--rays", "8", "--out", str(bare))
+    assert report.read_bytes() == bare.read_bytes()
 
 
 def test_simulate_config_file(grid_file, tmp_path, capsys):

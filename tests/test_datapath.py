@@ -18,11 +18,11 @@ import oracles
 import mimap.datapath as datapath
 import mimap.fixedpoint as fx
 from mimap.datapath import (
-    FxpConstants,
     _preprocess_rows,
     _sweep_step,
     build_exp_knots,
     build_occ_lut,
+    cap_words,
     compute_mi_map_fxp,
     dump_tables,
     exp_neg,
@@ -48,7 +48,7 @@ def chain() -> oracles.QChain:
 
 def package_exp(xs) -> list[int]:
     """The package's exp of the words ``xs``, as ints."""
-    return [int(e) for e in exp_neg(np.array(xs, dtype=np.float64), build_exp_knots())]
+    return [int(e) for e in exp_neg(np.array(xs, dtype=np.float64))]
 
 
 def package_steps(prev, levels, w_raw: int, dth_raw: int = 0) -> list:
@@ -56,8 +56,9 @@ def package_steps(prev, levels, w_raw: int, dth_raw: int = 0) -> list:
     cap, from state ``prev`` over ``levels`` in scan order: (state,
     contribution) after each cell."""
     w = np.array([w_raw], dtype=np.int64)
-    k1 = FxpConstants.from_params(FcmiParams()).k1
-    table, step = _sweep_step(_preprocess_rows(w, sorted(set(levels))), w, k1, dth_raw)
+    caps = cap_words(FcmiParams())
+    table, step = _sweep_step(_preprocess_rows(w, sorted(set(levels)), caps), w,
+                              caps[0], dth_raw)
     lane = np.array(prev, dtype=table.dtype)[:, None]
     out = []
     for level in levels:
@@ -71,15 +72,15 @@ def package_steps(prev, levels, w_raw: int, dth_raw: int = 0) -> list:
 
 def test_lut_level_50_entry():
     lut = build_occ_lut()
-    assert len(lut) == 101
-    assert lut[50].lam == 2839  # round(4096 ln 2)
+    assert lut.shape == (101, 3) and lut.dtype == np.float64
+    assert lut[50, 0] == 2839  # round(4096 ln 2)
 
 
 def test_lut_matches_extended_precision_oracle():
     lut = build_occ_lut()
     for level in range(1, 100):
         want = oracles.mp_lut_entry(level)
-        got = (lut[level].lam, lut[level].neg_log_lam, lut[level].inv_lam)
+        got = (lut[level, 0], lut[level, 1], lut[level, 2])
         assert got == want, f"level {level}"
 
 
@@ -89,9 +90,9 @@ def test_lut_faithful_to_half_ulp():
         o = oracles.mpmath.mpf(level) / 100
         lam = -oracles.mpmath.log(1 - o)
         for raw, exact in (
-            (lut[level].lam, lam),
-            (lut[level].neg_log_lam, -oracles.mpmath.log(lam)),
-            (lut[level].inv_lam, 1 / lam),
+            (lut[level, 0], lam),
+            (lut[level, 1], -oracles.mpmath.log(lam)),
+            (lut[level, 2], 1 / lam),
         ):
             assert abs(raw - exact * fx.SCALE) <= 0.5 + 1e-12
 
@@ -159,7 +160,7 @@ def test_preprocess_rows_match_scalar_chain(resolution):
     want = [[q.preprocess(level, w) for level in range(101)] for w in w_raws]
     scalar_sats = q.saturations - sat0
     sat0 = fx.saturation_count()
-    rows = _preprocess_rows(np.array(w_raws), list(range(101)))
+    rows = _preprocess_rows(np.array(w_raws), list(range(101)), cap_words(FcmiParams()))
     assert fx.saturation_count() - sat0 == scalar_sats
     assert (scalar_sats > 0) == (resolution > 1.0)
     assert rows.dtype == np.float64
@@ -181,12 +182,12 @@ def test_step_fxp_free_cell_is_exact_passthrough():
 
 
 def test_step_fxp_occupied_cell_encodes_float_limits():
-    consts = FxpConstants.from_params(FcmiParams())
+    k1, occ_a1, occ_b1 = cap_words(FcmiParams())
     cap, ln_cap = 1e7, math.log(1e7)
-    assert consts.occ_a1 == fx.encode((2.0 - ln_cap) / cap)
-    assert consts.occ_b1 == fx.encode(1.0 / cap)
-    assert consts.k1 == fx.encode(1.0 - ln_cap)
-    want = (consts.occ_a1, consts.occ_b1, fx.encode(1.0 - ln_cap), fx.encode(1.0))
+    assert occ_a1 == fx.encode((2.0 - ln_cap) / cap)
+    assert occ_b1 == fx.encode(1.0 / cap)
+    assert k1 == fx.encode(1.0 - ln_cap)
+    want = (occ_a1, occ_b1, fx.encode(1.0 - ln_cap), fx.encode(1.0))
     q = chain()
     w = fx.encode(1.0)
     for prev in ((0, 0, 0, 0), (9999, -9999, 1234, 5678)):

@@ -460,6 +460,16 @@ def test_gbl_none_when_exploration_complete():
     assert gbl_select(MIMap(np.ones((1, 5))), all_unknown, pos) is None
 
 
+@pytest.mark.parametrize("map_shape", [(8, 8), (3, 3)])
+def test_gbl_rejects_a_map_of_another_shape(map_shape):
+    # a larger map would be read at the wrong cells, a smaller one past
+    # its edge; either names both shapes
+    levels = np.full((5, 5), 50, np.uint8)
+    levels[:, :2] = 0
+    with pytest.raises(ValueError, match=rf"{map_shape}.*\(5, 5\)"):
+        gbl_select(MIMap(np.ones(map_shape)), OccupancyGrid(levels), CellCoord(0, 0))
+
+
 @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 5), st.integers(0, 2**32 - 1))
 def test_gbl_select_matches_scan_oracle(height, width, n_values, seed):
     # few distinct MI values, zero among them, make utility ties common

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import oracles
 import mimap.fixedpoint as fx
-from mimap.datapath import _preprocess_rows, _step_bound, _sweep_step
-from mimap.grid import SensorConfig, cell_width
+from mimap.datapath import _preprocess_rows, _step_bound, _sweep_step, cap_words
+from mimap.grid import FcmiParams, SensorConfig, cell_width
 
 RAWS = st.integers(fx.RAW_MIN, fx.RAW_MAX)
 HALF_ULP = fx.SCALE // 2  # tie point of the dropped fraction bits
@@ -267,7 +267,7 @@ def level_rows(resolution):
     """Preprocess rows of every level at 8 headings and that resolution."""
     w = np.array([fx.encode(cell_width(a, resolution))
                   for a in SensorConfig(8).angles], dtype=np.float64)
-    return _preprocess_rows(w, list(range(101))), w
+    return _preprocess_rows(w, list(range(101)), cap_words(FcmiParams())), w
 
 
 @pytest.mark.parametrize("case", ["1 m", "10 m", "rounding edge"])
