@@ -227,11 +227,10 @@ def _sim_kernel(banks, line_starts, queues, hw, n_banks, window):
     awake, in ascending index order, so timing and counts are those of a
     loop that visits every core on every cycle.
 
-    Returns ``(last_issue_cycle, mi_backlog, busy, per_bank, stalls)``:
-    issue cycles per core, accesses per bank (each issue reads one
-    occupancy word and reads and writes one MI word in the same bank), and
-    per core the bank-conflict, feedback-wait and drain stall counts.
-    Raises RuntimeError if the run passes a cycle cap far above any real
+    Returns ``(last_issue_cycle, mi_backlog, stalls)``: per core the
+    bank-conflict, feedback-wait and drain stall counts.  Issues per core
+    and per bank are fixed by the schedule (``_issue_counts``).  Raises
+    RuntimeError if the run passes a cycle cap far above any real
     schedule.
     """
     n_cores = len(queues)
@@ -248,8 +247,6 @@ def _sim_kernel(banks, line_starts, queues, hw, n_banks, window):
     held = [False] * n_cores
     rot = [0] * n_cores
     nxt = [0] * n_cores
-    busy = [0] * n_cores
-    per_bank = [0] * n_banks
     # the MI FIFO of bank b holds max(0, mi_empty[b] - t) accumulates at
     # cycle t: it retires one a cycle, so it is empty from mi_empty[b] on
     mi_empty = [0] * n_banks
@@ -329,8 +326,6 @@ def _sim_kernel(banks, line_starts, queues, hw, n_banks, window):
                     continue
                 occ[b] += 1
                 mi_empty[b] = (mi_empty[b] if mi_empty[b] > t else t) + 1
-                per_bank[b] += 1
-                busy[i] += 1
                 w = r[s] = t + gap
                 ps += 1
                 if ps == e[s]:
@@ -366,7 +361,21 @@ def _sim_kernel(banks, line_starts, queues, hw, n_banks, window):
     for i, row in enumerate(stalls):
         row[2] += t - drained[i]
     backlog = max(0, max(mi_empty) - t)
-    return t - 1, backlog, busy, per_bank, stalls
+    return t - 1, backlog, stalls
+
+
+def _issue_counts(banks, queues, hw, n_banks) -> tuple[list[int], np.ndarray]:
+    """Issue cycles per core and accesses per bank of a schedule.  Every
+    dealt position issues exactly once, on the core it was dealt to, so a
+    core issues the positions of its ``(lo, hi)`` ranges and a bank once
+    for each position in it; each issue reads one occupancy word and
+    reads and writes one MI word in the same bank.  Each heading's ``hw``
+    positions hold every cell once, so every heading holds the banks of
+    the first; counting those alone casts H*W bank words to intp, not the
+    whole schedule's."""
+    busy = [sum(hi - lo for lo, hi in queue) for queue in queues]
+    first = np.bincount(np.frombuffer(banks, dtype=np.intc, count=hw), minlength=n_banks)
+    return busy, first * (len(banks) // hw)
 
 
 def energy_of(busy_cycles: int, stall_cycles: int, mem_accesses: int,
@@ -389,16 +398,17 @@ def simulate(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
     if max(height, width) > MAX_MAP:
         raise ValueError(f"grid {height}x{width} exceeds capacity {MAX_MAP}")
     window = CONTEXTS_PER_SLOT * FEEDBACK_DEPTH if config.interleaving else 1
-    last_issue, backlog, busy, per_bank, stalls = _sim_kernel(
-        *_flat_schedule((height, width), sensor, config), height * width,
-        config.eff_banks, window)
+    banks, line_starts, queues = _flat_schedule((height, width), sensor, config)
+    last_issue, backlog, stalls = _sim_kernel(banks, line_starts, queues,
+                                              height * width, config.eff_banks, window)
+    busy, per_bank = _issue_counts(banks, queues, height * width, config.eff_banks)
     total_cycles = last_issue + PIPELINE_STAGES + 1 + backlog
     latency_s = total_cycles / CLOCK_HZ
     per_core_stalls = [tuple(row) for row in stalls]
     stall_cycles = dict(zip(("bank_conflict", "feedback_wait", "drain"),
                             map(sum, zip(*per_core_stalls))))
     energy = energy_of(sum(busy), sum(stall_cycles.values()),
-                       3 * sum(per_bank), latency_s)
+                       3 * int(per_bank.sum()), latency_s)
     report = SimReport(
         total_cycles=total_cycles,
         latency_s=latency_s,
@@ -407,7 +417,7 @@ def simulate(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
         per_core_busy=[b / total_cycles for b in busy],
         per_core_stalls=per_core_stalls,
         energy_j=energy,
-        memory_accesses={"occ_reads": np.array(per_bank, dtype=np.int64)},
+        memory_accesses={"occ_reads": per_bank},
     )
     mi = compute_mi_map_fxp(grid, sensor, params) if compute_values else None
     return mi, report

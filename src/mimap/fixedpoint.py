@@ -45,28 +45,35 @@ def encode(x):
     whose scaled word is not finite (NaN, infinity, or beyond about 4e304)
     has no word to saturate to and raises ValueError."""
     with np.errstate(over="ignore"):  # an overflow is the inf caught below
-        scaled = np.asarray(x, dtype=np.float64) * SCALE
+        scaled = np.array(x, dtype=np.float64, ndmin=1) * SCALE
     if not np.isfinite(scaled).all():
         raise ValueError(f"cannot encode {x} as a Q20.12 word")
-    words = arr_clip(np.rint(scaled))
-    return words if words.ndim else int(words)
+    words = arr_clip(np.rint(scaled, out=scaled))
+    return words if np.ndim(x) else int(words[0])
 
 
 def arr_clip(q: np.ndarray) -> np.ndarray:
-    """``q`` clamped to the word range, each clipped element counted."""
+    """``q`` clamped to the word range in place, each clipped element
+    counted; returns ``q``.  An empty array comes back as it is."""
     global _sat_events
-    # min/max precheck keeps the common in-range case allocation-free
-    if RAW_MIN <= q.min() and q.max() <= RAW_MAX:
+    if not q.size:
         return q
-    clipped = np.clip(q, RAW_MIN, RAW_MAX)
-    _sat_events += int(np.count_nonzero(clipped != q))
-    return clipped
+    # min/max precheck keeps the common in-range case allocation-free
+    lo, hi = q.min(), q.max()
+    if hi > RAW_MAX:
+        _sat_events += int(np.count_nonzero(q > RAW_MAX))
+        np.minimum(q, RAW_MAX, out=q)
+    if lo < RAW_MIN:
+        _sat_events += int(np.count_nonzero(q < RAW_MIN))
+        np.maximum(q, RAW_MIN, out=q)
+    return q
 
 
-def round_product(a, b_scaled) -> np.ndarray:
+def round_product(a, b_scaled, out=None) -> np.ndarray:
     """The word a*b of words a and b, with b given as b * 2^-12, rounded
-    half to even and not clipped: exact while |a*b| < 2^53."""
-    p = np.multiply(a, b_scaled)
+    half to even and not clipped: exact while |a*b| < 2^53.  Into ``out``
+    when given, which may be one of the operands."""
+    p = np.multiply(a, b_scaled, out=out)
     return np.rint(p, out=p)
 
 

@@ -320,7 +320,7 @@ class SweepMemo:
         self.lane_of: list[np.ndarray] = []
 
 
-def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
+def sweep(levels: np.ndarray, angles, table: np.ndarray, step, fold,
           buf_dtype, memo: SweepMemo | None = None, key=None) -> np.ndarray:
     """The one sweep of both map engines: a recursion along every line of
     every heading's family, each cell's contributions summed.
@@ -333,9 +333,10 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
     returns their contributions.  The contribution of the block's k-th
     heading to cell c waits in slot k*H*W + c of a ``buf_dtype`` buffer,
     addressed by cell as the hardware's MI banks are, until the block is
-    done; then ``add(acc, part)`` folds the buffer's rows into the flat
-    accumulator one heading at a time, so each cell sums in heading order.
-    The accumulator starts at zero and takes one part of every cell per
+    done; then ``fold(acc, rows)`` adds the buffer's (headings, H*W)
+    ``rows`` into the flat accumulator in place, with the words or values
+    of adding them one heading at a time, so each cell sums in heading
+    order.  The accumulator starts at zero and takes one row of every
     heading.  The state has the table's dtype; the accumulator is float64.
 
     A ``memo`` lets consecutive calls on slowly changing maps share work.
@@ -397,13 +398,11 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, add,
             cells = block.cells[start[:na] + t]
             cols = table.take(lane_key[:na] + levels_flat[cells], axis=1)
             buf[base[:na] + cells] = step(state[:, :na], cols)
-        for part in buf.reshape(-1, n_cells):
-            acc = add(acc, part)
+        fold(acc, buf.reshape(-1, n_cells))
         if memo is not None:
             bufs.append(buf)
-        # part is a view of buf: drop the block's cells and buffer before
-        # the next block is built
-        del block, buf, part
+        # drop the block's cells and buffer before the next block is built
+        del block, buf
     if memo is not None:
         memo.key, memo.levels, memo.bufs = key, levels_flat.copy(), bufs
         memo.blocks, memo.lane_of = blocks, lane_of

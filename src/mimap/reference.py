@@ -95,8 +95,15 @@ def compute_mi_map(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
         s[:] = n
         return (n[0] - k1 * n[1]) * dth
 
-    mi_flat = sweep(grid.levels, sensor.angles, coeffs, step, np.add, np.float64)
+    mi_flat = sweep(grid.levels, sensor.angles, coeffs, step, _fold, np.float64)
     return MIMap(mi_flat.reshape(grid.shape))
+
+
+def _fold(acc: np.ndarray, rows: np.ndarray) -> None:
+    """Adds the (headings, H*W) contribution ``rows`` into ``acc`` in
+    place, one heading after another: float sums depend on their order."""
+    for part in rows:
+        np.add(acc, part, out=acc)
 
 
 def _level_entropy() -> np.ndarray:

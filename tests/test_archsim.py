@@ -30,6 +30,7 @@ from mimap.archsim import (
     scaling_sweep,
     simulate,
     _flat_schedule,
+    _issue_counts,
     _sim_kernel,
 )
 from mimap.datapath import compute_mi_map_fxp
@@ -339,9 +340,14 @@ def test_kernel_matches_per_cycle_oracle(height, width, rays, n_cores, n_banks,
     seg_of = {p: i for i, p in enumerate(seg_start)}
     seg_queues = [[(lo // hw, seg_of[lo], seg_of[hi]) for lo, hi in queue]
                   for queue in queues]
-    assert got == oracles.oracle_sim_kernel(banks, seg_start, seg_queues,
-                                            config.eff_banks, window, FEEDBACK_DEPTH,
-                                            chain_pen, MI_QUEUE_DEPTH)
+    last, backlog, busy, per_bank, stalls = oracles.oracle_sim_kernel(
+        banks, seg_start, seg_queues, config.eff_banks, window, FEEDBACK_DEPTH,
+        chain_pen, MI_QUEUE_DEPTH)
+    assert got == (last, backlog, stalls)
+    # the issues per core and per bank that the oracle counts cycle by
+    # cycle follow from the schedule alone
+    got_busy, got_per_bank = _issue_counts(banks, queues, hw, config.eff_banks)
+    assert got_busy == busy and got_per_bank.tolist() == per_bank
 
 
 def degenerate_shapes():

@@ -18,6 +18,7 @@ import oracles
 import mimap.datapath as datapath
 import mimap.fixedpoint as fx
 from mimap.datapath import (
+    _fold,
     _preprocess_rows,
     _sweep_step,
     build_exp_knots,
@@ -310,23 +311,98 @@ def test_map_fxp_matches_scalar_chain_with_saturations(grid, rays):
 def test_map_fxp_call_mixes_float_and_saturating_steps(monkeypatch, resolution):
     # at 10 m the states of a 9x9 grid outgrow the step's guard part way
     # along the lines, and at 1e3 m they clip: one call runs steps of both
-    # kinds, and its words and clip count are still the scalar chain's
-    kinds = []
-    bound = datapath._step_bound
+    # kinds, and its words and clip count are still the scalar chain's.
+    # A reading's span is 0 for a step with the clip and counts the steps
+    # without it
+    spans = []
+    span = datapath._step_span
 
     def recorded(*args):
-        words = bound(*args)
-        kinds.append(words <= fx.RAW_MAX)
-        return words
+        spans.append(span(*args))
+        return spans[-1]
 
     grid = OccupancyGrid(np.random.default_rng(5).integers(0, 101, (9, 9), dtype=np.uint8),
                          resolution)
     want, want_sats = oracle_map_fxp(grid, SensorConfig(13))
-    monkeypatch.setattr(datapath, "_step_bound", recorded)
+    monkeypatch.setattr(datapath, "_step_span", recorded)
     got = compute_mi_map_fxp(grid, SensorConfig(13))
-    assert any(kinds) and not all(kinds)
+    assert 0 in spans and any(spans)
     np.testing.assert_array_equal(got.raw, want)
     assert got.saturations == want_sats
+
+
+def oracle_fold(acc, rows):
+    """Each cell's heading rows added to its accumulator word one at a
+    time by the oracle's saturating add, and the clip count."""
+    q = oracles.QChain([])
+    out = []
+    for c, word in enumerate(acc):
+        word = int(word)
+        for part in rows:
+            word = q.add(word, int(part[c]))
+        out.append(word)
+    return out, q.saturations
+
+
+def check_fold(acc, rows, monkeypatch) -> int:
+    """``_fold`` against the oracle; returns how many adds it clipped
+    one at a time (0 for a one-pass fold)."""
+    acc = np.array(acc, dtype=np.float64)
+    rows = np.array(rows, dtype=np.int32)
+    want, want_sats = oracle_fold(acc, rows)
+    clip, adds = fx.arr_clip, []
+
+    def counted_clip(q):
+        adds.append(q)
+        return clip(q)
+
+    monkeypatch.setattr(fx, "arr_clip", counted_clip)
+    sat0 = fx.saturation_count()
+    _fold(acc, rows)
+    assert fx.saturation_count() - sat0 == want_sats
+    np.testing.assert_array_equal(acc, want)
+    return len(adds)
+
+
+MAX, MIN = fx.RAW_MAX, fx.RAW_MIN
+
+
+@pytest.mark.parametrize("acc,rows,loop", [
+    # within the bound: one pass
+    ([0, 5, -7], [[1, -2, 3], [4, 5, -6]], False),
+    ([MAX - 8, MIN + 8], [[4, -4], [4, -4]], False),
+    # partial sums clip while the total does not
+    ([0], [[MAX], [MAX], [MIN]], True),
+    ([0], [[MIN], [MIN], [MAX]], True),
+    # the rows alone are within the bound; the accumulator takes the
+    # partial sums past it
+    ([MAX - 1], [[1], [1], [-5]], True),
+    ([MIN + 1], [[-1], [-1], [5]], True),
+    # an accumulator outside the range whose first partial sum clips
+    # though the rows only bring it back: the bound's partial sums start
+    # at zero rows, not at n of them
+    ([MAX + 2], [[-1], [-1]], True),
+    ([MIN - 2], [[1], [1]], True),
+], ids=["within", "within at the ends", "partial sums clip up", "partial sums clip down",
+        "acc clips up", "acc clips down", "acc above", "acc below"])
+def test_fold_is_one_pass_only_when_no_partial_sum_can_clip(monkeypatch, acc, rows,
+                                                            loop):
+    assert check_fold(acc, rows, monkeypatch) == (len(rows) if loop else 0)
+
+
+FOLD_WORDS = st.one_of(st.integers(-50, 50), st.integers(MIN, MAX),
+                       st.sampled_from([MIN, MAX]))
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 4).flatmap(lambda cells: st.tuples(
+    st.lists(FOLD_WORDS, min_size=cells, max_size=cells),
+    st.lists(st.lists(FOLD_WORDS, min_size=cells, max_size=cells), min_size=1,
+             max_size=5))))
+def test_fold_matches_heading_ordered_saturating_adds(acc_rows):
+    acc, rows = acc_rows
+    with pytest.MonkeyPatch.context() as patch:
+        check_fold(acc, rows, patch)
 
 
 # a step replaces the grid's shape, ray count, resolution or cap, or keeps all

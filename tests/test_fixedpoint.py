@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import oracles
 import mimap.fixedpoint as fx
-from mimap.datapath import _preprocess_rows, _step_bound, _sweep_step, cap_words
+from mimap.datapath import (SPAN_MAX, _preprocess_rows, _step_bound, _step_span,
+                            _sweep_step, cap_words)
 from mimap.grid import FcmiParams, SensorConfig, cell_width
 
 RAWS = st.integers(fx.RAW_MIN, fx.RAW_MAX)
@@ -63,6 +64,16 @@ def test_encode_rejects_values_without_a_word(x):
         fx.encode(x)
     with pytest.raises(ValueError, match="cannot encode"):
         fx.encode([0.0, x])
+
+
+def test_empty_arrays_come_back_empty_with_no_count():
+    empty = np.array([])
+    sat0 = fx.saturation_count()
+    for got in (fx.encode([]), fx.arr_clip(np.array([])), fx.arr_add(empty, empty),
+                fx.arr_sub(empty, empty), fx.arr_mul(empty, empty)):
+        assert got.shape == (0,) and got.dtype == np.float64
+    assert fx.encode(np.zeros((0, 3))).shape == (0, 3)
+    assert fx.saturation_count() == sat0
 
 
 def test_decode_range_ends():
@@ -259,7 +270,7 @@ def guard_edge(maxima) -> int:
     lo, hi = 0, fx.RAW_MAX + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _step_bound(mid, *maxima) <= fx.RAW_MAX else (lo, mid)
+        lo, hi = (mid, hi) if _step_bound(mid, *maxima)[1] <= fx.RAW_MAX else (lo, mid)
     return lo
 
 
@@ -274,7 +285,8 @@ def level_rows(resolution):
 def test_step_just_inside_and_just_outside_its_guard(case):
     # states at the guard's edge, one word past it and far past it, on
     # every column of the table, step to the words and clip counts of the
-    # oracle's scalar chain
+    # oracle's scalar chain.  Each state is a new lane array, so each
+    # step reads its own span
     if case == "rounding edge":
         # identity update and k1 = 0, dtheta = 6146 ulp: at the largest
         # state whose final product rounds down to RAW_MAX or less its
@@ -306,3 +318,89 @@ def test_step_just_inside_and_just_outside_its_guard(case):
             assert fx.saturation_count() - sat0 == want_sats
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(lanes, want_state)
+
+
+def span_edge(n, maxima) -> int:
+    """Largest state magnitude from which one reading covers n steps."""
+    lo, hi = 0, fx.RAW_MAX + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _step_span(mid, maxima) >= n else (lo, mid)
+    return lo
+
+
+def growing_rows():
+    """E = 1, x = w = 0, k1 = 0, dtheta = 6146 ulp and C1..C4 = 2^20: each
+    step adds 2^20 to every state word, so the state keeps up with the
+    span's bound, and from the edge of a span the step after it clips its
+    contribution."""
+    rows = np.zeros((6, 101))
+    rows[0] = fx.ONE_RAW
+    rows[2:] = 1 << 20
+    return rows, np.zeros(1), 0, 6146
+
+
+def step_maxima(rows, w, k1, dth):
+    return (int(np.abs(rows[1]).max()), int(np.abs(w).max()),
+            int(np.abs(rows[0]).max()), int(np.abs(rows[2:]).max()), abs(k1), abs(dth))
+
+
+def check_step(step, table, lanes, state, rows, w, k1, dth):
+    """One step of ``lanes`` against the oracle's from ``state``; returns
+    the oracle's new state and clip count."""
+    cols = np.arange(lanes.shape[1]) % rows.shape[1]
+    want_state, want, want_sats = oracle_step(state, rows[:, cols], w.take(cols // 101),
+                                              k1, dth)
+    sat0 = fx.saturation_count()
+    got = step(lanes, table.take(cols, axis=1))
+    assert fx.saturation_count() - sat0 == want_sats
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(lanes[:, :len(got)], want_state)
+    return want_state, want_sats
+
+
+@pytest.mark.parametrize("case,n", [("growing", 1), ("growing", 2), ("growing", 7),
+                                    ("growing", SPAN_MAX), ("0.1 m", 7), ("10 m", 2)])
+def test_span_covers_its_steps_and_the_next_step_reads_again(case, n):
+    # from a state at the edge of an n-step span, n + 1 steps of the same
+    # lanes give the words and clip counts of the oracle's scalar chain:
+    # the first n skip the clip, and the next reads max|state| again
+    if case == "growing":
+        rows, w, k1, dth = growing_rows()
+    else:
+        rows, w = level_rows(float(case.split()[0]))
+        k1, dth = fx.encode(1.0 - math.log(1e7)), fx.encode(2 * math.pi / 8)
+    table, step = _sweep_step(rows, w, k1, dth)
+    maxima = step_maxima(rows, w, k1, dth)
+    m = span_edge(n, maxima)
+    assert _step_span(m, maxima) == n and _step_span(m + 1, maxima) < n
+    sign = np.array([1, -1, 1, -1])[:, None]
+    state = np.repeat(sign * m, rows.shape[1], axis=1)
+    lanes = state.astype(np.float64)
+    sats = []
+    for _ in range(n + 1):
+        state, clips = check_step(step, table, lanes, state, rows, w, k1, dth)
+        sats.append(clips)
+    if case == "growing":
+        # every lane's contribution clips on the step after the span
+        assert sats == [0] * n + [rows.shape[1]]
+
+
+def test_span_holds_only_for_the_lanes_it_was_read_from():
+    rows, w, k1, dth = growing_rows()
+    table, step = _sweep_step(rows, w, k1, dth)
+    m = span_edge(3, step_maxima(rows, w, k1, dth))
+    far = 3 * (fx.RAW_MAX // 4)  # its contribution clips
+    # a span read on one lane array does not cover a step of another
+    lanes = np.full((4, 101), float(m))
+    check_step(step, table, lanes, lanes.astype(np.int64), rows, w, k1, dth)
+    other = np.full((4, 101), float(far))
+    _, clips = check_step(step, table, other, other.astype(np.int64), rows, w, k1, dth)
+    assert clips == 101
+    # nor a step of more lanes of the array it was read from
+    lanes = np.full((4, 202), float(far))
+    lanes[:, :101] = m
+    check_step(step, table, lanes[:, :101], lanes[:, :101].astype(np.int64),
+               rows, w, k1, dth)
+    _, clips = check_step(step, table, lanes, lanes.astype(np.int64), rows, w, k1, dth)
+    assert clips == 101

@@ -295,6 +295,12 @@ def test_lane_table_touches_the_lanes_the_running_count_finds(
         np.testing.assert_array_equal(got, want)
 
 
+def add_rows(acc, rows):
+    """A ``sweep`` fold: the block's heading rows added into ``acc``."""
+    for part in rows:
+        acc += part
+
+
 @pytest.mark.parametrize("buf_dtype", [np.float64, np.int32])
 @pytest.mark.parametrize("per_block", [1, 4, 10])
 def test_sweep_steps_every_line_in_scan_order_and_folds_by_heading(
@@ -315,19 +321,26 @@ def test_sweep_steps_every_line_in_scan_order_and_folds_by_heading(
         for i in range(fam.n_lines):
             cells = oracles.family_line(fam, i)
             want[cells] += np.arange(1, len(cells) + 1) * 1000 + h + 1
-    got = sweep(levels, sensor.angles, table, step, np.add, buf_dtype)
+    got = sweep(levels, sensor.angles, table, step, add_rows, buf_dtype)
     assert got.dtype == np.float64
     np.testing.assert_array_equal(got, want)
 
-    # an order-sensitive add shows every cell folds its headings in order
-    def add_in_order(acc, part):
-        return acc * 11 + part % 1000
+    # an order-sensitive fold shows every cell gets its headings in order,
+    # each block's headings as the rows of one fold call
+    blocks = []
 
-    got = sweep(levels, sensor.angles, table, step, add_in_order, buf_dtype)
+    def fold_in_order(acc, rows):
+        blocks.append(rows.shape)
+        for part in rows:
+            acc *= 11
+            acc += part % 1000
+
+    got = sweep(levels, sensor.angles, table, step, fold_in_order, buf_dtype)
     want = np.zeros(n_cells, dtype=np.int64)
     for h in range(10):
         want = want * 11 + h + 1
     np.testing.assert_array_equal(got, want)
+    assert blocks == [(min(per_block, 10 - k), n_cells) for k in range(0, 10, per_block)]
 
 
 @pytest.mark.parametrize("per_block", [1, 4, 10])
@@ -364,7 +377,7 @@ def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, pe
                 and all(a is b for a, b in zip(memo.blocks, blocks)))
 
     memo = SweepMemo()
-    first = sweep(levels, sensor.angles, table, step, np.add, np.int32, memo, "k")
+    first = sweep(levels, sensor.angles, table, step, add_rows, np.int32, memo, "k")
     assert sum(stepped) == n_cells * 10
     np.testing.assert_array_equal(memo.levels, levels.reshape(-1))
     assert len(built) == n_blocks and memo_holds(built)
@@ -372,21 +385,21 @@ def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, pe
     edited = levels.copy()
     edited[3, 5] = (edited[3, 5] + 1) % 101
     stepped.clear()
-    got = sweep(edited, sensor.angles, table, step, np.add, np.int32, memo, "k")
+    got = sweep(edited, sensor.angles, table, step, add_rows, np.int32, memo, "k")
     # one line of each heading holds the cell; only those lines step, on
     # the blocks the first call built
     assert sum(stepped) == visits_of_lines_through(3 * 12 + 5)
     assert len(built) == n_blocks and memo_holds(built)
-    cold = sweep(edited, sensor.angles, table, step, np.add, np.int32)
+    cold = sweep(edited, sensor.angles, table, step, add_rows, np.int32)
     np.testing.assert_array_equal(got, cold)
     assert not np.array_equal(got, first)
     # a cell a line ends at steps that line too
     end = int(oracles.family_line(line_family(sensor.angles[0], bounds), 0)[-1])
     edited.reshape(-1)[end] = (edited.reshape(-1)[end] + 1) % 101
     stepped.clear()
-    got = sweep(edited, sensor.angles, table, step, np.add, np.int32, memo, "k")
+    got = sweep(edited, sensor.angles, table, step, add_rows, np.int32, memo, "k")
     assert sum(stepped) == visits_of_lines_through(end)
-    cold = sweep(edited, sensor.angles, table, step, np.add, np.int32)
+    cold = sweep(edited, sensor.angles, table, step, add_rows, np.int32)
     np.testing.assert_array_equal(got, cold)
     # unchanged levels step no line; under another key they step every
     # line, on new blocks, and the old ones are dropped
@@ -395,7 +408,7 @@ def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, pe
         stepped.clear()
         built.clear()
         kept = list(memo.blocks)
-        sweep(edited, sensor.angles, table, step, np.add, np.int32, memo, key)
+        sweep(edited, sensor.angles, table, step, add_rows, np.int32, memo, key)
         assert sum(stepped) == want
         assert len(built) == builds and memo_holds(built if builds else kept)
     # with its buffers emptied, as the fixed-point engine does after a
@@ -403,11 +416,11 @@ def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, pe
     memo.bufs = []
     stepped.clear()
     built.clear()
-    sweep(edited, sensor.angles, table, step, np.add, np.int32, memo, "other")
+    sweep(edited, sensor.angles, table, step, add_rows, np.int32, memo, "other")
     assert sum(stepped) == n_cells * 10 and built == []
     # another shape builds its own blocks
     built.clear()
-    sweep(edited[:, :5], sensor.angles, table, step, np.add, np.int32, memo, "other")
+    sweep(edited[:, :5], sensor.angles, table, step, add_rows, np.int32, memo, "other")
     assert len(built) == -(-10 // max(1, per_block * n_cells // (7 * 5)))
     assert memo_holds(built)
 
@@ -416,11 +429,11 @@ def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, pe
         raise RuntimeError("step failed")
 
     with pytest.raises(RuntimeError):
-        sweep(levels, sensor.angles, table, failing, np.add, np.int32, memo, "other")
+        sweep(levels, sensor.angles, table, failing, add_rows, np.int32, memo, "other")
     assert memo.levels is None and memo.bufs == [] and memo.blocks == []
     stepped.clear()
     built.clear()
-    sweep(edited, sensor.angles, table, step, np.add, np.int32, memo, "other")
+    sweep(edited, sensor.angles, table, step, add_rows, np.int32, memo, "other")
     assert sum(stepped) == n_cells * 10 and len(built) == n_blocks
 
 
@@ -439,13 +452,12 @@ def test_sweep_without_memo_holds_one_block_at_a_time(monkeypatch, engine):
         cells.append(weakref.ref(block.cells))
         return block
 
-    def watched_sweep(levels, angles, table, step, add, *args):
-        def watched_add(acc, part):
-            if not bufs or bufs[-1]() is not part.base:
-                bufs.append(weakref.ref(part.base))
-            return add(acc, part)
+    def watched_sweep(levels, angles, table, step, fold, *args):
+        def watched_fold(acc, rows):
+            bufs.append(weakref.ref(rows.base))
+            fold(acc, rows)
 
-        return sweep(levels, angles, table, step, watched_add, *args)
+        return sweep(levels, angles, table, step, watched_fold, *args)
 
     monkeypatch.setattr(grid_module, "_lane_block", checked_lane_block)
     monkeypatch.setattr(engine, "sweep", watched_sweep)
