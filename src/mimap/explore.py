@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .datapath import compute_mi_map_fxp
-from .grid import (CellCoord, FcmiParams, LineFamily, MIMap, OccupancyGrid,
+from .grid import (CellCoord, FcmiParams, MIMap, OccupancyGrid,
                    SensorConfig, SweepMemo, cell_width, line_family)
 from .reference import map_entropy
 
@@ -131,66 +131,85 @@ class TrialLog:
         return best
 
 
-class ScanRay(NamedTuple):
-    """One beam of a scan; cells are flat indices ``row*W + col``."""
+class Scan(NamedTuple):
+    """One scan's beams; cells are flat indices ``row*W + col``.
 
-    traversed: np.ndarray   # int32 ground-truth-free cells, pose first
-    hit: int | None         # first occupied cell, None = max range
+    Beam i traversed ``cells[start[i]:start[i+1]]``, pose first, and
+    ``hits[i]`` is its first occupied cell, or -1 when it reached max
+    range or the map's edge without one.
+    """
+
+    cells: np.ndarray   # int32 ground-truth-free cells, beam after beam
+    start: np.ndarray   # R + 1 offsets into ``cells``, from 0
+    hits: np.ndarray    # int32 per beam: first occupied cell, -1 = none
 
 
 def _scan_tables(env: Environment, sensor: SensorConfig
-                 ) -> tuple[tuple[LineFamily, np.ndarray, np.ndarray], ...]:
-    """Per sensor heading: its ``line_family``, the position of every flat
-    cell in that family's cells (the inverse of the permutation
-    ``cells``), and the first-hit table, one int32 entry per family
-    position: for the beam that starts there, the position of its first
-    occupied cell, or -(f + 1) for f the farthest position it reaches when
-    it hits nothing.  A beam runs from its position back to its line's
-    start, cut at its reach of ``max_range / cell_width`` cells, so its
-    first occupied cell is the nearest occupied position at or before its
-    own on its line.  Built once per sensor and cached on the environment,
-    whose ground truth cannot change."""
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sensor's headings stacked as three (R, H*W) tables, read as one
+    flat array of R*H*W positions, position k*H*W + j being entry j of
+    heading k's family.
+
+    - ``cells``: row k is heading k's ``line_family`` cells;
+    - ``position``: ``position[k, c]`` is the position of flat cell c in
+      heading k's family (the inverse of the permutation ``cells[k]``),
+      offset by k*H*W;
+    - ``first_hit``: for the beam that starts at a position, the position
+      of its first occupied cell, or -(f + 1) for f the farthest position
+      it reaches when it hits nothing.
+
+    A beam runs from its position back to its line's start, cut at its
+    reach of ``max_range / cell_width`` cells, so its first occupied cell
+    is the nearest occupied position at or before its own on its line.
+    The tables are int32 while the R*H*W positions fit in it, int64 past
+    that.  Built once per sensor and cached on the environment, whose
+    ground truth cannot change."""
     tables = env._scan_tables.get(sensor)
     if tables is not None:
         return tables
     occupied = env.occupied.ravel()
     n_cells = occupied.size
-    at = np.arange(n_cells, dtype=np.int32)
-    tables = []
-    for ang in sensor.angles:
+    shape = (len(sensor.angles), n_cells)
+    dtype = np.int32 if shape[0] * n_cells <= np.iinfo(np.int32).max else np.int64
+    cells = np.empty(shape, dtype=np.int32)
+    position = np.empty(shape, dtype=dtype)
+    first_hit = np.empty(shape, dtype=dtype)
+    for k, ang in enumerate(sensor.angles):
         ang = float(ang)
         fam = line_family(ang, env.shape)
-        position = np.empty(n_cells, dtype=np.int32)
-        position[fam.cells] = at
+        at = np.arange(k * n_cells, (k + 1) * n_cells, dtype=dtype)
+        cells[k] = fam.cells
+        position[k, fam.cells] = at
         reach = sensor.max_range / cell_width(ang, env.resolution)
         # the reach caps at n_cells, longer than any line, before int():
         # an infinite range, or one whose quotient overflowed, cuts nothing
-        line_start = np.repeat(fam.seg_start[:-1].astype(np.int32), fam.line_lengths())
+        line_start = np.repeat(fam.seg_start[:-1].astype(dtype) + k * n_cells,
+                               fam.line_lengths())
         farthest = np.maximum(line_start, at - int(min(reach, n_cells)))
         hit = np.where(occupied[fam.cells], at, -1)
         np.maximum.accumulate(hit, out=hit)
-        tables.append((fam, position, np.where(hit >= farthest, hit, -1 - farthest)))
-    tables = env._scan_tables[sensor] = tuple(tables)
+        first_hit[k] = np.where(hit >= farthest, hit, -1 - farthest)
+    tables = env._scan_tables[sensor] = (cells, position, first_hit)
     return tables
 
 
 def simulate_scan(env: Environment, pose: CellCoord,
-                  sensor: SensorConfig = SensorConfig()) -> list[ScanRay]:
+                  sensor: SensorConfig = SensorConfig()) -> Scan:
     """Cast every sensor ray from the pose through the hidden scene.
 
-    Each beam is read from the cached ``line_family`` of its heading: the
-    family line through the pose, from its first scan cell up to the pose,
-    read backwards (family lines run anti-parallel to the beam).  A beam
-    holds at most ``int(max_range / cell_width) + 1`` cells and ends at
-    its first occupied cell.  The cut is made only where that quotient is
-    below the beam's length, so an infinite range, or a finite one whose
-    quotient overflows to infinity, keeps the whole beam.  The scene is
-    fixed, so where each beam ends is looked up, not searched: the pose's
-    position in the family, then that position's entry in the
-    environment's first-hit table for this sensor (built on the first
-    scan), give the beam as one slice of the family's cells.  Beams hold
-    flat cell indices; ``traversed`` is a fresh array, not a view of the
-    cached family.
+    Each beam is read from the ``line_family`` of its heading: the family
+    line through the pose, from the pose back to its first scan cell
+    (family lines run anti-parallel to the beam).  A beam holds at most
+    ``int(max_range / cell_width) + 1`` cells and ends at its first
+    occupied cell.  The cut is made only where that quotient is below the
+    beam's length, so an infinite range, or a finite one whose quotient
+    overflows to infinity, keeps the whole beam.  The scene is fixed, so
+    where each beam ends is looked up, not searched, in the environment's
+    tables for this sensor (``_scan_tables``, built on the first scan):
+    one gather gives the pose's position in every heading's family and
+    one more their first-hit entries.  The beams' lengths then lay out
+    ``Scan.start``, and one index vector, each beam's positions from the
+    pose down, gathers every traversed cell from the stacked families.
     """
     r, c = pose
     height, width = env.shape
@@ -198,16 +217,20 @@ def simulate_scan(env: Environment, pose: CellCoord,
         raise ValueError(f"pose {pose} outside {height}x{width} scene")
     if env.occupied[r, c]:
         raise ValueError(f"pose {pose} is on an occupied ground-truth cell")
-    rays = []
-    for fam, position, table in _scan_tables(env, sensor):
-        p = position.item(r * width + c)
-        end = table.item(p)
-        if end >= 0:
-            rays.append(ScanRay(fam.cells[end + 1:p + 1][::-1].copy(),
-                                fam.cells.item(end)))
-        else:
-            rays.append(ScanRay(fam.cells[-1 - end:p + 1][::-1].copy(), None))
-    return rays
+    cells, position, first_hit = _scan_tables(env, sensor)
+    cells = cells.reshape(-1)
+    p = position[:, r * width + c]
+    end = first_hit.reshape(-1)[p]
+    # a hit ends the traversed cells one position nearer the pose; a
+    # max-range beam keeps its farthest position -(end + 1)
+    n = p + 1 - np.where(end >= 0, end + 1, -1 - end)
+    start = np.zeros(len(p) + 1, dtype=np.intp)
+    np.cumsum(n, out=start[1:])
+    # entry j of beam i is position p[i] - j, pose first
+    beams = np.repeat(p + start[:-1], n) - np.arange(start[-1])
+    # a negative end counts back from the last position, so the gather
+    # holds; where it lands is discarded
+    return Scan(cells[beams], start, np.where(end >= 0, cells[end], -1))
 
 
 def _requantize(level: int, delta: float) -> int:
@@ -228,23 +251,22 @@ _FREE_TABLE = np.array([_requantize(v, L_FREE) for v in range(101)], np.uint8)
 _HIT_TABLE = np.array([_requantize(v, L_OCC) for v in range(101)], np.uint8)
 
 
-def update_occupancy(grid: OccupancyGrid, scan: list[ScanRay]) -> OccupancyGrid:
+def update_occupancy(grid: OccupancyGrid, scan: Scan) -> OccupancyGrid:
     """Fold one scan into the map; each observed cell updates once.
 
-    The scan's traversed and hit cells are marked, by flat index, in two
-    boolean masks.  Every traversed cell then takes its new level from
-    ``_FREE_TABLE``, and every hit cell afterwards from ``_HIT_TABLE``:
-    101-entry tables of ``_requantize(level, L_FREE)`` and
-    ``_requantize(level, L_OCC)``, built once at import.
+    Every traversed cell takes its new level from ``_FREE_TABLE``, and
+    every hit cell afterwards from ``_HIT_TABLE``: 101-entry tables of
+    ``_requantize(level, L_FREE)`` and ``_requantize(level, L_OCC)``,
+    built once at import.  Each is one gather and one scatter by flat
+    index.  A cell on several beams reads the same level before the
+    scatter and so writes the same new one, and moves once per kind.
+    The hit entries of -1 (no hit) are dropped first: as an index they
+    would name the map's last cell.
     """
     levels = grid.levels.copy()
     flat = levels.reshape(-1)
-    free = np.zeros(flat.size, dtype=bool)
-    hits = np.zeros(flat.size, dtype=bool)
-    if scan:
-        free[np.concatenate([ray.traversed for ray in scan])] = True
-        hits[[ray.hit for ray in scan if ray.hit is not None]] = True
-    flat[free] = _FREE_TABLE[flat[free]]
+    flat[scan.cells] = _FREE_TABLE[flat[scan.cells]]
+    hits = scan.hits[scan.hits >= 0]
     flat[hits] = _HIT_TABLE[flat[hits]]
     return OccupancyGrid(levels, grid.resolution)
 

@@ -109,13 +109,15 @@ def write_grid(grid: OccupancyGrid, path) -> None:
 
 
 def _value_row(path, line_no, fields):
-    try:
-        row = [float(tok) for tok in fields]
-    except ValueError:
-        _fail(path, line_no, "non-numeric value in row")
-    for c, val in enumerate(row):
+    row = []
+    for c, tok in enumerate(fields):
+        try:
+            val = float(tok)
+        except ValueError:
+            _fail(path, line_no, f"field {c + 1}: not a number: {tok!r}")
         if not math.isfinite(val):
-            _fail(path, line_no, f"field {c + 1}: non-finite value {fields[c]!r}")
+            _fail(path, line_no, f"field {c + 1}: non-finite value {tok!r}")
+        row.append(val)
     return row
 
 

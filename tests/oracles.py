@@ -86,12 +86,16 @@ def family_line(fam, i: int) -> np.ndarray:
     return fam.cells[fam.seg_start[i]:fam.seg_start[i + 1]]
 
 
-def ray_coords(ray, width: int
+def ray_coords(scan, i: int, width: int
                ) -> tuple[list[tuple[int, int]], tuple[int, int] | None]:
-    """A scan ray's flat cell indices as (row, col) pairs, in the form
-    ``oracle_scan_ray`` returns: (traversed cells, hit cell or None)."""
-    traversed = [divmod(int(cell), width) for cell in ray.traversed]
-    return traversed, None if ray.hit is None else divmod(int(ray.hit), width)
+    """Beam ``i`` of a scan, its flat cell indices as (row, col) pairs, in
+    the form ``oracle_scan_ray`` returns: (traversed cells, hit cell or
+    None).  The beam traversed ``scan.cells[scan.start[i]:scan.start[i +
+    1]]``, and ``scan.hits[i]`` is its hit, -1 for none."""
+    cells = scan.cells[scan.start[i]:scan.start[i + 1]]
+    hit = int(scan.hits[i])
+    return ([divmod(int(cell), width) for cell in cells],
+            None if hit == -1 else divmod(hit, width))
 
 
 def dda_beam_cells(start: tuple[int, int], angle: float,

@@ -205,6 +205,16 @@ def test_compare_nan_map_fails_assert_max(tmp_path, capsys):
     assert f"{pa}:2: field 1: non-finite value 'nan'" in err
 
 
+def test_compare_names_the_field_that_is_not_a_number(tmp_path, capsys):
+    pa, pb = tmp_path / "a.mimap", tmp_path / "b.mimap"
+    write_mi_map(MIMap(np.zeros((2, 2))), pa)
+    pb.write_text("2 2\n0 0\n0.5 abc\n")
+    code, out, err = run(capsys, "compare", str(pa), str(pb))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {pb}:3: field 2: not a number: 'abc'\n"
+
+
 def test_mi_ref_rejects_trailing_grid_row(tmp_path, capsys):
     grid = tmp_path / "g.grid"
     grid.write_text("2 2 0.1\n0 0\n0 0\n7 7\n")

@@ -23,7 +23,7 @@ from mimap.explore import (
     UTILITY_DECAY,
     Environment,
     PlatformProfile,
-    ScanRay,
+    Scan,
     TrialLog,
     TrialRow,
     _bfs_distances,
@@ -43,9 +43,17 @@ from mimap.reference import compute_mi_map
 GOLDEN_TRIALS = Path(__file__).parent / "goldens" / "trial_digests.txt"
 
 
-def flat(*cells):
-    """A hand-made ray's traversed cells: flat indices, as int32."""
-    return np.array(cells, dtype=np.int32)
+def scan_of(*beams):
+    """A hand-made scan from (traversed flat cells, hit cell or None)
+    beams."""
+    return Scan(np.array([c for cells, _ in beams for c in cells], dtype=np.int32),
+                np.cumsum([0] + [len(cells) for cells, _ in beams]),
+                np.array([-1 if hit is None else hit for _, hit in beams], dtype=np.int32))
+
+
+def beams(scan, width):
+    """Every beam of a scan as ``oracles.ray_coords`` gives it."""
+    return [oracles.ray_coords(scan, i, width) for i in range(len(scan.hits))]
 
 
 def box_env(size=9, extra=()):
@@ -79,9 +87,8 @@ def test_environment_owns_a_read_only_copy():
     for env in (scanned, fresh):
         assert not env.occupied.any()
         after = simulate_scan(env, pose, sensor)
-        assert all(ray.hit is None for ray in after)
-        assert [oracles.ray_coords(ray, 6) for ray in after] == [
-            oracles.ray_coords(ray, 6) for ray in before]
+        assert (after.hits == -1).all()
+        assert beams(after, 6) == beams(before, 6)
     with pytest.raises(ValueError, match="read-only"):
         scanned.occupied[0, 0] = True
 
@@ -101,35 +108,32 @@ def test_environment_grid_round_trip():
 
 def test_scan_empty_environment_all_max_range():
     env = Environment(np.zeros((7, 7), bool))
-    rays = simulate_scan(env, CellCoord(3, 3), SensorConfig(4))
-    assert [ray.hit for ray in rays] == [None, None, None, None]
-    for ray in rays:
-        traversed, _ = oracles.ray_coords(ray, 7)
+    scan = simulate_scan(env, CellCoord(3, 3), SensorConfig(4))
+    assert scan.hits.tolist() == [-1, -1, -1, -1]
+    for traversed, _ in beams(scan, 7):
         assert traversed[0] == CellCoord(3, 3)
         assert len(traversed) == 4  # pose to grid edge
 
 
 def test_scan_max_range_truncates():
     env = Environment(np.zeros((9, 9), bool))
-    rays = simulate_scan(env, CellCoord(4, 4), SensorConfig(4, max_range=2.0))
-    for ray in rays:
-        assert ray.hit is None
-        assert len(ray.traversed) == 3  # int(range/width) + 1 cells
+    scan = simulate_scan(env, CellCoord(4, 4), SensorConfig(4, max_range=2.0))
+    assert scan.hits.tolist() == [-1, -1, -1, -1]
+    assert np.diff(scan.start).tolist() == [3, 3, 3, 3]  # int(range/width) + 1 cells
 
 
 def test_scan_range_too_large_to_divide_keeps_whole_beam():
     # 1e308 / 0.1 overflows to inf, like an unlimited range
     env = Environment(np.zeros((3, 3), bool), resolution=0.1)
-    rays = simulate_scan(env, CellCoord(1, 1), SensorConfig(4, max_range=1e308))
+    scan = simulate_scan(env, CellCoord(1, 1), SensorConfig(4, max_range=1e308))
     want = simulate_scan(env, CellCoord(1, 1), SensorConfig(4))
-    assert ([oracles.ray_coords(ray, 3) for ray in rays]
-            == [oracles.ray_coords(ray, 3) for ray in want])
+    assert beams(scan, 3) == beams(want, 3)
 
 
 def test_scan_adjacent_wall_hits_at_distance_one():
     env = box_env(5, extra=[(2, 3)])
-    rays = simulate_scan(env, CellCoord(2, 2), SensorConfig(4))
-    traversed, hit = oracles.ray_coords(rays[0], 5)  # east
+    scan = simulate_scan(env, CellCoord(2, 2), SensorConfig(4))
+    traversed, hit = oracles.ray_coords(scan, 0, 5)  # east
     assert traversed == [CellCoord(2, 2)]
     assert hit == CellCoord(2, 3)
 
@@ -137,7 +141,7 @@ def test_scan_adjacent_wall_hits_at_distance_one():
 def test_scan_corridor_hand_traced():
     # 9x9 box plus a wall stub at rows 3..5 of column 6; pose at center
     env = box_env(9, extra=[(3, 6), (4, 6), (5, 6)])
-    rays = simulate_scan(env, CellCoord(4, 4), SensorConfig(8))
+    scan = simulate_scan(env, CellCoord(4, 4), SensorConfig(8))
     want = [
         ([(4, 4), (4, 5)], (4, 6)),
         ([(4, 4), (5, 5), (6, 6), (7, 7)], (8, 8)),
@@ -148,8 +152,7 @@ def test_scan_corridor_hand_traced():
         ([(4, 4), (3, 4), (2, 4), (1, 4)], (0, 4)),
         ([(4, 4), (3, 5), (2, 6), (1, 7)], (0, 8)),
     ]
-    for ray, (cells, hit) in zip(rays, want):
-        got_cells, got_hit = oracles.ray_coords(ray, 9)
+    for (got_cells, got_hit), (cells, hit) in zip(beams(scan, 9), want, strict=True):
         assert got_cells == [CellCoord(r, c) for r, c in cells]
         assert got_hit == CellCoord(*hit)
 
@@ -167,7 +170,7 @@ def test_scan_pose_errors():
 
 def test_update_free_hit_from_prior():
     grid = OccupancyGrid.uniform((1, 3), 50)
-    scan = [ScanRay(flat(0), 1)]   # traversed (0, 0), hit (0, 1)
+    scan = scan_of(([0], 1))   # traversed (0, 0), hit (0, 1)
     out = update_occupancy(grid, scan)
     assert out.levels[0, 0] == 30   # sigma(-0.85) = 0.2994
     assert out.levels[0, 1] == 86   # sigma(+1.80) = 0.8581
@@ -177,7 +180,7 @@ def test_update_free_hit_from_prior():
 
 def test_update_repeated_free_converges_to_floor():
     grid = OccupancyGrid.uniform((1, 1), 50)
-    scan = [ScanRay(flat(0), None)]
+    scan = scan_of(([0], None))
     seen = []
     for _ in range(10):
         grid = update_occupancy(grid, scan)
@@ -188,7 +191,7 @@ def test_update_repeated_free_converges_to_floor():
 
 def test_update_repeated_hits_converge_to_ceiling():
     grid = OccupancyGrid.uniform((1, 1), 50)
-    scan = [ScanRay(flat(), 0)]
+    scan = scan_of(([], 0))
     for _ in range(10):
         grid = update_occupancy(grid, scan)
     assert grid.levels[0, 0] == 99
@@ -199,15 +202,14 @@ def test_update_certain_levels_enter_the_clamp_band(level, want):
     # levels 0 and 100 sit at infinite log-odds; either observation maps
     # them to the formula's limit, the nearest edge of the clamp band
     grid = OccupancyGrid(np.full((1, 2), level, np.uint8))
-    out = update_occupancy(grid, [ScanRay(flat(0), 1)])
+    out = update_occupancy(grid, scan_of(([0], 1)))
     np.testing.assert_array_equal(out.levels, [[want, want]])
 
 
 def test_update_each_cell_once_per_scan():
     # two rays crossing the same cell must not double-count it
     grid = OccupancyGrid.uniform((1, 2), 50)
-    scan = [ScanRay(flat(0), None),
-            ScanRay(flat(0, 1), None)]
+    scan = scan_of(([0], None), ([0, 1], None))
     out = update_occupancy(grid, scan)
     assert out.levels[0, 0] == 30
     assert out.levels[0, 1] == 30
@@ -218,14 +220,11 @@ def test_update_cell_both_traversed_and_hit_moves_free_then_hit():
     # any rays: the free step goes first, so 0 -> 1 -> 6 and 100 -> 99 -> 99
     # (hit first would give 0 -> 1 -> 1 and 100 -> 99 -> 98)
     grid = OccupancyGrid(np.array([[0, 100]], np.uint8))
-    scan = [ScanRay(flat(0, 1), None),
-            ScanRay(flat(), 0),
-            ScanRay(flat(), 1)]
+    scan = scan_of(([0, 1], None), ([], 0), ([], 1))
     out = update_occupancy(grid, scan)
     assert out.levels.tolist() == [[6, 99]]
-    coords = [oracles.ray_coords(ray, 2) for ray in scan]
     np.testing.assert_array_equal(out.levels, oracles.oracle_update_levels(
-        grid.levels, [coords], L_FREE, L_OCC, LEVEL_FLOOR, LEVEL_CEIL))
+        grid.levels, [beams(scan, 2)], L_FREE, L_OCC, LEVEL_FLOOR, LEVEL_CEIL))
 
 
 def test_update_tables_match_requantize():
@@ -239,9 +238,10 @@ def cells_of(height, width):
 
 
 @st.composite
-def scanned_maps(draw):
+def scanned_maps(draw, rays=st.integers(1, 13)):
     """Prior levels 0..100 on a 1..12 x 1..12 map, and the scans of a
-    random scene of that shape from one to three free poses."""
+    random scene of that shape from one to three free poses, with a ray
+    count drawn from ``rays``."""
     height, width = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     # two bytes a cell: a quarter of the scene occupied, any prior level
     n = height * width
@@ -253,7 +253,7 @@ def scanned_maps(draw):
     for pose in poses:
         occupied[pose] = False
     resolution = draw(st.sampled_from([0.1, 1.0]))
-    sensor = SensorConfig(draw(st.integers(1, 13)),
+    sensor = SensorConfig(draw(rays),
                           draw(st.one_of(st.just(math.inf), st.floats(0.05, 20.0))))
     env = Environment(occupied, resolution)
     scans = [simulate_scan(env, CellCoord(*pose), sensor) for pose in poses]
@@ -267,10 +267,35 @@ def test_update_matches_set_fold_oracle(case):
     for scan in scans:
         grid = update_occupancy(grid, scan)
     width = prior.shape[1]
-    coords = [[oracles.ray_coords(ray, width) for ray in scan] for scan in scans]
+    coords = [beams(scan, width) for scan in scans]
     want = oracles.oracle_update_levels(prior.levels, coords, L_FREE, L_OCC,
                                         LEVEL_FLOOR, LEVEL_CEIL)
     np.testing.assert_array_equal(grid.levels, want)
+
+
+@given(scanned_maps(rays=st.integers(16, 60)))
+def test_update_of_overlapping_beams_matches_set_fold_oracle(case):
+    # 16 to 60 beams on at most 12x12 cells cross the same cells again and
+    # again, the pose on every beam; each scan still moves a cell once
+    prior, scans = case
+    grid = prior
+    for scan in scans:
+        assert np.unique(scan.cells).size < scan.cells.size
+        grid = update_occupancy(grid, scan)
+    want = oracles.oracle_update_levels(
+        prior.levels, [beams(scan, prior.shape[1]) for scan in scans],
+        L_FREE, L_OCC, LEVEL_FLOOR, LEVEL_CEIL)
+    np.testing.assert_array_equal(grid.levels, want)
+
+
+def test_update_max_range_beam_leaves_the_last_cell_alone():
+    # the east beam from (0, 0) stops at max range on (0, 1), far from the
+    # last cell; its hit entry of -1, read as an index, would name that cell
+    env = Environment(np.zeros((2, 3), bool))
+    scan = simulate_scan(env, CellCoord(0, 0), SensorConfig(1, max_range=1.0))
+    assert scan.hits.tolist() == [-1]
+    out = update_occupancy(OccupancyGrid.uniform((2, 3), 50), scan)
+    assert out.levels.tolist() == [[30, 30, 50], [50, 50, 50]]
 
 
 # ---------------------------------------------------------------- planning

@@ -132,8 +132,8 @@ def free_env(bounds, resolution=1.0):
 def scan_ray(env, pose, sensor, k):
     """Ray ``k`` of the scan from ``pose`` as plain (row, col) tuples: the
     traversed cells, then the hit cell if there is one."""
-    ray = simulate_scan(env, CellCoord(*pose), sensor)[k]
-    cells, hit = oracles.ray_coords(ray, env.shape[1])
+    scan = simulate_scan(env, CellCoord(*pose), sensor)
+    cells, hit = oracles.ray_coords(scan, k, env.shape[1])
     return cells + [hit] if hit is not None else cells
 
 
@@ -185,14 +185,15 @@ def test_beam_properties(scene, ray_count, resolution, max_range):
     # occupied cell; 1xN, Nx1 and ray counts not divisible by 4 included
     occupied, pose = scene
     sensor = SensorConfig(ray_count, max_range)
-    rays = simulate_scan(Environment(occupied, resolution), CellCoord(*pose), sensor)
-    assert len(rays) == ray_count
-    for ray, angle in zip(rays, sensor.angles):
+    scan = simulate_scan(Environment(occupied, resolution), CellCoord(*pose), sensor)
+    assert len(scan.start) == ray_count + 1 and scan.start[0] == 0
+    assert scan.start[-1] == len(scan.cells)
+    assert scan.cells.dtype == scan.hits.dtype == np.int32
+    assert ((scan.hits == -1) | ((0 <= scan.hits) & (scan.hits < occupied.size))).all()
+    for i, angle in enumerate(sensor.angles):
         traversed, hit = oracles.oracle_scan_ray(occupied, pose, float(angle),
                                                  resolution, max_range)
-        assert ray.traversed.dtype == np.int32
-        assert ray.hit is None or type(ray.hit) is int
-        got_traversed, got_hit = oracles.ray_coords(ray, occupied.shape[1])
+        got_traversed, got_hit = oracles.ray_coords(scan, i, occupied.shape[1])
         assert got_traversed == traversed
         assert got_hit == hit
         cells = traversed + ([hit] if hit is not None else [])
@@ -212,12 +213,12 @@ def test_each_sensor_scans_an_environment_with_its_own_beams(scene, resolution):
     env = Environment(occupied, resolution)
     sensors = (SensorConfig(7, 2.5), SensorConfig(12, 1e308))
     for sensor in sensors + sensors:
-        rays = simulate_scan(env, CellCoord(*pose), sensor)
-        assert len(rays) == sensor.ray_count
-        for ray, angle in zip(rays, sensor.angles):
+        scan = simulate_scan(env, CellCoord(*pose), sensor)
+        assert len(scan.hits) == sensor.ray_count
+        for i, angle in enumerate(sensor.angles):
             want = oracles.oracle_scan_ray(occupied, pose, float(angle), resolution,
                                            sensor.max_range)
-            assert oracles.ray_coords(ray, occupied.shape[1]) == want
+            assert oracles.ray_coords(scan, i, occupied.shape[1]) == want
 
 
 # ---------------------------------------------------------------- families
