@@ -67,7 +67,7 @@ from typing import ClassVar
 import numpy as np
 
 from .datapath import compute_mi_map_fxp
-from .grid import CellCoord, FcmiParams, MIMap, OccupancyGrid, SensorConfig, line_family
+from .grid import CellCoord, FcmiParams, MIMap, OccupancyGrid, SensorConfig, family_table
 from .gridio import read_lines
 
 CONTEXTS_PER_SLOT = 2  # live ray contexts per pipeline slot
@@ -202,8 +202,7 @@ def _flat_schedule(bounds: tuple[int, int], sensor: SensorConfig, config: ArchCo
     banks = array("i")  # 4 bytes a cell; a list would hold 8-byte pointers
     line_starts = bytearray()
     units = []
-    for angle in sensor.angles:
-        fam = line_family(float(angle), bounds)
+    for fam in family_table(sensor.ray_count, *bounds)[1]:
         base = len(banks)
         flags = np.bincount(fam.seg_start[:-1], minlength=len(fam.cells))
         line_starts += flags.astype(np.uint8).tobytes()

@@ -338,7 +338,7 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
     table, step = _sweep_step(_preprocess_rows(w_raws, present, caps), w_raws,
                               caps[0], fx.encode(sensor.delta_theta))
     # int32 buffer: saturated words fit
-    mi_flat = sweep(grid.levels, sensor.angles, table, step, _fold, np.int32,
+    mi_flat = sweep(grid.levels, sensor.ray_count, table, step, _fold, np.int32,
                     memo, (sensor, grid.resolution, params))
     saturations = fx.saturation_count() - sat0
     if memo is not None and saturations:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .datapath import compute_mi_map_fxp
 from .grid import (CellCoord, FcmiParams, MIMap, OccupancyGrid,
-                   SensorConfig, SweepMemo, cell_width, line_family)
+                   SensorConfig, SweepMemo, cell_width, family_table)
 from .reference import map_entropy
 
 UNKNOWN_LO = 40        # level band treated as unexplored
@@ -146,11 +146,12 @@ class Scan(NamedTuple):
 
 def _scan_tables(env: Environment, sensor: SensorConfig
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sensor's headings stacked as three (R, H*W) tables, read as one
-    flat array of R*H*W positions, position k*H*W + j being entry j of
-    heading k's family.
+    """The sensor's headings stacked as three (R, H*W) tables, the first
+    shared and two the entry's own, read as one flat array of R*H*W
+    positions, position k*H*W + j being entry j of heading k's family.
 
-    - ``cells``: row k is heading k's ``line_family`` cells;
+    - ``cells``: the shared ``family_table``, row k heading k's
+      ``line_family`` cells;
     - ``position``: ``position[k, c]`` is the position of flat cell c in
       heading k's family (the inverse of the permutation ``cells[k]``),
       offset by k*H*W;
@@ -161,26 +162,22 @@ def _scan_tables(env: Environment, sensor: SensorConfig
     A beam runs from its position back to its line's start, cut at its
     reach of ``max_range / cell_width`` cells, so its first occupied cell
     is the nearest occupied position at or before its own on its line.
-    The tables are int32 while the R*H*W positions fit in it, int64 past
-    that.  Built once per sensor and cached on the environment, whose
-    ground truth cannot change."""
+    ``position`` and ``first_hit`` are int32 while the R*H*W positions
+    fit in it, int64 past that.  They are built once per sensor and
+    cached on the environment, whose ground truth cannot change."""
     tables = env._scan_tables.get(sensor)
     if tables is not None:
         return tables
     occupied = env.occupied.ravel()
-    n_cells = occupied.size
-    shape = (len(sensor.angles), n_cells)
-    dtype = np.int32 if shape[0] * n_cells <= np.iinfo(np.int32).max else np.int64
-    cells = np.empty(shape, dtype=np.int32)
-    position = np.empty(shape, dtype=dtype)
-    first_hit = np.empty(shape, dtype=dtype)
-    for k, ang in enumerate(sensor.angles):
-        ang = float(ang)
-        fam = line_family(ang, env.shape)
+    cells, fams = family_table(sensor.ray_count, *env.shape)
+    n_cells = cells.shape[1]
+    dtype = np.int32 if cells.size <= np.iinfo(np.int32).max else np.int64
+    position = np.empty(cells.shape, dtype=dtype)
+    first_hit = np.empty(cells.shape, dtype=dtype)
+    for k, (ang, fam) in enumerate(zip(sensor.angles, fams)):
         at = np.arange(k * n_cells, (k + 1) * n_cells, dtype=dtype)
-        cells[k] = fam.cells
         position[k, fam.cells] = at
-        reach = sensor.max_range / cell_width(ang, env.resolution)
+        reach = sensor.max_range / cell_width(float(ang), env.resolution)
         # the reach caps at n_cells, longer than any line, before int():
         # an infinite range, or one whose quotient overflowed, cuts nothing
         line_start = np.repeat(fam.seg_start[:-1].astype(dtype) + k * n_cells,

@@ -194,18 +194,22 @@ class LineFamily:
         return np.diff(self.seg_start)
 
 
-@lru_cache(maxsize=512)
-def _family_cached(angle: float, height: int, width: int) -> LineFamily:
-    major_is_col, step, slope = _axes(angle)
+def line_family(angle: float, bounds: tuple[int, int]) -> LineFamily:
+    """The family of one heading over a grid of shape ``bounds``, built
+    anew on every call; the engines, the scan and the cycle model read
+    theirs from ``family_table``."""
+    height, width = int(bounds[0]), int(bounds[1])
+    major_is_col, step, slope = _axes(float(angle))
     if major_is_col:
         u_max, v_max = width, height
     else:
         u_max, v_max = height, width
-    u = np.arange(u_max, dtype=np.int64)
-    m = np.floor(slope * u + 0.5).astype(np.int64)
+    # int32 throughout, the cells' type: no value here exceeds H*W
+    u = np.arange(u_max, dtype=np.int32)
+    m = np.floor(slope * u + 0.5).astype(np.int32)
     scan_u = u[::-1] if step > 0 else u  # anti-beam sweep direction
     m_scan = m[scan_u]
-    rho = np.arange(v_max, dtype=np.int64)[:, None]
+    rho = np.arange(v_max, dtype=np.int32)[:, None]
     v = (rho + m_scan[None, :]) % v_max          # unit rho at major scan_u
     if major_is_col:
         flat = v * width + scan_u[None, :]
@@ -217,22 +221,36 @@ def _family_cached(angle: float, height: int, width: int) -> LineFamily:
     brk[:, 1:] = phase[:, 1:] != phase[:, :-1]
     starts = np.flatnonzero(brk.ravel()).astype(np.int64)
     seg_start = np.append(starts, v_max * u_max)
-    seg_phase = phase.ravel()[starts]
-    return LineFamily(np.ascontiguousarray(flat.ravel(), dtype=np.int32),
-                      seg_start, seg_phase, v_max)
+    seg_phase = phase.ravel()[starts].astype(np.int64)
+    return LineFamily(flat.reshape(-1), seg_start, seg_phase, v_max)
 
 
-def line_family(angle: float, bounds: tuple[int, int]) -> LineFamily:
-    height, width = bounds
-    return _family_cached(float(angle), int(height), int(width))
+@lru_cache(maxsize=16)
+def family_table(ray_count: int, height: int, width: int
+                 ) -> tuple[np.ndarray, tuple[LineFamily, ...]]:
+    """The one store of family cells: the ``line_family`` cells of the
+    ``ray_count`` headings of ``SensorConfig(ray_count)`` on a
+    ``height`` x ``width`` grid, as a read-only, C-contiguous (R, H*W)
+    int32 table, with the R families whose ``cells`` are its rows.  Entry
+    j of heading k's family sits at flat position k*H*W + j.  The sweep's
+    lane blocks, the scan and the cycle model read slices of it."""
+    table = np.empty((ray_count, height * width), dtype=np.int32)
+    segs = []
+    for k, angle in enumerate(SensorConfig(ray_count).angles):
+        fam = line_family(angle, (height, width))
+        table[k] = fam.cells  # the table keeps the only lasting copy
+        segs.append((fam.seg_start, fam.seg_phase, fam.n_units))
+    table.flags.writeable = False
+    return table, tuple(LineFamily(row, *seg) for row, seg in zip(table, segs))
 
 
 class LaneBlock(NamedTuple):
     """Consecutive headings laid out as one set of lanes for the engines.
 
-    ``cells`` concatenates the ``line_family`` cells of the block's
-    headings from heading ``first`` on, in heading order, H*W of them per
-    heading.  Every line of those families is a lane:
+    ``cells`` is rows ``first`` on of the ``family_table``, flattened: a
+    read-only view of the block's headings' ``line_family`` cells, in
+    heading order, H*W of them per heading.  Every line of those families
+    is a lane:
     lane j reads ``cells[lane_start[j] + t]`` at sweep steps
     t < ``lane_len[j]``, and its heading is ``first + lane_start[j] //
     (H*W)``.  Lanes run longest first, so the lanes still active at step
@@ -245,25 +263,29 @@ class LaneBlock(NamedTuple):
     lane_len: np.ndarray
 
 
-def lane_blocks(angles, bounds: tuple[int, int]) -> Iterator[LaneBlock]:
-    """The headings at ``angles`` in consecutive blocks of at most
+def lane_blocks(ray_count: int, bounds: tuple[int, int]) -> Iterator[LaneBlock]:
+    """The ``ray_count`` headings in consecutive blocks of at most
     ``LANE_BLOCK_CELLS`` cells (at least one heading each), in heading
     order.  Each block is built when it is asked for, so a caller that
-    drops a block before taking the next holds one at a time."""
+    drops a block before taking the next holds one block's lanes at a
+    time."""
     n_cells = int(bounds[0]) * int(bounds[1])
     per = max(1, LANE_BLOCK_CELLS // n_cells)
-    for first in range(0, len(angles), per):
-        yield _lane_block(angles[first:first + per], first, bounds)
+    for first in range(0, ray_count, per):
+        yield _lane_block(ray_count, first, per, bounds)
 
 
-def _lane_block(angles, first: int, bounds: tuple[int, int]) -> LaneBlock:
-    fams = [line_family(float(a), bounds) for a in angles]
-    n_cells = int(bounds[0]) * int(bounds[1])
+def _lane_block(ray_count: int, first: int, per: int,
+                bounds: tuple[int, int]) -> LaneBlock:
+    """Headings ``first`` to ``first + per``, or to the last, as one block."""
+    table, fams = family_table(ray_count, *bounds)
+    n_cells = table.shape[1]
+    fams = fams[first:first + per]
     lengths = np.concatenate([f.line_lengths() for f in fams])
     starts = np.concatenate([f.seg_start[:-1] + k * n_cells
                              for k, f in enumerate(fams)])
     order = np.argsort(-lengths, kind="stable")
-    return LaneBlock(first, np.concatenate([f.cells for f in fams]),
+    return LaneBlock(first, table[first:first + per].reshape(-1),
                      starts[order], lengths[order])
 
 
@@ -304,12 +326,13 @@ class SweepMemo:
     heading block, its ``LaneBlock``, its lane of each (heading, cell)
     (``_lane_table``) and its contribution buffer (slot k*H*W + c
     for the block's k-th heading and cell c).  Per heading and cell that
-    is one word of the block's cells, one of the lane table and one of
-    the buffer.  While a call runs, and after a call that raised, it is
-    empty.  An engine empties ``bufs`` after a call whose kept
-    contributions the next call must not reuse (the fixed-point engine
-    does so after a call that saturated), which keeps the lane blocks and
-    their tables and makes the next call step every lane.
+    is one word of the lane table and one of the buffer; the blocks'
+    cells are views of the shared ``family_table``.  While a call runs,
+    and after a call that raised, it is empty.  An engine empties
+    ``bufs`` after a call whose kept contributions the next call must
+    not reuse (the fixed-point engine does so after a call that
+    saturated), which keeps the lane blocks and their tables and makes
+    the next call step every lane.
     """
 
     def __init__(self):
@@ -320,7 +343,7 @@ class SweepMemo:
         self.lane_of: list[np.ndarray] = []
 
 
-def sweep(levels: np.ndarray, angles, table: np.ndarray, step, fold,
+def sweep(levels: np.ndarray, ray_count: int, table: np.ndarray, step, fold,
           buf_dtype, memo: SweepMemo | None = None, key=None) -> np.ndarray:
     """The one sweep of both map engines: a recursion along every line of
     every heading's family, each cell's contributions summed.
@@ -357,13 +380,14 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, fold,
     and key, so a call under the memo's key reuses them, cold or not.
     The memo is emptied when the call starts and filled again only when
     its sweep has finished.  It holds every block with its lane table and
-    its buffer: per (heading, cell), an int32 cell index, a lane index of
-    at most four bytes and a ``buf_dtype`` word.  For the fixed-point
-    engine at 57² and 60 rays (4 892 lanes, two-byte indices) that is
-    0.78 + 0.39 + 0.78 MB.  So it is owned by the caller and not hung on
-    the returned map: a caller keeping many maps would keep a buffer with
-    each.  A call without a memo builds no lane table and holds one block
-    at a time.
+    its buffer: per (heading, cell), a lane index of at most four bytes
+    and a ``buf_dtype`` word.  For the fixed-point engine at 57² and 60
+    rays (4 892 lanes, two-byte indices) that is 0.39 + 0.78 MB; the
+    blocks' int32 cells, 0.78 MB, are rows of the ``family_table``,
+    which every call and the scan share.  So it is owned by the caller
+    and not hung on the returned map: a caller keeping many maps would
+    keep a buffer with each.  A call without a memo builds no lane table
+    and holds one block at a time.
     """
     n_cells = levels.size
     levels_flat = levels.reshape(-1)
@@ -378,7 +402,7 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, fold,
                 changed = np.flatnonzero(memo.levels != levels_flat)
         memo.levels, memo.bufs, memo.blocks, memo.lane_of = None, [], [], []
     if blocks is None:
-        blocks = lane_blocks(angles, levels.shape)
+        blocks = lane_blocks(ray_count, levels.shape)
         if memo is not None:
             blocks = list(blocks)
             lane_of = [_lane_table(block, n_cells) for block in blocks]
@@ -401,7 +425,7 @@ def sweep(levels: np.ndarray, angles, table: np.ndarray, step, fold,
         fold(acc, buf.reshape(-1, n_cells))
         if memo is not None:
             bufs.append(buf)
-        # drop the block's cells and buffer before the next block is built
+        # drop the block's lanes and buffer before the next block is built
         del block, buf
     if memo is not None:
         memo.key, memo.levels, memo.bufs = key, levels_flat.copy(), bufs

@@ -95,7 +95,7 @@ def compute_mi_map(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(),
         s[:] = n
         return (n[0] - k1 * n[1]) * dth
 
-    mi_flat = sweep(grid.levels, sensor.angles, coeffs, step, _fold, np.float64)
+    mi_flat = sweep(grid.levels, sensor.ray_count, coeffs, step, _fold, np.float64)
     return MIMap(mi_flat.reshape(grid.shape))
 
 

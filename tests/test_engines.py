@@ -66,7 +66,7 @@ def test_block_size_leaves_outputs_unchanged(monkeypatch, shape, rays, resolutio
     runs = []
     for per_block in (1, 3, rays):
         monkeypatch.setattr(grid_module, "LANE_BLOCK_CELLS", per_block * n_cells)
-        assert len(list(lane_blocks(sensor.angles, shape))) == -(-rays // per_block)
+        assert len(list(lane_blocks(rays, shape))) == -(-rays // per_block)
         sat0 = fx.saturation_count()
         fxp = compute_mi_map_fxp(grid, sensor)
         assert fxp.saturations == fx.saturation_count() - sat0

@@ -40,7 +40,10 @@ from mimap.gridio import (
     write_pgm,
 )
 
-SIZES = (5, 16, 33)
+# squares (ids as before), a single row, a single column and a
+# non-square shape
+FAMILY_SHAPES = {"5": (5, 5), "16": (16, 16), "33": (33, 33),
+                 "1x17": (1, 17), "13x1": (13, 1), "9x14": (9, 14)}
 
 
 # ---------------------------------------------------------------- containers
@@ -224,12 +227,54 @@ def test_each_sensor_scans_an_environment_with_its_own_beams(scene, resolution):
 # ---------------------------------------------------------------- families
 
 
-@pytest.mark.parametrize("size", SIZES)
-def test_family_covers_every_cell_once(size):
-    for angle in SensorConfig(60).angles:
-        fam = line_family(angle, (size, size))
-        counts = np.bincount(fam.cells, minlength=size * size)
+@pytest.mark.parametrize("bounds", FAMILY_SHAPES.values(), ids=FAMILY_SHAPES.keys())
+def test_family_covers_every_cell_once(bounds):
+    # every row of the stacked table is a permutation of the cells, and
+    # is the family line_family builds alone for that heading
+    n_cells = bounds[0] * bounds[1]
+    table, fams = grid_module.family_table(60, *bounds)
+    assert table.shape == (60, n_cells) and table.dtype == np.int32
+    assert table.flags.c_contiguous
+    for k, angle in enumerate(SensorConfig(60).angles):
+        counts = np.bincount(table[k], minlength=n_cells)
         assert counts.min() == 1 and counts.max() == 1, f"angle {angle}"
+        fam = line_family(angle, bounds)
+        assert fam.cells.dtype == np.int32
+        assert fam.seg_start.dtype == fam.seg_phase.dtype == np.int64
+        np.testing.assert_array_equal(table[k], fam.cells)
+        np.testing.assert_array_equal(fams[k].seg_start, fam.seg_start)
+        np.testing.assert_array_equal(fams[k].seg_phase, fam.seg_phase)
+        assert fams[k].n_units == fam.n_units
+
+
+def test_family_table_is_one_read_only_store(monkeypatch):
+    # the engines' lane blocks, a memo's blocks, the scan and the cycle
+    # model all read the one cached table, so no reader may write it
+    bounds, sensor = (9, 14), SensorConfig(12)
+    stored = grid_module.family_table(sensor.ray_count, *bounds)
+    assert grid_module.family_table(sensor.ray_count, *bounds) is stored
+    table, fams = stored
+    with pytest.raises(ValueError):
+        table[3][0] = 1
+    with pytest.raises(ValueError):
+        fams[3].cells[0] = 1
+    assert all(np.shares_memory(fam.cells, table[k]) for k, fam in enumerate(fams))
+    monkeypatch.setattr(grid_module, "LANE_BLOCK_CELLS", 5 * 9 * 14)
+    blocks = list(lane_blocks(sensor.ray_count, bounds))
+    assert len(blocks) == 3
+    for block in blocks:
+        assert np.shares_memory(block.cells, table)
+        with pytest.raises(ValueError):
+            block.cells[0] = 1
+    memo = SweepMemo()
+    levels = np.random.default_rng(6).integers(0, 101, bounds, dtype=np.uint8)
+    sweep(levels, sensor.ray_count, np.zeros((1, 12 * 101)),
+          lambda state, cols: cols[0], add_rows, np.float64, memo, "k")
+    assert len(memo.blocks) == 3
+    assert all(np.shares_memory(block.cells, table) for block in memo.blocks)
+    env = Environment(np.zeros(bounds, dtype=bool))
+    simulate_scan(env, CellCoord(4, 5), sensor)
+    assert env._scan_tables[sensor][0] is table
 
 
 def test_family_wrap_units_have_equal_totals():
@@ -247,7 +292,7 @@ def test_lane_blocks_lay_out_every_line_of_every_heading(monkeypatch):
     bounds, sensor = (7, 12), SensorConfig(10)
     n_cells = 7 * 12
     monkeypatch.setattr(grid_module, "LANE_BLOCK_CELLS", 4 * n_cells)
-    blocks = list(lane_blocks(sensor.angles, bounds))
+    blocks = list(lane_blocks(sensor.ray_count, bounds))
     assert [len(b.cells) // n_cells for b in blocks] == [4, 4, 2]
     first = 0
     for b in blocks:
@@ -285,7 +330,7 @@ def test_lane_table_touches_the_lanes_the_running_count_finds(
     changed = np.random.default_rng(seed).random(n_cells) < share
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(grid_module, "LANE_BLOCK_CELLS", per_block * n_cells)
-        blocks = list(lane_blocks(SensorConfig(rays).angles, shape))
+        blocks = list(lane_blocks(rays, shape))
     assert len(blocks) == -(-rays // per_block)
     for block in blocks:
         lane_of = grid_module._lane_table(block, n_cells)
@@ -322,7 +367,7 @@ def test_sweep_steps_every_line_in_scan_order_and_folds_by_heading(
         for i in range(fam.n_lines):
             cells = oracles.family_line(fam, i)
             want[cells] += np.arange(1, len(cells) + 1) * 1000 + h + 1
-    got = sweep(levels, sensor.angles, table, step, add_rows, buf_dtype)
+    got = sweep(levels, sensor.ray_count, table, step, add_rows, buf_dtype)
     assert got.dtype == np.float64
     np.testing.assert_array_equal(got, want)
 
@@ -336,7 +381,7 @@ def test_sweep_steps_every_line_in_scan_order_and_folds_by_heading(
             acc *= 11
             acc += part % 1000
 
-    got = sweep(levels, sensor.angles, table, step, fold_in_order, buf_dtype)
+    got = sweep(levels, sensor.ray_count, table, step, fold_in_order, buf_dtype)
     want = np.zeros(n_cells, dtype=np.int64)
     for h in range(10):
         want = want * 11 + h + 1
@@ -378,7 +423,7 @@ def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, pe
                 and all(a is b for a, b in zip(memo.blocks, blocks)))
 
     memo = SweepMemo()
-    first = sweep(levels, sensor.angles, table, step, add_rows, np.int32, memo, "k")
+    first = sweep(levels, sensor.ray_count, table, step, add_rows, np.int32, memo, "k")
     assert sum(stepped) == n_cells * 10
     np.testing.assert_array_equal(memo.levels, levels.reshape(-1))
     assert len(built) == n_blocks and memo_holds(built)
@@ -386,21 +431,21 @@ def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, pe
     edited = levels.copy()
     edited[3, 5] = (edited[3, 5] + 1) % 101
     stepped.clear()
-    got = sweep(edited, sensor.angles, table, step, add_rows, np.int32, memo, "k")
+    got = sweep(edited, sensor.ray_count, table, step, add_rows, np.int32, memo, "k")
     # one line of each heading holds the cell; only those lines step, on
     # the blocks the first call built
     assert sum(stepped) == visits_of_lines_through(3 * 12 + 5)
     assert len(built) == n_blocks and memo_holds(built)
-    cold = sweep(edited, sensor.angles, table, step, add_rows, np.int32)
+    cold = sweep(edited, sensor.ray_count, table, step, add_rows, np.int32)
     np.testing.assert_array_equal(got, cold)
     assert not np.array_equal(got, first)
     # a cell a line ends at steps that line too
     end = int(oracles.family_line(line_family(sensor.angles[0], bounds), 0)[-1])
     edited.reshape(-1)[end] = (edited.reshape(-1)[end] + 1) % 101
     stepped.clear()
-    got = sweep(edited, sensor.angles, table, step, add_rows, np.int32, memo, "k")
+    got = sweep(edited, sensor.ray_count, table, step, add_rows, np.int32, memo, "k")
     assert sum(stepped) == visits_of_lines_through(end)
-    cold = sweep(edited, sensor.angles, table, step, add_rows, np.int32)
+    cold = sweep(edited, sensor.ray_count, table, step, add_rows, np.int32)
     np.testing.assert_array_equal(got, cold)
     # unchanged levels step no line; under another key they step every
     # line, on new blocks, and the old ones are dropped
@@ -409,7 +454,7 @@ def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, pe
         stepped.clear()
         built.clear()
         kept = list(memo.blocks)
-        sweep(edited, sensor.angles, table, step, add_rows, np.int32, memo, key)
+        sweep(edited, sensor.ray_count, table, step, add_rows, np.int32, memo, key)
         assert sum(stepped) == want
         assert len(built) == builds and memo_holds(built if builds else kept)
     # with its buffers emptied, as the fixed-point engine does after a
@@ -417,11 +462,11 @@ def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, pe
     memo.bufs = []
     stepped.clear()
     built.clear()
-    sweep(edited, sensor.angles, table, step, add_rows, np.int32, memo, "other")
+    sweep(edited, sensor.ray_count, table, step, add_rows, np.int32, memo, "other")
     assert sum(stepped) == n_cells * 10 and built == []
     # another shape builds its own blocks
     built.clear()
-    sweep(edited[:, :5], sensor.angles, table, step, add_rows, np.int32, memo, "other")
+    sweep(edited[:, :5], sensor.ray_count, table, step, add_rows, np.int32, memo, "other")
     assert len(built) == -(-10 // max(1, per_block * n_cells // (7 * 5)))
     assert memo_holds(built)
 
@@ -430,43 +475,45 @@ def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, pe
         raise RuntimeError("step failed")
 
     with pytest.raises(RuntimeError):
-        sweep(levels, sensor.angles, table, failing, add_rows, np.int32, memo, "other")
+        sweep(levels, sensor.ray_count, table, failing, add_rows, np.int32, memo, "other")
     assert memo.levels is None and memo.bufs == [] and memo.blocks == []
     stepped.clear()
     built.clear()
-    sweep(edited, sensor.angles, table, step, add_rows, np.int32, memo, "other")
+    sweep(edited, sensor.ray_count, table, step, add_rows, np.int32, memo, "other")
     assert sum(stepped) == n_cells * 10 and len(built) == n_blocks
 
 
 @pytest.mark.parametrize("engine", [reference, datapath])
 def test_sweep_without_memo_holds_one_block_at_a_time(monkeypatch, engine):
-    # one heading per block; at each build no earlier block's cells or
-    # contribution buffer may still be alive
+    # one heading per block; at each build no earlier block's contribution
+    # buffer may still be alive, and every block's cells are a view of the
+    # shared family table, not a copy the block holds
     monkeypatch.setattr(grid_module, "LANE_BLOCK_CELLS", 1)
-    cells, bufs = [], []
+    levels = np.random.default_rng(5).integers(0, 101, (9, 13), dtype=np.uint8)
+    sensor = SensorConfig(5)
+    family = grid_module.family_table(sensor.ray_count, 9, 13)[0]
+    firsts, bufs = [], []
     lane_block = grid_module._lane_block
 
     def checked_lane_block(*args):
-        assert all(ref() is None for ref in cells), "an earlier block's cells are alive"
         assert all(ref() is None for ref in bufs), "an earlier buffer is alive"
         block = lane_block(*args)
-        cells.append(weakref.ref(block.cells))
+        assert block.cells.base is family
+        firsts.append(block.first)
         return block
 
-    def watched_sweep(levels, angles, table, step, fold, *args):
+    def watched_sweep(levels, ray_count, table, step, fold, *args):
         def watched_fold(acc, rows):
             bufs.append(weakref.ref(rows.base))
             fold(acc, rows)
 
-        return sweep(levels, angles, table, step, watched_fold, *args)
+        return sweep(levels, ray_count, table, step, watched_fold, *args)
 
     monkeypatch.setattr(grid_module, "_lane_block", checked_lane_block)
     monkeypatch.setattr(engine, "sweep", watched_sweep)
-    levels = np.random.default_rng(5).integers(0, 101, (9, 13), dtype=np.uint8)
-    sensor = SensorConfig(5)
     run = engine.compute_mi_map if engine is reference else engine.compute_mi_map_fxp
     got = run(OccupancyGrid(levels), sensor)
-    assert len(cells) == len(bufs) == 5
+    assert firsts == [0, 1, 2, 3, 4] and len(bufs) == 5
     monkeypatch.undo()
     np.testing.assert_array_equal(got.values, run(OccupancyGrid(levels), sensor).values)
 
