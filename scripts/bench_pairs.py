@@ -115,11 +115,11 @@ def main(argv=None) -> int:
                 order = [("parent", tree), ("change", ROOT)]
                 for side, where in order if i % 2 == 0 else order[::-1]:
                     results[side].append(run_once(where, run_args, timeout))
-                walls = {side: rs[-1]["metrics"]["wall_s"]["value"]
-                         for side, rs in results.items()}
-                print(f"# {key} pair {i + 1}/{args.pairs}: wall_s parent "
-                      f"{walls['parent']:.3f} change {walls['change']:.3f}",
-                      flush=True)
+                last = {side: rs[-1]["metrics"] for side, rs in results.items()}
+                shown = "; ".join(f"{name} parent {last['parent'][name]['value']:.4g}"
+                                  f" change {last['change'][name]['value']:.4g}"
+                                  for name in metrics)
+                print(f"# {key} pair {i + 1}/{args.pairs}: {shown}", flush=True)
             entries[key] = {
                 "parent": parent, "change": change,
                 "args": run_args + ["--trace", "0"],

@@ -197,20 +197,26 @@ def _flat_schedule(bounds: tuple[int, int], sensor: SensorConfig, config: ArchCo
     ranges of the units it is dealt.  Units go out round-robin in heading
     and dispatch order, so the dealing cursor persists across headings and
     per-core totals stay balanced."""
-    width = bounds[1]
+    table, fams = family_table(sensor.ray_count, *bounds)
+    n_cells = table.shape[1]
+    # int32 arithmetic: the table may be uint16, which a Python int
+    # operand would keep (and a width of 65 536 overflow)
+    width = np.int32(bounds[1])
     n_banks = config.eff_banks
-    banks = array("i")  # 4 bytes a cell; a list would hold 8-byte pointers
-    line_starts = bytearray()
-    units = []
-    for fam in family_table(sensor.ray_count, *bounds)[1]:
-        base = len(banks)
-        flags = np.bincount(fam.seg_start[:-1], minlength=len(fam.cells))
-        line_starts += flags.astype(np.uint8).tobytes()
-        banks.extend(bank_of((fam.cells // width, fam.cells % width), n_banks).tolist())
-        units += [(base + lo, base + hi) for lo, hi in _unit_ranges(fam, config)]
-    line_starts.append(1)
+    # 4 bytes a cell; a list would hold 8-byte pointers.  A heading at a
+    # time: the whole table's temporaries would add 4 words a cell
+    banks = array("i")
+    for row in table:
+        banks.frombytes(bank_of((row // width, row % width), n_banks)
+                        .astype(np.int32, copy=False).tobytes())
+    # each heading's line starts, offset to its positions; the end of
+    # heading k is the start of heading k + 1, and the last the closing end
+    flags = np.zeros(table.size + 1, dtype=np.uint8)
+    flags[np.concatenate([f.seg_start + k * n_cells for k, f in enumerate(fams)])] = 1
+    units = [(k * n_cells + lo, k * n_cells + hi)
+             for k, fam in enumerate(fams) for lo, hi in _unit_ranges(fam, config)]
     n = config.n_cores
-    return banks, line_starts, [units[i::n] for i in range(n)]
+    return banks, flags.tobytes(), [units[i::n] for i in range(n)]
 
 
 def _sim_kernel(banks, line_starts, queues, hw, n_banks, window):

@@ -152,9 +152,9 @@ def _scan_tables(env: Environment, sensor: SensorConfig
 
     - ``cells``: the shared ``family_table``, row k heading k's
       ``line_family`` cells;
-    - ``position``: ``position[k, c]`` is the position of flat cell c in
-      heading k's family (the inverse of the permutation ``cells[k]``),
-      offset by k*H*W;
+    - ``position``: ``position[k, c]`` is the entry j of flat cell c in
+      heading k's family (row k is the inverse of the permutation
+      ``cells[k]``), in the type of ``cells``; its position is k*H*W + j;
     - ``first_hit``: for the beam that starts at a position, the position
       of its first occupied cell, or -(f + 1) for f the farthest position
       it reaches when it hits nothing.
@@ -162,9 +162,9 @@ def _scan_tables(env: Environment, sensor: SensorConfig
     A beam runs from its position back to its line's start, cut at its
     reach of ``max_range / cell_width`` cells, so its first occupied cell
     is the nearest occupied position at or before its own on its line.
-    ``position`` and ``first_hit`` are int32 while the R*H*W positions
-    fit in it, int64 past that.  They are built once per sensor and
-    cached on the environment, whose ground truth cannot change."""
+    ``first_hit`` is int32 while the R*H*W positions fit in it, int64
+    past that.  The tables are built once per sensor and cached on the
+    environment, whose ground truth cannot change."""
     tables = env._scan_tables.get(sensor)
     if tables is not None:
         return tables
@@ -172,11 +172,12 @@ def _scan_tables(env: Environment, sensor: SensorConfig
     cells, fams = family_table(sensor.ray_count, *env.shape)
     n_cells = cells.shape[1]
     dtype = np.int32 if cells.size <= np.iinfo(np.int32).max else np.int64
-    position = np.empty(cells.shape, dtype=dtype)
+    position = np.empty(cells.shape, dtype=cells.dtype)
+    entry = np.arange(n_cells, dtype=cells.dtype)
     first_hit = np.empty(cells.shape, dtype=dtype)
     for k, (ang, fam) in enumerate(zip(sensor.angles, fams)):
+        position[k, fam.cells] = entry
         at = np.arange(k * n_cells, (k + 1) * n_cells, dtype=dtype)
-        position[k, fam.cells] = at
         reach = sensor.max_range / cell_width(float(ang), env.resolution)
         # the reach caps at n_cells, longer than any line, before int():
         # an infinite range, or one whose quotient overflowed, cuts nothing
@@ -203,10 +204,13 @@ def simulate_scan(env: Environment, pose: CellCoord,
     overflows to infinity, keeps the whole beam.  The scene is fixed, so
     where each beam ends is looked up, not searched, in the environment's
     tables for this sensor (``_scan_tables``, built on the first scan):
-    one gather gives the pose's position in every heading's family and
-    one more their first-hit entries.  The beams' lengths then lay out
-    ``Scan.start``, and one index vector, each beam's positions from the
-    pose down, gathers every traversed cell from the stacked families.
+    one gather gives the pose's entry in every heading's family, offset
+    by k*H*W to its position, and one more their first-hit entries.  The
+    beams' lengths then lay out ``Scan.start``, and one index vector,
+    each beam's positions from the pose down, gathers every traversed
+    cell from the stacked families.  The cells and hits are cast to
+    int32 at their gathers: the table may be uint16, where a -1 "no hit"
+    would read as 65 535.
     """
     r, c = pose
     height, width = env.shape
@@ -215,8 +219,9 @@ def simulate_scan(env: Environment, pose: CellCoord,
     if env.occupied[r, c]:
         raise ValueError(f"pose {pose} is on an occupied ground-truth cell")
     cells, position, first_hit = _scan_tables(env, sensor)
+    p = position[:, r * width + c] + np.arange(0, cells.size, cells.shape[1],
+                                               dtype=first_hit.dtype)
     cells = cells.reshape(-1)
-    p = position[:, r * width + c]
     end = first_hit.reshape(-1)[p]
     # a hit ends the traversed cells one position nearer the pose; a
     # max-range beam keeps its farthest position -(end + 1)
@@ -227,7 +232,8 @@ def simulate_scan(env: Environment, pose: CellCoord,
     beams = np.repeat(p + start[:-1], n) - np.arange(start[-1])
     # a negative end counts back from the last position, so the gather
     # holds; where it lands is discarded
-    return Scan(cells[beams], start, np.where(end >= 0, cells[end], -1))
+    return Scan(cells[beams].astype(np.int32, copy=False), start,
+                np.where(end >= 0, cells[end], np.int32(-1)))
 
 
 def _requantize(level: int, delta: float) -> int:

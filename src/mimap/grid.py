@@ -166,9 +166,10 @@ def _axes(angle: float) -> tuple[bool, int, float]:
 class LineFamily:
     """Flat-array form of all scan lines of one heading over one grid shape.
 
-    ``cells`` holds flat int32 indices (row*W + col) for every grid cell
+    ``cells`` holds flat indices (row*W + col) for every grid cell
     exactly once, in scan order within each line (far end of the beam
-    first).
+    first): int32 from ``line_family``, and the table's type in the
+    families ``family_table`` returns.
     Lines are grouped into wrap units: phases congruent modulo the minor
     extent form the modular continuation of a single beam across the map
     boundary, and each unit covers every major coordinate exactly once, so
@@ -231,10 +232,17 @@ def family_table(ray_count: int, height: int, width: int
     """The one store of family cells: the ``line_family`` cells of the
     ``ray_count`` headings of ``SensorConfig(ray_count)`` on a
     ``height`` x ``width`` grid, as a read-only, C-contiguous (R, H*W)
-    int32 table, with the R families whose ``cells`` are its rows.  Entry
-    j of heading k's family sits at flat position k*H*W + j.  The sweep's
-    lane blocks, the scan and the cycle model read slices of it."""
-    table = np.empty((ray_count, height * width), dtype=np.int32)
+    table, with the R families whose ``cells`` are its rows.  Entry j of
+    heading k's family sits at flat position k*H*W + j.  The sweep's lane
+    blocks, the scan and the cycle model read slices of it.
+
+    The cells are uint16 up to 65 536 of them, every index then below
+    2**16, which halves ``line_family``'s int32 cells; int32 beyond.  An
+    expression mixing the entries with a Python int must name its type:
+    NumPy keeps uint16 there, so a -1 reads as 65 535."""
+    n_cells = height * width
+    table = np.empty((ray_count, n_cells),
+                     dtype=np.uint16 if n_cells <= 1 << 16 else np.int32)
     segs = []
     for k, angle in enumerate(SensorConfig(ray_count).angles):
         fam = line_family(angle, (height, width))
@@ -249,12 +257,11 @@ class LaneBlock(NamedTuple):
 
     ``cells`` is rows ``first`` on of the ``family_table``, flattened: a
     read-only view of the block's headings' ``line_family`` cells, in
-    heading order, H*W of them per heading.  Every line of those families
-    is a lane:
-    lane j reads ``cells[lane_start[j] + t]`` at sweep steps
-    t < ``lane_len[j]``, and its heading is ``first + lane_start[j] //
-    (H*W)``.  Lanes run longest first, so the lanes still active at step
-    t are the first ``_active(lane_len)[t]``.
+    heading order, H*W of them per heading, in the table's type.  Every
+    line of those families is a lane: lane j reads ``cells[lane_start[j]
+    + t]`` at sweep steps t < ``lane_len[j]``, and its heading is ``first
+    + lane_start[j] // (H*W)``.  Lanes run longest first, so the lanes
+    still active at step t are the first ``_active(lane_len)[t]``.
     """
 
     first: int
@@ -383,7 +390,7 @@ def sweep(levels: np.ndarray, ray_count: int, table: np.ndarray, step, fold,
     its buffer: per (heading, cell), a lane index of at most four bytes
     and a ``buf_dtype`` word.  For the fixed-point engine at 57² and 60
     rays (4 892 lanes, two-byte indices) that is 0.39 + 0.78 MB; the
-    blocks' int32 cells, 0.78 MB, are rows of the ``family_table``,
+    blocks' uint16 cells, 0.39 MB, are rows of the ``family_table``,
     which every call and the scan share.  So it is owned by the caller
     and not hung on the returned map: a caller keeping many maps would
     keep a buffer with each.  A call without a memo builds no lane table

@@ -33,16 +33,20 @@ def read_lines(path) -> list[str]:
         _fail(path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text")
 
 
-def _read_rows(path, what: str, form: str, parse_row, dtype, check_header=None):
+def _read_rows(path, what: str, form: str, parse_row, dtype, valid,
+               check_header=None):
     """The H x W ``dtype`` array of a grid or map file, and its header
     fields after H and W, read as floats.
 
     ``form`` spells the header (``'H W resolution'`` or ``'H W'``) and
     ``what`` names the file's kind in the dims message.  After the dims
     check, ``check_header(path, *fields)`` checks the further fields; then
-    each of the H rows must have W fields, which ``parse_row(path, line_no,
-    fields)`` turns into the row's values.  Only blank lines may follow
-    the H rows.
+    each of the H rows must have W fields, and only blank lines may follow
+    the H rows.  Once every row has W fields, one ``np.array`` parses all
+    of them, with ``int()`` or ``float()`` as ``dtype`` asks, and
+    ``valid(values)`` checks their range.  When that fails, the rows go
+    through ``parse_row(path, line_no, fields)`` one at a time, which
+    names the first bad row or field in file order.
     """
     lines = read_lines(path)
     if not lines:
@@ -62,17 +66,25 @@ def _read_rows(path, what: str, form: str, parse_row, dtype, check_header=None):
         check_header(path, *fields)
     if len(lines) < 1 + height:
         _fail(path, len(lines), f"expected {height} data rows, found {len(lines) - 1}")
+    rows = [line.split() for line in lines[1:1 + height]]
+    values = None
     # no array sized by the header is made before every row has passed
-    rows = []
-    for r in range(height):
-        row = lines[1 + r].split()
-        if len(row) != width:
-            _fail(path, 2 + r, f"expected {width} values, found {len(row)}")
-        rows.append(parse_row(path, 2 + r, row))
+    if all(len(row) == width for row in rows):
+        try:
+            values = np.array(rows, dtype=dtype)
+        except (ValueError, OverflowError):
+            pass
+    if values is None or not valid(values):
+        parsed = []
+        for r, row in enumerate(rows):
+            if len(row) != width:
+                _fail(path, 2 + r, f"expected {width} values, found {len(row)}")
+            parsed.append(parse_row(path, 2 + r, row))
+        values = np.array(parsed, dtype=dtype)
     for line_no, line in enumerate(lines[1 + height:], start=2 + height):
         if line.strip():
             _fail(path, line_no, f"expected {height} data rows, found more")
-    return np.array(rows, dtype=dtype), fields
+    return values, fields
 
 
 def _check_resolution(path, resolution):
@@ -94,8 +106,9 @@ def _level_row(path, line_no, fields):
 
 
 def read_grid(path) -> OccupancyGrid:
-    levels, (resolution,) = _read_rows(path, "grid", "H W resolution", _level_row,
-                                       np.uint8, _check_resolution)
+    levels, (resolution,) = _read_rows(
+        path, "grid", "H W resolution", _level_row, np.int64,
+        lambda lv: 0 <= lv.min() and lv.max() <= 100, _check_resolution)
     return OccupancyGrid(levels, resolution)
 
 
@@ -122,7 +135,8 @@ def _value_row(path, line_no, fields):
 
 
 def read_mi_map(path) -> MIMap:
-    values, _ = _read_rows(path, "map", "H W", _value_row, np.float64)
+    values, _ = _read_rows(path, "map", "H W", _value_row, np.float64,
+                           lambda v: np.isfinite(v).all())
     return MIMap(values)
 
 

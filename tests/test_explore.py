@@ -298,6 +298,22 @@ def test_update_max_range_beam_leaves_the_last_cell_alone():
     assert out.levels.tolist() == [[30, 30, 50], [50, 50, 50]]
 
 
+def test_scan_without_a_hit_leaves_cell_65535_alone():
+    # 256x256 is the largest shape of uint16 family cells, and its last
+    # cell is 65 535, the bit pattern of -1 in that type: the no-hit beams
+    # must keep -1, and the update must not take it for that cell
+    occupied = np.zeros((256, 256), bool)
+    occupied[10, 20] = True
+    env = Environment(occupied)
+    scan = simulate_scan(env, CellCoord(10, 10), SensorConfig(4))
+    assert scan.cells.dtype == scan.hits.dtype == np.int32
+    assert scan.hits.tolist() == [10 * 256 + 20, -1, -1, -1]
+    out = update_occupancy(OccupancyGrid.uniform((256, 256), 50), scan)
+    assert out.levels[255, 255] == 50
+    touched = np.flatnonzero(out.levels.reshape(-1) != 50)
+    np.testing.assert_array_equal(touched, np.union1d(scan.cells, scan.hits[:1]))
+
+
 # ---------------------------------------------------------------- planning
 
 

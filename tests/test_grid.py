@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from mimap import datapath, reference
+from mimap import datapath, gridio, reference
 from mimap import grid as grid_module
 from mimap.explore import Environment, simulate_scan
 from mimap.grid import (
@@ -230,10 +230,11 @@ def test_each_sensor_scans_an_environment_with_its_own_beams(scene, resolution):
 @pytest.mark.parametrize("bounds", FAMILY_SHAPES.values(), ids=FAMILY_SHAPES.keys())
 def test_family_covers_every_cell_once(bounds):
     # every row of the stacked table is a permutation of the cells, and
-    # is the family line_family builds alone for that heading
+    # is the family line_family builds alone for that heading; up to
+    # 65 536 cells the table holds them as uint16
     n_cells = bounds[0] * bounds[1]
     table, fams = grid_module.family_table(60, *bounds)
-    assert table.shape == (60, n_cells) and table.dtype == np.int32
+    assert table.shape == (60, n_cells) and table.dtype == np.uint16
     assert table.flags.c_contiguous
     for k, angle in enumerate(SensorConfig(60).angles):
         counts = np.bincount(table[k], minlength=n_cells)
@@ -245,6 +246,27 @@ def test_family_covers_every_cell_once(bounds):
         np.testing.assert_array_equal(fams[k].seg_start, fam.seg_start)
         np.testing.assert_array_equal(fams[k].seg_phase, fam.seg_phase)
         assert fams[k].n_units == fam.n_units
+
+
+@pytest.mark.parametrize("bounds, dtype", [((256, 256), np.uint16),
+                                           ((256, 257), np.int32)],
+                         ids=["65536", "65792"])
+def test_family_table_type_switches_past_65536_cells(bounds, dtype):
+    # the cells are uint16 while every index fits, int32 past that; either
+    # way each row is line_family's int32 cells and the scan's position
+    # table inverts it
+    n_cells = bounds[0] * bounds[1]
+    sensor = SensorConfig(3)
+    table, _ = grid_module.family_table(sensor.ray_count, *bounds)
+    assert table.dtype == dtype
+    env = Environment(np.zeros(bounds, dtype=bool))
+    simulate_scan(env, CellCoord(0, 0), sensor)
+    _, position, _ = env._scan_tables[sensor]
+    assert position.dtype == dtype
+    for k, angle in enumerate(sensor.angles):
+        np.testing.assert_array_equal(np.sort(table[k]), np.arange(n_cells))
+        np.testing.assert_array_equal(table[k], line_family(angle, bounds).cells)
+        np.testing.assert_array_equal(position[k, table[k]], np.arange(n_cells))
 
 
 def test_family_table_is_one_read_only_store(monkeypatch):
@@ -636,6 +658,37 @@ def test_read_mi_map_rejects_non_finite_values(tmp_path, token):
     p.write_text(f"2 2\n0 1\n0.5 {token}\n")
     with pytest.raises(GridFormatError, match=f"m.mimap:3: field 2: non-finite value '{token}'"):
         read_mi_map(p)
+
+
+@pytest.mark.parametrize("token", ["1_0", "+5", "\u0663", "5.0", "1e2", "nan", "inf",
+                                   "0x10"])
+def test_readers_take_a_field_as_int_and_float_do(tmp_path, monkeypatch, token):
+    # one np.array parses every field, and the row parsers run only after
+    # it fails, to name the bad field: so a field int() (grid) or float()
+    # (map) takes is read by that parse alone, and one they reject, or
+    # out of range, fails at the row parser's message
+    called = []
+    for name in ("_level_row", "_value_row"):
+        parse_row = getattr(gridio, name)
+        monkeypatch.setattr(gridio, name, lambda *args, parse_row=parse_row:
+                            called.append(1) or parse_row(*args))
+    grid_file, map_file = tmp_path / "g.grid", tmp_path / "m.mimap"
+    grid_file.write_text(f"1 2 1.0\n7 {token}\n", encoding="utf-8")
+    map_file.write_text(f"1 2\n7 {token}\n", encoding="utf-8")
+    for path, read, parse in ((grid_file, lambda p: read_grid(p).levels, int),
+                              (map_file, lambda p: read_mi_map(p).values, float)):
+        called.clear()
+        try:
+            want = parse(token)
+        except ValueError:
+            want = math.nan
+        if math.isfinite(want):
+            assert read(path).tolist() == [[7, want]]
+            assert not called
+        else:
+            with pytest.raises(GridFormatError, match=f":2: field 2: .*'{token}'"):
+                read(path)
+            assert called
 
 
 def test_write_pgm_normalizes_to_full_range(tmp_path):
