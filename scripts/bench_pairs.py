@@ -4,8 +4,10 @@ Runs ``perfbench/run.py --trace 0`` on a ``git archive`` extract of the
 parent commit and on this checkout's working tree, alternating which side
 goes first in each pair, and writes per workload and end-to-end metric
 the medians and quartiles of both sides and how many pairs the change
-won.  The run length, the end-to-end metrics and whether lower or higher
-is better come from ``BENCHMARK.json``.  With ``--traced`` it then makes
+won, with a no-regression verdict under the metric's bound (``verdict``),
+which it prints once a workload's pairs end.  The run length, the
+end-to-end metrics, whether lower or higher is better and each metric's
+bound come from ``BENCHMARK.json``.  With ``--traced`` it then makes
 one ``--trace 1`` run a side and records its per-layer metrics.  The
 extract lives in a temporary directory (``TMPDIR`` picks its place) and
 is removed when the runs end.
@@ -56,17 +58,45 @@ def summary(values: list[float]) -> dict:
             "runs": values}
 
 
+def verdict(parent: dict, change: dict, sign: int, wins: int, bound: float) -> str:
+    """No-regression verdict of one metric from both sides' summaries.
+
+    ``sign`` is 1 when lower is better and -1 when higher is; ``bound`` is
+    the share of the parent median by which the metric may worsen.  The
+    verdict is ``worse`` when the change median is worse than the parent
+    median by more than the bound; ``unresolved`` when the parent's
+    quartile spread exceeds the bound and not every change run beats
+    every parent run; ``better`` when the change won nine tenths of the
+    pairs and its median is better by more than the parent's quartile
+    spread; and ``within_bound`` otherwise.
+    """
+    allowed = bound * abs(parent["median"])
+    spread = parent["q3"] - parent["q1"]
+    if sign * (change["median"] - parent["median"]) > allowed:
+        return "worse"
+    if (spread > allowed and max(sign * v for v in change["runs"])
+            >= min(sign * v for v in parent["runs"])):
+        return "unresolved"
+    if (10 * wins >= 9 * len(parent["runs"])
+            and sign * (parent["median"] - change["median"]) > spread):
+        return "better"
+    return "within_bound"
+
+
 def compare(results: dict, metrics: dict) -> dict:
-    """Per metric: both sides' summaries and the pairs the change won."""
+    """Per metric: both sides' summaries, the pairs the change won and the
+    ``verdict`` under the metric's bound."""
     out = {}
-    for name, better in metrics.items():
+    for name, metric in metrics.items():
         sides = {side: [r["metrics"][name]["value"] for r in results[side]]
                  for side in ("parent", "change")}
-        sign = 1 if better == "lower" else -1
+        sign = 1 if metric["better"] == "lower" else -1
         wins = sum(sign * (p - c) > 0 for p, c in zip(sides["parent"], sides["change"]))
-        out[name] = {"better": better, "wins": wins, "pairs": len(sides["parent"]),
-                     "parent": summary(sides["parent"]),
-                     "change": summary(sides["change"])}
+        parent, change = summary(sides["parent"]), summary(sides["change"])
+        out[name] = {"better": metric["better"], "bound": metric["bound"],
+                     "wins": wins, "pairs": len(sides["parent"]),
+                     "parent": parent, "change": change,
+                     "verdict": verdict(parent, change, sign, wins, metric["bound"])}
     return out
 
 
@@ -87,7 +117,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 2")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     parent = git("rev-parse", args.parent)
     change = git("rev-parse", "HEAD")
@@ -129,6 +159,9 @@ def main(argv=None) -> int:
                               for side, rs in results.items()},
                 "metrics": compare(results, metrics),
             }
+            verdicts = "; ".join(f"{name} {m['verdict']}"
+                                 for name, m in entries[key]["metrics"].items())
+            print(f"# {key} verdicts: {verdicts}", flush=True)
             if args.traced:
                 entries[key]["traced"] = {
                     side: {name: m["value"] for name, m in

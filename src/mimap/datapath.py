@@ -285,10 +285,11 @@ def _fold(acc: np.ndarray, rows: np.ndarray) -> None:
 
     When no partial sum can leave the range, the rows add in one pass:
     every partial sum of a cell lies within acc.max() + n*max(rows.max(),
-    0) and acc.min() + n*min(rows.min(), 0) for n headings, and the plain
-    sum of at most ``LANE_BLOCK_CELLS`` int32 words is exact in float64,
-    so the words are those of the heading-ordered adds.  Otherwise the
-    rows add one heading at a time, each sum clipped and counted.
+    0) and acc.min() + n*min(rows.min(), 0) for n headings.  A cell's sum
+    has n <= R heading words of magnitude at most 2**31, so it is exact in
+    float64 while n <= 2**22, however many cells the block holds, and the
+    words are those of the heading-ordered adds.  Otherwise the rows add
+    one heading at a time, each sum clipped and counted.
     """
     n = len(rows)
     if (acc.max() + n * max(int(rows.max()), 0) <= fx.RAW_MAX
@@ -322,10 +323,10 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
     saturation count are those of a call without it.  That holds only
     while the lanes the next call keeps clipped nothing, since their
     clips would be missing from its count; so after a call that counted a
-    saturation, this function empties the memo's buffers, and the next
-    call steps every lane on the lane blocks the memo keeps.  The memo
-    keeps its contribution buffers, H*W*rays int32 words, for the caller;
-    a map does not carry them, so a caller that keeps many maps keeps one
+    saturation, this function drops the memo's buffer, and the next call
+    steps every lane of the one lane block the memo keeps.  The memo
+    keeps its contribution buffer, H*W*rays int32 words, for the caller;
+    a map does not carry it, so a caller that keeps many maps keeps one
     buffer.
     """
     sat0 = fx.saturation_count()
@@ -342,7 +343,7 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
                     memo, (sensor, grid.resolution, params))
     saturations = fx.saturation_count() - sat0
     if memo is not None and saturations:
-        memo.bufs = []
+        memo.buf = None
     raw = mi_flat.reshape(grid.shape).astype(np.int32)
     return MIMap(raw.astype(np.float64) / fx.SCALE, raw=raw, saturations=saturations)
 

@@ -26,9 +26,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-# Cells per heading block of ``sweep``.  A block's buffers hold a few
-# words per cell, so this bounds their memory; larger blocks mean fewer,
-# longer steps of the sweep loop.
+# Cells per heading block of a ``sweep`` without a memo.  A block's
+# buffers hold a few words per cell, so this bounds their memory; larger
+# blocks mean fewer, longer steps of the sweep loop.
 LANE_BLOCK_CELLS = 1 << 19
 
 
@@ -329,25 +329,24 @@ def _touched_lanes(lane_of: np.ndarray, n_lanes: int,
 class SweepMemo:
     """Caller-owned state of one ``sweep`` call for the next call to reuse.
 
-    After a call it holds the call's flat levels, the call's key and, per
-    heading block, its ``LaneBlock``, its lane of each (heading, cell)
-    (``_lane_table``) and its contribution buffer (slot k*H*W + c
-    for the block's k-th heading and cell c).  Per heading and cell that
-    is one word of the lane table and one of the buffer; the blocks'
-    cells are views of the shared ``family_table``.  While a call runs,
-    and after a call that raised, it is empty.  An engine empties
-    ``bufs`` after a call whose kept contributions the next call must
-    not reuse (the fixed-point engine does so after a call that
-    saturated), which keeps the lane blocks and their tables and makes
-    the next call step every lane.
+    After a call it holds the call's flat levels, the call's key, its one
+    ``LaneBlock`` of every heading, that block's lane of each (heading,
+    cell) (``_lane_table``) and its contribution buffer (slot k*H*W + c
+    for heading k and cell c).  Per heading and cell that is one word of
+    the lane table and one of the buffer; the block's cells are the
+    shared ``family_table``, flattened.  While a call runs, and after a
+    call that raised, it is empty.  An engine sets ``buf`` to None after
+    a call whose kept contributions the next call must not reuse (the
+    fixed-point engine does so after a call that saturated), which keeps
+    the block and its lane table and makes the next call step every lane.
     """
 
     def __init__(self):
         self.key = None
         self.levels: np.ndarray | None = None
-        self.bufs: list[np.ndarray] = []
-        self.blocks: list[LaneBlock] = []
-        self.lane_of: list[np.ndarray] = []
+        self.buf: np.ndarray | None = None
+        self.block: LaneBlock | None = None
+        self.lane_of: np.ndarray | None = None
 
 
 def sweep(levels: np.ndarray, ray_count: int, table: np.ndarray, step, fold,
@@ -355,9 +354,9 @@ def sweep(levels: np.ndarray, ray_count: int, table: np.ndarray, step, fold,
     """The one sweep of both map engines: a recursion along every line of
     every heading's family, each cell's contributions summed.
 
-    Headings go in ``lane_blocks``, every line of a block one lane of a
-    step loop, much as the hardware interleaves independent rays through
-    one pipeline.  At step t the ``na`` lanes still active gather the
+    Headings go in lane blocks, every line of a block one lane of a step
+    loop, much as the hardware interleaves independent rays through one
+    pipeline.  At step t the ``na`` lanes still active gather the
     ``table`` column of their next cell (key ``heading*101 + level``), and
     ``step(state, cols)`` updates their ``(4, na)`` state in place and
     returns their contributions.  The contribution of the block's k-th
@@ -368,59 +367,60 @@ def sweep(levels: np.ndarray, ray_count: int, table: np.ndarray, step, fold,
     of adding them one heading at a time, so each cell sums in heading
     order.  The accumulator starts at zero and takes one row of every
     heading.  The state has the table's dtype; the accumulator is float64.
+    A call without a memo takes its blocks from ``lane_blocks`` and holds
+    one block at a time.
 
     A ``memo`` lets consecutive calls on slowly changing maps share work.
     A lane's contributions depend only on the levels of its own cells and
     on the table and step, which ``key`` must name in full (for the
-    fixed-point engine: sensor, resolution and parameters).  So a call
-    with a memo filled by a call of the same shape and key steps only the
-    lanes that hold a cell whose level changed, keeping their longest
-    first order, writes their contributions over the memo's buffers and
-    folds every heading of every block again, so its result is that of a
-    cold call.  It finds those lanes by looking the changed cells up in
-    each block's ``_lane_table``, which a call with a memo builds with
-    the blocks.  It runs warm only when the memo holds buffers under its
-    key; otherwise it runs cold, stepping every lane.  The engine owns
-    any rule beyond that: ``compute_mi_map_fxp`` empties the buffers
-    after a call that saturated, so that the clips of kept lanes are
-    counted again.  The lane blocks and their tables depend only on shape
-    and key, so a call under the memo's key reuses them, cold or not.
-    The memo is emptied when the call starts and filled again only when
-    its sweep has finished.  It holds every block with its lane table and
-    its buffer: per (heading, cell), a lane index of at most four bytes
-    and a ``buf_dtype`` word.  For the fixed-point engine at 57² and 60
-    rays (4 892 lanes, two-byte indices) that is 0.39 + 0.78 MB; the
-    blocks' uint16 cells, 0.39 MB, are rows of the ``family_table``,
-    which every call and the scan share.  So it is owned by the caller
-    and not hung on the returned map: a caller keeping many maps would
-    keep a buffer with each.  A call without a memo builds no lane table
-    and holds one block at a time.
+    fixed-point engine: sensor, resolution and parameters).  A call with
+    a memo lays out every heading as one block, so it runs as many steps
+    as the longest line has cells.  A call with a memo filled by a call
+    of the same shape and key steps only the lanes that hold a cell whose
+    level changed, keeping their longest first order, writes their
+    contributions over the memo's buffer and folds every heading again,
+    so its result is that of a cold call.  It finds those lanes by
+    looking the changed cells up in the block's ``_lane_table``.  It runs
+    warm only when the memo holds a buffer under its key; otherwise it
+    runs cold, stepping every lane.  The engine owns any rule beyond
+    that: ``compute_mi_map_fxp`` drops the buffer after a call that
+    saturated, so that the clips of kept lanes are counted again.  The
+    block and its lane table depend only on shape and key, so a call
+    under the memo's key reuses them, cold or not.  The memo is emptied
+    when the call starts and filled again only when its sweep has
+    finished.  Per (heading, cell) it holds a lane index of at most four
+    bytes and a ``buf_dtype`` word.  For the fixed-point engine at 60
+    rays that is, at 57² (4 892 lanes, two-byte indices), 0.39 + 0.78 MB,
+    and at 201² (17 324 lanes, two-byte indices) 4.85 + 9.70 MB; the
+    block's cells are the ``family_table``, which every call and the scan
+    share.  So it is owned by the caller and not hung on the returned
+    map: a caller keeping many maps would keep a buffer with each.
     """
     n_cells = levels.size
     levels_flat = levels.reshape(-1)
     acc = np.zeros(n_cells)
     key = (levels.shape, key)
-    blocks = kept = None
-    if memo is not None:
-        if memo.key == key and memo.blocks:
-            blocks, lane_of = memo.blocks, memo.lane_of
-            if memo.bufs:
-                kept = memo.bufs
-                changed = np.flatnonzero(memo.levels != levels_flat)
-        memo.levels, memo.bufs, memo.blocks, memo.lane_of = None, [], [], []
-    if blocks is None:
+    kept = None
+    if memo is None:
         blocks = lane_blocks(ray_count, levels.shape)
-        if memo is not None:
-            blocks = list(blocks)
-            lane_of = [_lane_table(block, n_cells) for block in blocks]
-    bufs = []
+    else:
+        block = None
+        if memo.key == key:
+            block, lane_of, kept = memo.block, memo.lane_of, memo.buf
+            if kept is not None:
+                changed = np.flatnonzero(memo.levels != levels_flat)
+        memo.key = memo.levels = memo.buf = memo.block = memo.lane_of = None
+        if block is None:
+            block = _lane_block(ray_count, 0, ray_count, levels.shape)
+            lane_of = _lane_table(block, n_cells)
+        blocks = (block,)
     for block in blocks:
         start, lane_len = block.lane_start, block.lane_len
         if kept is None:
             buf = np.empty(len(block.cells), dtype=buf_dtype)
         else:
-            buf = kept[len(bufs)]
-            hit = _touched_lanes(lane_of[len(bufs)], len(start), changed)
+            buf = kept
+            hit = _touched_lanes(lane_of, len(start), changed)
             start, lane_len = start[hit], lane_len[hit]
         base = start - start % n_cells
         lane_key = 101 * (block.first + start // n_cells)
@@ -431,10 +431,9 @@ def sweep(levels: np.ndarray, ray_count: int, table: np.ndarray, step, fold,
             buf[base[:na] + cells] = step(state[:, :na], cols)
         fold(acc, buf.reshape(-1, n_cells))
         if memo is not None:
-            bufs.append(buf)
+            # a memo's one block: the sweep has finished
+            memo.key, memo.levels, memo.buf = key, levels_flat.copy(), buf
+            memo.block, memo.lane_of = block, lane_of
         # drop the block's lanes and buffer before the next block is built
         del block, buf
-    if memo is not None:
-        memo.key, memo.levels, memo.bufs = key, levels_flat.copy(), bufs
-        memo.blocks, memo.lane_of = blocks, lane_of
     return acc

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import oracles
 import mimap.datapath as datapath
 import mimap.fixedpoint as fx
+from mimap import grid as grid_module
 from mimap.datapath import (
     _fold,
     _preprocess_rows,
@@ -423,7 +424,8 @@ SETTING_CHANGES = st.one_of(
                                 SETTING_CHANGES), min_size=1, max_size=5))
 def test_map_fxp_with_memo_matches_cold_calls(shape, rays, resolution, seed, steps):
     # every call on a shared memo, after any edit of the levels and any
-    # change of settings, gives the words and saturations of a cold call
+    # change of settings, gives the words and saturations of a cold call;
+    # the cold calls run blocks of two headings, the memo one block of all
     rng = np.random.default_rng(seed)
     settings_now = {"rays": rays, "resolution": resolution, "lambda_cap": 1e7}
     levels = rng.integers(0, 101, shape, dtype=np.uint8)
@@ -446,8 +448,11 @@ def test_map_fxp_with_memo_matches_cold_calls(shape, rays, resolution, seed, ste
         grid = OccupancyGrid(levels, settings_now["resolution"])
         sensor = SensorConfig(settings_now["rays"])
         params = FcmiParams(settings_now["lambda_cap"])
-        warm = compute_mi_map_fxp(grid, sensor, params, memo=memo)
-        cold = compute_mi_map_fxp(grid, sensor, params)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grid_module, "LANE_BLOCK_CELLS", 2 * flat.size)
+            warm = compute_mi_map_fxp(grid, sensor, params, memo=memo)
+            cold = compute_mi_map_fxp(grid, sensor, params)
+        assert len(memo.block.cells) == sensor.ray_count * flat.size
         np.testing.assert_array_equal(warm.raw, cold.raw)
         assert warm.saturations == cold.saturations
 

@@ -9,7 +9,7 @@ import pytest
 import mimap.fixedpoint as fx
 from mimap import grid as grid_module
 from mimap.datapath import compute_mi_map_fxp
-from mimap.grid import OccupancyGrid, SensorConfig, lane_blocks
+from mimap.grid import OccupancyGrid, SensorConfig, SweepMemo, lane_blocks
 from mimap.gridio import read_grid
 from mimap.reference import compute_mi_map
 
@@ -59,8 +59,13 @@ def test_engine_outputs_match_golden(data_dir):
     ((9, 13), 10, 1e9),  # widths this large saturate the datapath
 ])
 def test_block_size_leaves_outputs_unchanged(monkeypatch, shape, rays, resolution):
-    # one heading per block, three (with a shorter last block), all at once
+    # one heading per block, three (with a shorter last block), all at once;
+    # a memo's one block of every heading gives the words of each, cold and
+    # warm after one edited cell
     grid = random_grid(5, shape, resolution)
+    edited = grid.levels.copy()
+    edited[0, 0] = (edited[0, 0] + 1) % 101
+    edited = OccupancyGrid(edited, resolution)
     sensor = SensorConfig(rays)
     n_cells = shape[0] * shape[1]
     runs = []
@@ -70,6 +75,11 @@ def test_block_size_leaves_outputs_unchanged(monkeypatch, shape, rays, resolutio
         sat0 = fx.saturation_count()
         fxp = compute_mi_map_fxp(grid, sensor)
         assert fxp.saturations == fx.saturation_count() - sat0
+        memo = SweepMemo()
+        for each, cold in ((grid, fxp), (edited, compute_mi_map_fxp(edited, sensor))):
+            got = compute_mi_map_fxp(each, sensor, memo=memo)
+            assert got.raw.tobytes() == cold.raw.tobytes()
+            assert got.saturations == cold.saturations
         runs.append((compute_mi_map(grid, sensor).values.tobytes(),
                      fxp.raw.tobytes(), fxp.saturations))
     assert runs[0] == runs[1] == runs[2]

@@ -292,8 +292,9 @@ def test_family_table_is_one_read_only_store(monkeypatch):
     levels = np.random.default_rng(6).integers(0, 101, bounds, dtype=np.uint8)
     sweep(levels, sensor.ray_count, np.zeros((1, 12 * 101)),
           lambda state, cols: cols[0], add_rows, np.float64, memo, "k")
-    assert len(memo.blocks) == 3
-    assert all(np.shares_memory(block.cells, table) for block in memo.blocks)
+    # the memo's one block holds all 12 headings, as the whole table
+    assert memo.block.first == 0 and len(memo.block.cells) == 12 * 9 * 14
+    assert memo.block.cells.base is table
     env = Environment(np.zeros(bounds, dtype=bool))
     simulate_scan(env, CellCoord(4, 5), sensor)
     assert env._scan_tables[sensor][0] is table
@@ -413,6 +414,8 @@ def test_sweep_steps_every_line_in_scan_order_and_folds_by_heading(
 
 @pytest.mark.parametrize("per_block", [1, 4, 10])
 def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, per_block):
+    # per_block sets the layout of the calls without a memo; a memo holds
+    # one block of every heading whatever it is
     bounds, sensor = (7, 12), SensorConfig(10)
     n_cells = 7 * 12
     monkeypatch.setattr(grid_module, "LANE_BLOCK_CELLS", per_block * n_cells)
@@ -440,25 +443,28 @@ def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, pe
                  for i in range(fam.n_lines)]
         return sum(len(line) for line in lines if cell in line)
 
-    def memo_holds(blocks):
-        return (len(memo.blocks) == len(blocks)
-                and all(a is b for a, b in zip(memo.blocks, blocks)))
+    def memo_holds(block, shape=bounds):
+        return (memo.block is block and block.first == 0
+                and len(block.cells) == 10 * shape[0] * shape[1])
 
     memo = SweepMemo()
     first = sweep(levels, sensor.ray_count, table, step, add_rows, np.int32, memo, "k")
     assert sum(stepped) == n_cells * 10
     np.testing.assert_array_equal(memo.levels, levels.reshape(-1))
-    assert len(built) == n_blocks and memo_holds(built)
-    assert all(isinstance(block, LaneBlock) for block in memo.blocks)
+    assert len(built) == 1 and memo_holds(built[0])
+    assert isinstance(memo.block, LaneBlock)
+    assert len(stepped) == memo.block.lane_len[0]
     edited = levels.copy()
     edited[3, 5] = (edited[3, 5] + 1) % 101
     stepped.clear()
     got = sweep(edited, sensor.ray_count, table, step, add_rows, np.int32, memo, "k")
     # one line of each heading holds the cell; only those lines step, on
-    # the blocks the first call built
+    # the block the first call built
     assert sum(stepped) == visits_of_lines_through(3 * 12 + 5)
-    assert len(built) == n_blocks and memo_holds(built)
+    assert len(built) == 1 and memo_holds(built[0])
+    built.clear()
     cold = sweep(edited, sensor.ray_count, table, step, add_rows, np.int32)
+    assert len(built) == n_blocks
     np.testing.assert_array_equal(got, cold)
     assert not np.array_equal(got, first)
     # a cell a line ends at steps that line too
@@ -470,27 +476,27 @@ def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, pe
     cold = sweep(edited, sensor.ray_count, table, step, add_rows, np.int32)
     np.testing.assert_array_equal(got, cold)
     # unchanged levels step no line; under another key they step every
-    # line, on new blocks, and the old ones are dropped
-    for key, want, builds in (("k", 0, 0), ("other", n_cells * 10, n_blocks),
+    # line, on a new block, and the old one is dropped
+    for key, want, builds in (("k", 0, 0), ("other", n_cells * 10, 1),
                               ("other", 0, 0)):
         stepped.clear()
         built.clear()
-        kept = list(memo.blocks)
+        kept = memo.block
         sweep(edited, sensor.ray_count, table, step, add_rows, np.int32, memo, key)
         assert sum(stepped) == want
-        assert len(built) == builds and memo_holds(built if builds else kept)
-    # with its buffers emptied, as the fixed-point engine does after a
-    # saturation, every line steps, on the kept blocks
-    memo.bufs = []
+        assert len(built) == builds and memo_holds(built[0] if builds else kept)
+    # with its buffer dropped, as the fixed-point engine does after a
+    # saturation, every line steps, on the kept block
+    memo.buf = None
     stepped.clear()
     built.clear()
     sweep(edited, sensor.ray_count, table, step, add_rows, np.int32, memo, "other")
     assert sum(stepped) == n_cells * 10 and built == []
-    # another shape builds its own blocks
+    assert len(stepped) == memo.block.lane_len[0]
+    # another shape builds its own block
     built.clear()
     sweep(edited[:, :5], sensor.ray_count, table, step, add_rows, np.int32, memo, "other")
-    assert len(built) == -(-10 // max(1, per_block * n_cells // (7 * 5)))
-    assert memo_holds(built)
+    assert len(built) == 1 and memo_holds(built[0], (7, 5))
 
     # a call that raises leaves the memo empty, so the next call runs cold
     def failing(state, cols):
@@ -498,11 +504,11 @@ def test_sweep_with_memo_steps_only_lines_holding_a_changed_cell(monkeypatch, pe
 
     with pytest.raises(RuntimeError):
         sweep(levels, sensor.ray_count, table, failing, add_rows, np.int32, memo, "other")
-    assert memo.levels is None and memo.bufs == [] and memo.blocks == []
+    assert memo.levels is None and memo.buf is None and memo.block is None
     stepped.clear()
     built.clear()
     sweep(edited, sensor.ray_count, table, step, add_rows, np.int32, memo, "other")
-    assert sum(stepped) == n_cells * 10 and len(built) == n_blocks
+    assert sum(stepped) == n_cells * 10 and len(built) == 1
 
 
 @pytest.mark.parametrize("engine", [reference, datapath])
