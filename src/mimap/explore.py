@@ -36,8 +36,9 @@ class Environment:
     """Hidden ground truth: boolean occupancy at the robot map's dims.
 
     The environment keeps its own read-only copy of the array it is given,
-    so the scan tables ``simulate_scan`` caches on it, one set per sensor,
-    cannot go stale when the caller edits that array.
+    so the scan tables ``simulate_scan`` caches on it, one ``(position,
+    stop)`` pair per sensor (``_scan_tables``), cannot go stale when the
+    caller edits that array.
     """
 
     occupied: np.ndarray
@@ -145,25 +146,23 @@ class Scan(NamedTuple):
 
 
 def _scan_tables(env: Environment, sensor: SensorConfig
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sensor's headings stacked as three (R, H*W) tables, the first
-    shared and two the entry's own, read as one flat array of R*H*W
-    positions, position k*H*W + j being entry j of heading k's family.
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The sensor's two scan tables, (R, H*W) each in the type of the
+    shared ``family_table`` (uint16 up to 65 536 cells, int32 past that),
+    row k read against heading k's family, entry j its ``cells[k, j]``:
 
-    - ``cells``: the shared ``family_table``, row k heading k's
-      ``line_family`` cells;
-    - ``position``: ``position[k, c]`` is the entry j of flat cell c in
+    - ``position``: ``position[k, c]`` is the entry of flat cell c in
       heading k's family (row k is the inverse of the permutation
-      ``cells[k]``), in the type of ``cells``; its position is k*H*W + j;
-    - ``first_hit``: for the beam that starts at a position, the position
-      of its first occupied cell, or -(f + 1) for f the farthest position
-      it reaches when it hits nothing.
+      ``cells[k]``);
+    - ``stop``: ``stop[k, j]`` is the entry where the beam starting at
+      entry j stops: its first occupied cell if that lies within reach,
+      or else the farthest cell it reaches.
 
-    A beam runs from its position back to its line's start, cut at its
-    reach of ``max_range / cell_width`` cells, so its first occupied cell
-    is the nearest occupied position at or before its own on its line.
-    ``first_hit`` is int32 while the R*H*W positions fit in it, int64
-    past that.  The tables are built once per sensor and cached on the
+    A beam runs from its entry back to its line's start, cut at its reach
+    of ``max_range / cell_width`` cells, so its first occupied cell is the
+    nearest occupied entry at or before its own on its line.  Entries lie
+    in 0..H*W-1, so both tables fit the family table's type and hold no
+    sign.  The tables are built once per sensor and cached on the
     environment, whose ground truth cannot change."""
     tables = env._scan_tables.get(sensor)
     if tables is not None:
@@ -171,23 +170,20 @@ def _scan_tables(env: Environment, sensor: SensorConfig
     occupied = env.occupied.ravel()
     cells, fams = family_table(sensor.ray_count, *env.shape)
     n_cells = cells.shape[1]
-    dtype = np.int32 if cells.size <= np.iinfo(np.int32).max else np.int64
     position = np.empty(cells.shape, dtype=cells.dtype)
-    entry = np.arange(n_cells, dtype=cells.dtype)
-    first_hit = np.empty(cells.shape, dtype=dtype)
+    stop = np.empty(cells.shape, dtype=cells.dtype)
+    entry = np.arange(n_cells)
     for k, (ang, fam) in enumerate(zip(sensor.angles, fams)):
         position[k, fam.cells] = entry
-        at = np.arange(k * n_cells, (k + 1) * n_cells, dtype=dtype)
         reach = sensor.max_range / cell_width(float(ang), env.resolution)
         # the reach caps at n_cells, longer than any line, before int():
         # an infinite range, or one whose quotient overflowed, cuts nothing
-        line_start = np.repeat(fam.seg_start[:-1].astype(dtype) + k * n_cells,
-                               fam.line_lengths())
-        farthest = np.maximum(line_start, at - int(min(reach, n_cells)))
-        hit = np.where(occupied[fam.cells], at, -1)
+        line_start = np.repeat(fam.seg_start[:-1], fam.line_lengths())
+        farthest = np.maximum(line_start, entry - int(min(reach, n_cells)))
+        hit = np.where(occupied[fam.cells], entry, -1)
         np.maximum.accumulate(hit, out=hit)
-        first_hit[k] = np.where(hit >= farthest, hit, -1 - farthest)
-    tables = env._scan_tables[sensor] = (cells, position, first_hit)
+        stop[k] = np.maximum(hit, farthest)
+    tables = env._scan_tables[sensor] = (position, stop)
     return tables
 
 
@@ -202,15 +198,20 @@ def simulate_scan(env: Environment, pose: CellCoord,
     occupied cell.  The cut is made only where that quotient is below the
     beam's length, so an infinite range, or a finite one whose quotient
     overflows to infinity, keeps the whole beam.  The scene is fixed, so
-    where each beam ends is looked up, not searched, in the environment's
-    tables for this sensor (``_scan_tables``, built on the first scan):
-    one gather gives the pose's entry in every heading's family, offset
-    by k*H*W to its position, and one more their first-hit entries.  The
-    beams' lengths then lay out ``Scan.start``, and one index vector,
-    each beam's positions from the pose down, gathers every traversed
-    cell from the stacked families.  The cells and hits are cast to
-    int32 at their gathers: the table may be uint16, where a -1 "no hit"
-    would read as 65 535.
+    where each beam stops is looked up, not searched, in the
+    environment's tables for this sensor (``_scan_tables``, built on the
+    first scan), read as one run of R*H*W positions, position k*H*W + j
+    being entry j of heading k: one gather gives the pose's entry in
+    every heading's family and one more the entries where its beams stop,
+    each offset by k*H*W to its position in the ``family_table``.  The
+    pose is free, and a beam's farthest cell would be its hit if it were
+    occupied, so a beam hit exactly when its stop cell is occupied; it
+    traversed the cells from the pose down to its stop, the stop
+    excluded when it is the hit.  The beams' lengths then lay out
+    ``Scan.start``, and one index vector, each beam's positions from the
+    pose down, gathers every traversed cell.  The cells and hits are cast
+    to int32 at their gathers: the table may be uint16, where a -1 "no
+    hit" would read as 65 535.
     """
     r, c = pose
     height, width = env.shape
@@ -218,22 +219,21 @@ def simulate_scan(env: Environment, pose: CellCoord,
         raise ValueError(f"pose {pose} outside {height}x{width} scene")
     if env.occupied[r, c]:
         raise ValueError(f"pose {pose} is on an occupied ground-truth cell")
-    cells, position, first_hit = _scan_tables(env, sensor)
-    p = position[:, r * width + c] + np.arange(0, cells.size, cells.shape[1],
-                                               dtype=first_hit.dtype)
-    cells = cells.reshape(-1)
-    end = first_hit.reshape(-1)[p]
-    # a hit ends the traversed cells one position nearer the pose; a
-    # max-range beam keeps its farthest position -(end + 1)
-    n = p + 1 - np.where(end >= 0, end + 1, -1 - end)
+    position, stop = _scan_tables(env, sensor)
+    cells = family_table(sensor.ray_count, height, width)[0].reshape(-1)
+    offset = np.arange(0, cells.size, height * width)
+    p = position[:, r * width + c] + offset
+    s = stop.reshape(-1)[p] + offset
+    stop_cells = cells[s]
+    hit = env.occupied.reshape(-1)[stop_cells]
+    # a beam traverses its positions p down to s, less s when it is a hit
+    n = p - s + ~hit
     start = np.zeros(len(p) + 1, dtype=np.intp)
     np.cumsum(n, out=start[1:])
     # entry j of beam i is position p[i] - j, pose first
     beams = np.repeat(p + start[:-1], n) - np.arange(start[-1])
-    # a negative end counts back from the last position, so the gather
-    # holds; where it lands is discarded
     return Scan(cells[beams].astype(np.int32, copy=False), start,
-                np.where(end >= 0, cells[end], np.int32(-1)))
+                np.where(hit, stop_cells, np.int32(-1)))
 
 
 def _requantize(level: int, delta: float) -> int:

@@ -36,7 +36,7 @@ from mimap.explore import (
     simulate_scan,
     update_occupancy,
 )
-from mimap.grid import CellCoord, MIMap, OccupancyGrid, SensorConfig
+from mimap.grid import CellCoord, MIMap, OccupancyGrid, SensorConfig, cell_width
 from mimap.gridio import read_grid
 from mimap.reference import compute_mi_map
 
@@ -136,6 +136,33 @@ def test_scan_adjacent_wall_hits_at_distance_one():
     traversed, hit = oracles.ray_coords(scan, 0, 5)  # east
     assert traversed == [CellCoord(2, 2)]
     assert hit == CellCoord(2, 3)
+
+
+@pytest.mark.parametrize("shape, pose, rays", [((9, 9), (4, 3), 12),
+                                               ((256, 257), (100, 140), 8)],
+                         ids=["9x9", "256x257"])
+def test_scan_range_cut_on_the_wall(shape, pose, rays):
+    # beam k of an unlimited scan from the pose meets the border wall as
+    # its cell n; a reach of n cells ends on the wall and hits it, one of
+    # n - 1 cells ends a free cell short and reports no hit.  256x257
+    # holds its tables as int32, 9x9 as uint16
+    occupied = np.zeros(shape, bool)
+    occupied[0, :] = occupied[-1, :] = occupied[:, 0] = occupied[:, -1] = True
+    for k, angle in enumerate(SensorConfig(rays).angles):
+        traversed, wall = oracles.oracle_scan_ray(occupied, pose, float(angle),
+                                                  1.0, math.inf)
+        n = len(traversed)
+        for reach, want in ((n + 0.5, (traversed, wall)),
+                            (n - 0.5, (traversed, None))):
+            sensor = SensorConfig(rays, reach * cell_width(float(angle), 1.0))
+            env = Environment(occupied)
+            scan = simulate_scan(env, CellCoord(*pose), sensor)
+            assert env._scan_tables[sensor][1].dtype == (
+                np.uint16 if occupied.size <= 65536 else np.int32)
+            assert oracles.ray_coords(scan, k, shape[1]) == want
+            for i, other in enumerate(sensor.angles):
+                assert oracles.ray_coords(scan, i, shape[1]) == oracles.oracle_scan_ray(
+                    occupied, pose, float(other), 1.0, sensor.max_range)
 
 
 def test_scan_corridor_hand_traced():

@@ -209,7 +209,7 @@ def test_beam_properties(scene, ray_count, resolution, max_range):
 
 @given(scenes(), st.sampled_from([0.1, 1.0]))
 def test_each_sensor_scans_an_environment_with_its_own_beams(scene, resolution):
-    # one environment, two sensors taking turns: each reads the first-hit
+    # one environment, two sensors taking turns: each reads the stop
     # tables of its own headings and reach (1e308 overflows the reach at
     # 0.1 m and keeps a huge finite one at 1 m)
     occupied, pose = scene
@@ -253,16 +253,17 @@ def test_family_covers_every_cell_once(bounds):
                          ids=["65536", "65792"])
 def test_family_table_type_switches_past_65536_cells(bounds, dtype):
     # the cells are uint16 while every index fits, int32 past that; either
-    # way each row is line_family's int32 cells and the scan's position
-    # table inverts it
+    # way each row is line_family's int32 cells, the scan's position table
+    # inverts it, and its stop table holds entries in the same type
     n_cells = bounds[0] * bounds[1]
     sensor = SensorConfig(3)
     table, _ = grid_module.family_table(sensor.ray_count, *bounds)
     assert table.dtype == dtype
     env = Environment(np.zeros(bounds, dtype=bool))
     simulate_scan(env, CellCoord(0, 0), sensor)
-    _, position, _ = env._scan_tables[sensor]
-    assert position.dtype == dtype
+    position, stop = env._scan_tables[sensor]
+    assert position.dtype == stop.dtype == dtype
+    assert stop.min() >= 0 and stop.max() < n_cells
     for k, angle in enumerate(sensor.angles):
         np.testing.assert_array_equal(np.sort(table[k]), np.arange(n_cells))
         np.testing.assert_array_equal(table[k], line_family(angle, bounds).cells)
@@ -297,7 +298,10 @@ def test_family_table_is_one_read_only_store(monkeypatch):
     assert memo.block.cells.base is table
     env = Environment(np.zeros(bounds, dtype=bool))
     simulate_scan(env, CellCoord(4, 5), sensor)
-    assert env._scan_tables[sensor][0] is table
+    # the scan entry holds only its own two tables, in the table's type
+    position, stop = env._scan_tables[sensor]
+    assert position.shape == stop.shape == table.shape
+    assert position.dtype == stop.dtype == table.dtype
 
 
 def test_family_wrap_units_have_equal_totals():
