@@ -50,7 +50,11 @@ sleep.  A core with no live context and an empty queue leaves for good
 and is charged drain stalls up to the last cycle at the end of the run;
 a core whose next unit is held by the heading gate skips its refill until
 one of its contexts finishes; and each bank's MI FIFO is kept as the
-cycle at which it runs empty, not drained one entry a cycle.  None of
+cycle at which it runs empty, not drained one entry a cycle.  A free
+ray context is never ready: its ready cycle is a sentinel above any
+cycle the run reaches, so the candidate scan passes over free and
+waiting contexts with one test.  Each core keeps its current scan order
+itself, the slot list that starts at its rotating pointer.  None of
 this changes timing or counts: every cycle and stall is that of a loop
 over all cores on every cycle.
 
@@ -232,6 +236,13 @@ def _sim_kernel(banks, line_starts, queues, hw, n_banks, window):
     awake, in ascending index order, so timing and counts are those of a
     loop that visits every core on every cycle.
 
+    A free context's ready cycle is ``max_cycles + 1``, written when its
+    unit ends and overwritten at refill, so a context is a candidate
+    exactly when its ready cycle is not past ``t``, and a core has a
+    ready live context exactly when ``min`` of its ready cycles is not.
+    ``rot[i]`` is core i's scan order itself: ``orders[blocked]`` after
+    a passed-over ray, else the order after the slot that issued.
+
     Returns ``(last_issue_cycle, mi_backlog, stalls)``: per core the
     bank-conflict, feedback-wait and drain stall counts.  Issues per core
     and per bank are fixed by the schedule (``_issue_counts``).  Raises
@@ -242,15 +253,20 @@ def _sim_kernel(banks, line_starts, queues, hw, n_banks, window):
     gap = FEEDBACK_DEPTH
     chain_pen = FEEDBACK_DEPTH if window == 1 else 0
     slots = range(window)
+    # a core's scan order from each slot, and the order that resumes
+    # after each slot
     orders = [[(r + d) % window for d in slots] for r in slots]
+    succ = orders[1:] + orders[:1]
+    max_cycles = 16 * len(banks) + 1_000_000
+    never = max_cycles + 1                   # ready cycle of a free context
     pos = [[-1] * window for _ in queues]    # next cell of a context; -1 free
     end = [[0] * window for _ in queues]     # its unit's end position
-    ready = [[0] * window for _ in queues]   # first cycle it may issue again
+    ready = [[never] * window for _ in queues]  # first cycle it may issue again
     nlive = [0] * n_cores                    # live contexts per core
     # the heading gate holds a core's next unit until one of its contexts
     # finishes: till then its refill would find the same gate closed
     held = [False] * n_cores
-    rot = [0] * n_cores
+    rot = [orders[0]] * n_cores              # a core's current scan order
     nxt = [0] * n_cores
     # the MI FIFO of bank b holds max(0, mi_empty[b] - t) accumulates at
     # cycle t: it retires one a cycle, so it is empty from mi_empty[b] on
@@ -262,7 +278,6 @@ def _sim_kernel(banks, line_starts, queues, hw, n_banks, window):
     n_ring = len(ring)
     awake = [i for i, queue in enumerate(queues) if queue]
     unfinished = sum(map(len, queues))
-    max_cycles = 16 * len(banks) + 1_000_000
     t = 0
     while unfinished:
         wakers = ring[t % n_ring]
@@ -273,17 +288,22 @@ def _sim_kernel(banks, line_starts, queues, hw, n_banks, window):
         if awake:
             occ = [0] * n_banks
             full = t + MI_QUEUE_DEPTH  # a FIFO emptying at this cycle is full
+            issued = t + gap           # ready cycle of a context issuing now
             stay = []
             for i in awake:
-                queue = queues[i]
-                p, e, r = pos[i], end[i], ready[i]
+                p, r = pos[i], ready[i]
                 live = nlive[i]
                 # refill free contexts from the core's queue; a context only
                 # accepts rays of the heading the core is currently scanning,
                 # so a new heading starts once the previous one fully drains
-                k = nxt[i]
-                if k < len(queue) and live < window and not held[i]:
-                    heading = next((p[d] // hw for d in slots if p[d] >= 0), -1)
+                if live < window and not held[i] and nxt[i] < len(queues[i]):
+                    queue, k, e = queues[i], nxt[i], end[i]
+                    for d in slots:
+                        if p[d] >= 0:
+                            heading = p[d] // hw
+                            break
+                    else:
+                        heading = -1
                     for d in slots:
                         if k == len(queue):
                             break
@@ -299,7 +319,7 @@ def _sim_kernel(banks, line_starts, queues, hw, n_banks, window):
                         if trickle and live >= gap:
                             held[i] = True
                             break
-                        if trickle and any(r[d2] <= t for d2 in slots if p[d2] >= 0):
+                        if trickle and min(r) <= t:
                             break
                         k += 1
                         live += 1
@@ -308,17 +328,18 @@ def _sim_kernel(banks, line_starts, queues, hw, n_banks, window):
                             break
                         heading = h
                     nxt[i] = k
+                    nlive[i] = live
                 # candidate: first ready context in rotation order whose
                 # banks are still free this cycle; the bank-busy bitmap is
                 # broadcast, so a core passes over contended rays and issues
-                # another
+                # another.  A free context is never ready
                 blocked = -1
-                for s in orders[rot[i]]:
-                    ps = p[s]
-                    if ps < 0 or r[s] > t:
+                for s in rot[i]:
+                    if r[s] > t:
                         continue
+                    ps = p[s]
                     b = banks[ps]
-                    if occ[b] >= 2 or mi_empty[b] >= full:
+                    if occ[b] >= 2 or (m := mi_empty[b]) >= full:
                         if blocked < 0:
                             blocked = s
                         continue
@@ -326,35 +347,34 @@ def _sim_kernel(banks, line_starts, queues, hw, n_banks, window):
                 else:
                     # an awake core holds a live context after its refill
                     stalls[i][0 if blocked >= 0 else 1] += 1
-                    nlive[i] = live
                     stay.append(i)
                     continue
                 occ[b] += 1
-                mi_empty[b] = (mi_empty[b] if mi_empty[b] > t else t) + 1
-                w = r[s] = t + gap
-                ps += 1
-                if ps == e[s]:
-                    p[s] = -1
-                    live -= 1
-                    held[i] = False
-                    unfinished -= 1
-                else:
-                    p[s] = ps
-                    if line_starts[ps]:
-                        # the unit chains on into its next line
-                        w = r[s] = w + chain_pen
+                mi_empty[b] = (m if m > t else t) + 1
                 # resume the scan at the skipped slot if there was one: the
                 # passed-over ray keeps its place at the head of the rotation
                 # instead of waiting out a whole round
-                rot[i] = blocked if blocked >= 0 else (s + 1) % window
-                nlive[i] = live
-                if k == len(queue) or live == window:
-                    if not live:
+                rot[i] = orders[blocked] if blocked >= 0 else succ[s]
+                ps += 1
+                if ps == end[i][s]:
+                    p[s] = -1
+                    r[s] = never
+                    live -= 1
+                    nlive[i] = live
+                    held[i] = False
+                    unfinished -= 1
+                    if not live and nxt[i] == len(queues[i]):
                         drained[i] = t + 1  # it idles while the run ends
                         continue
-                    if live == 1 and p[s] >= 0 and w > t + 1:
+                else:
+                    p[s] = ps
+                    # a unit that chains on into its next line pays chain_pen
+                    w = r[s] = (issued + chain_pen
+                                if chain_pen and line_starts[ps] else issued)
+                    if live == 1 and (live == window or nxt[i] == len(queues[i])):
                         # only the ray just issued is left and no refill can
-                        # come: the core waits on feedback until it is ready
+                        # come: the core waits on feedback until it is ready,
+                        # FEEDBACK_DEPTH cycles on at the earliest
                         stalls[i][1] += w - t - 1
                         ring[w % n_ring].append(i)
                         continue

@@ -35,6 +35,7 @@ from mimap.archsim import (
 )
 from mimap.datapath import compute_mi_map_fxp
 from mimap.grid import CellCoord, FcmiParams, OccupancyGrid, SensorConfig, line_family
+from mimap.gridio import read_grid
 
 PARAMS = FcmiParams()
 
@@ -311,6 +312,38 @@ def test_reports_match_golden():
     # pins the cycle model, not only its run-to-run determinism; the
     # per-core stalls are checked against the golden stall counts
     assert golden_reports() == GOLDEN_REPORTS.read_text()
+
+
+# the sim_cycle benchmark workload: scene_a (57x57), 60 rays; per config
+# the total cycles, the stall split and one (bank_conflict, feedback_wait,
+# drain) triple per core.  Bank reads are fixed by the schedule, the same
+# on both
+SIM_CYCLE_REPORTS = {
+    "default": (ArchConfig(), 13_939, (8_500, 2_270, 17_010), [
+        (0, 112, 1610), (1, 112, 1609), (7, 112, 1603), (26, 111, 1585),
+        (108, 119, 1495), (66, 110, 1546), (251, 122, 1349), (336, 121, 1265),
+        (388, 119, 1215), (570, 128, 1024), (673, 169, 880), (852, 142, 728),
+        (1097, 143, 539), (1305, 168, 306), (1250, 273, 256), (1570, 209, 0)]),
+    "depth1": (ArchConfig(interleaving=False), 97_075, (58, 1_352_416, 5_482), [
+        (0, 84824, 34), (0, 84496, 362), (1, 84656, 201), (2, 84640, 216),
+        (2, 84504, 352), (4, 84792, 62), (3, 84416, 439), (2, 84856, 0),
+        (3, 84464, 391), (5, 84728, 125), (5, 84560, 293), (5, 84584, 269),
+        (6, 84312, 597), (6, 84088, 821), (7, 84472, 436), (7, 84024, 884)]),
+}
+SIM_CYCLE_OCC_READS = [12000, 12000, 12060, 12120, 12180, 12240, 12300, 12360,
+                       12420, 12360, 12300, 12240, 12180, 12120, 12060, 12000]
+
+
+@pytest.mark.parametrize("key", SIM_CYCLE_REPORTS)
+def test_sim_cycle_workload_reports(data_dir, key):
+    config, cycles, stalls, per_core = SIM_CYCLE_REPORTS[key]
+    _, rep = simulate(read_grid(data_dir / "scene_a.grid"), SensorConfig(60), PARAMS,
+                      config, compute_values=False)
+    assert rep.total_cycles == cycles
+    assert tuple(rep.stall_cycles.values()) == stalls
+    assert rep.per_core_stalls == per_core
+    assert rep.memory_accesses["occ_reads"].tolist() == SIM_CYCLE_OCC_READS
+    check_per_core_stalls(rep, config)
 
 
 @settings(max_examples=120)
