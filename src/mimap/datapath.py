@@ -37,32 +37,38 @@ built once at import, and the cap words once per map.  Every word is an
 integer-valued float64, LUT and cap words included; only the knots stay
 int64, for the shifts of the exponential.  Every op is an exact float
 op plus the range clip of ``fixedpoint`` (see its docstring for why
-that is exact).  The step
-keeps its multipliers E, x, the cell width, k1 and dtheta scaled by
-2^-12, so its multiply is ``fixedpoint.round_product``, and runs one op
-chain on the lane state in place.  ``_step_bound`` bounds, from a bound
-m on the state words and the table's maxima, the new state words and
-every word of one step.  A reading of max|state| over the lanes is
-iterated through it for as many steps as no word can leave the range,
-at most ``SPAN_MAX`` (``_step_span``).  Those steps skip the clip and
-its count, and the reading too, so their chain is plain float
-arithmetic; the step after them, or a step on other lanes, reads again,
-and a span of zero steps runs the step with the clip.  No one bound
-covers a whole lane block: at 0.1 m the bound grows by a factor of 1.1
-to 1.9 a step on the bundled maps and the planner's maps, while the
-states it bounds stay put, so a reading covers 16 to 42 steps on
-average there.  The fold adds a block's heading rows in one pass when
-no partial sum can leave the range, and with the saturating add heading
-by heading otherwise (``_fold``).  So every element passes through the
-ops of one scalar Q20.12 chain in its order, with its rounding and
-saturation.  That chain, written from the defining math with its own
-ops and saturation count, is the bit-exact reference in the test
-suite's oracles: the map and its saturation count are those of chaining
-it cell by cell and heading by heading, with preprocess once per
-(heading, level) the grid holds.
+that is exact).  The step keeps its multipliers E, x, the cell width,
+k1 and dtheta scaled by 2^-12, so its multiply is
+``fixedpoint.round_product``, and runs one op chain on the lane state in
+place.
+
+The engine's domain is where that chain cannot saturate.  A line runs
+along its heading's major axis, one cell per major coordinate, so no
+lane runs more than max(H, W) steps, each from a zero state.
+``_domain_bound`` bounds every word of that many steps from the table's
+joint maxima over its columns (E, E*x, E*w, E*w*x, x, w and
+|C1|..|C3|) and from C4 = 1 - E; one check a call compares it with
+``RAW_MAX``.  Inside the domain no step of the call clips or counts,
+so the chain is plain float arithmetic; outside it every step runs the
+clipping ops.  With all 101 levels at 60 rays the domain holds up to
+about 12.5 m a cell at 57^2 (bound 1.65e9 at 10 m), 1.2 m at 201^2
+(1.78e8 at 0.1 m, 1.79e9 at 1 m) and 0.18 m at 512^2, ``MAX_MAP``
+(1.15e9 at 0.1 m).  The bound is loose: the largest state word of a
+cold 201^2 call on ``explore_a`` at 0.1 m is 1.42e6.
+
+The fold adds a block's heading rows in one pass when no partial sum
+can leave the range, and with the saturating add heading by heading
+otherwise (``_fold``).  So every element passes through the ops of one
+scalar Q20.12 chain in its order, with its rounding and saturation.
+That chain, written from the defining math with its own ops and
+saturation count, is the bit-exact reference in the test suite's
+oracles: the map and its saturation count are those of chaining it cell
+by cell and heading by heading, with preprocess once per (heading,
+level) the grid holds.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -169,54 +175,66 @@ def _preprocess_rows(w_raws: np.ndarray, levels: list[int],
     return rows.reshape(6, -1)
 
 
-def _step_bound(m: int, x: int, w: int, e: int, c: int, k1: int,
-                dth: int) -> tuple[int, int]:
-    """Bounds of one sweep step from state words of magnitude at most
-    ``m``, given the magnitude maxima of its multipliers (x, the cell
-    width w, E, k1, dtheta) and of its constants C1..C4: the bound on the
-    new state words, and the bound on every word the step makes.
+def _domain_bound(rows: np.ndarray, w_raws: np.ndarray, k1: float, dth_raw: int,
+                  steps: int) -> int:
+    """A bound on the magnitude of every word that ``steps`` sweep steps
+    make from a zero state, whatever columns of the preprocess ``rows``
+    they read: rows of ``_preprocess_rows`` for the headings' cell-width
+    words ``w_raws``, with the contribution's words ``k1`` and dtheta.
+    The bound stops at the first step whose words may pass ``RAW_MAX``,
+    so past that it only says that the range may be left.
 
-    A product a*b of words rounds to a word of magnitude at most
-    a*b // SCALE + 1, the + 1 covering the rounding; a sum is bounded by
-    the sum of its terms' bounds.
+    It iterates one bound a state word (a1, b1, a0, b0) on Python ints,
+    op by op.  A product of words of magnitude at most a and b rounds to
+    at most mul(a, b) = a*b // SCALE + 1.  E, x and w are never negative.
+    Before the multiply by E the step's words are at most a0x = a0 +
+    mul(x, b0), a1 + mul(x, b1) + mul(w, a0x) and b1 + mul(w, b0), with
+    the table's largest x and w.  E times each of those, expanded term by
+    term in the column's E, E*x, E*w and E*w*x, rounds to at most the sum
+    of the terms with each product at its largest over the columns, + 1;
+    with |C1|..|C3| added that bounds the new a1, b1 and a0, and E <= 1
+    keeps the products of E within it.  Every column has C4 = 1 - E
+    (levels 0 to 99), E = 0 and C4 = 1 (level 100) or zeros, so E*b0 +
+    C4 <= max(b0, 1) * max(E + |C4|).  Then k1*b1, a1 - k1*b1 and its
+    product with dtheta close the step.
     """
+    e, x = rows[:2].astype(np.int64).reshape(2, len(w_raws), -1)
+    w = w_raws.astype(np.int64).tolist()
+    ex = (e * x).max(axis=1).tolist()  # exact in int64; a heading has one w
+    m_ew, m_ewx = (max(map(operator.mul, v, w)) for v in (e.max(axis=1).tolist(), ex))
+    m_e, m_x, m_w, m_ex = int(e.max()), int(x.max()), max(w), max(ex)
+    c1, c2, c3 = np.abs(rows[2:5]).max(axis=1).astype(np.int64).tolist()
+    g, k1, s = int((rows[0] + np.abs(rows[5])).max()), abs(int(k1)), fx.SCALE
+
     def mul(a, b):
-        return a * b // fx.SCALE + 1
+        return a * b // s + 1
 
-    m1 = m + mul(x, m)        # (a1, a0) += x*(b1, b0)
-    m2 = m1 + mul(w, m1)      # (a1, b1) += w*(a0, b0)
-    m3 = mul(e, m2) + c       # E*state + (C1, C2, C3, C4)
-    d = m3 + mul(k1, m3)      # a1 - k1*b1
-    return m3, max(m2, d, mul(d, dth))
-
-
-# Most steps one max|state| reading may cover.  Each costs one
-# ``_step_bound`` iterate, and the state bound of a step with x = w = 0
-# grows by only 3 words an iterate, so the cap keeps a reading's Python
-# work in proportion to the steps it can cover.
-SPAN_MAX = 64
-
-
-def _step_span(m: int, maxima: tuple) -> int:
-    """Steps in a row that can make no word outside the range, from state
-    words of magnitude at most ``m``: ``_step_bound`` iterated on its own
-    state bound until its word bound passes ``RAW_MAX``, at most
-    ``SPAN_MAX`` times."""
-    n = 0
-    while n < SPAN_MAX:
-        m, words = _step_bound(m, *maxima)
-        if words > fx.RAW_MAX:
+    a1 = b1 = a0 = b0 = top = 0
+    for _ in range(steps):
+        a0x = a0 + mul(m_x, b0)                     # a0 + x*b0
+        a1w = a1 + mul(m_x, b1) + mul(m_w, a0x)     # a1 + x*b1 + w*(a0 + x*b0)
+        b1w = b1 + mul(m_w, b0)                     # b1 + w*b0
+        # E times each of those, + (C1, C2, C3, C4)
+        a1 = ((m_e * (a1 + 2) * s + m_ex * b1) * s + m_ew * (a0 + 1) * s
+              + m_ewx * b0) // s ** 3 + 1 + c1
+        b1 = (m_e * (b1 + 1) * s + m_ew * b0) // s ** 2 + 1 + c2
+        a0 = (m_e * (a0 + 1) * s + m_ex * b0) // s ** 2 + 1 + c3
+        b0 = mul(max(b0, s), g)
+        d = a1 + mul(k1, b1)                        # a1 - k1*b1
+        top = max(top, a1w, a0x, b1w, a1, b1, a0, b0, d, mul(d, dth_raw))
+        if top > fx.RAW_MAX:
             break
-        n += 1
-    return n
+    return top
 
 
 def _no_clip(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def _sweep_step(rows: np.ndarray, w_raws: np.ndarray, k1: float, dth_raw: int):
-    """The ``sweep`` table and step of the Q20.12 engine.
+def _sweep_step(rows: np.ndarray, w_raws: np.ndarray, k1: float, dth_raw: int,
+                steps: int):
+    """The ``sweep`` table and step of the Q20.12 engine, for lanes that
+    start from a zero state and run at most ``steps`` steps.
 
     ``rows`` are the preprocess rows of ``_preprocess_rows`` and
     ``w_raws`` the headings' cell-width words.  The table is a new array
@@ -228,40 +246,25 @@ def _sweep_step(rows: np.ndarray, w_raws: np.ndarray, k1: float, dth_raw: int):
     place, with one scratch array: ``(a1, a0) += x*(b1, b0)``, then
     ``(a1, b1) += w*(a0, b0)``, then ``E*state + (C1, C2, C3, C4)``, then
     the contribution ``(a1 - k1*b1)*dtheta``, returned in the scratch.
-    Each op is an exact float op followed by ``fx.arr_clip``, or by no
-    clip in a step that ``_step_span`` shows can make no word outside the
-    range.  A span is read from max|state| over the lanes: the step that
-    reads it and the steps after it on the same state array (a lane
-    view's base array), up to the span's length, skip the clip; the step
-    after them reads again, and so does a step on any other state array
-    or on more lanes than were read.  A span of zero steps runs this step
-    with the clip, on a copy of the state that it writes back.  Either
-    way every word equals that of the saturating chain.
+    The step is inside the engine's domain when ``_domain_bound`` keeps
+    every word of ``steps`` steps within the range: then no op clips, and
+    the chain is plain float arithmetic.  Outside it, every op is an
+    exact float op followed by ``fx.arr_clip``, on a copy of the state
+    that the step writes back.  Either way every word equals that of the
+    saturating chain.  With all 101 levels at 60 rays the domain holds up
+    to about 12.5 m a cell at 57^2, 1.2 m at 201^2 and 0.18 m at 512^2.
     """
-    maxima = (int(np.abs(rows[1]).max()), int(np.abs(w_raws).max()),
-              int(np.abs(rows[0]).max()), int(np.abs(rows[2:]).max()),
-              int(abs(k1)), abs(dth_raw))
     w_row = np.repeat(w_raws, rows.shape[1] // len(w_raws))
     table = np.concatenate([rows[:2] * fx.ULP, w_row[None] * fx.ULP, rows[2:]])
     k1_scaled = k1 * fx.ULP
     dth_scaled = dth_raw * fx.ULP
-    # the state array the last span was read from, its lanes then, and
-    # the steps of the span still to run
-    held, width, left = None, 0, 0
+    bound = _domain_bound(rows, w_raws, k1, dth_raw, steps)
+    clip = fx.arr_clip if bound > fx.RAW_MAX else _no_clip
 
     def step(s, row):
-        nonlocal held, width, left
-        root = s if s.base is None else s.base
-        if not left or root is not held or s.shape[1] > width:
-            held, width = root, s.shape[1]
-            left = _step_span(int(max(s.max(), -s.min())), maxima)
-        if left:
-            left -= 1
-            clip, q = _no_clip, s
-        else:
-            # the clip's min/max prechecks run about twice as fast on a
-            # contiguous copy as on the strided lane view
-            clip, q = fx.arr_clip, s.copy()
+        # the clip's min/max prechecks run about twice as fast on a
+        # contiguous copy as on the strided lane view
+        q = s if clip is _no_clip else s.copy()
         e, x, w, c = row[0], row[1], row[2], row[3:]
         evens, top = q[0::2], q[:2]
         p = clip(fx.round_product(x, q[1::2]))
@@ -308,13 +311,16 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
     Runs ``grid.sweep`` with the step of ``_sweep_step``: each lane takes
     the table column of its heading and cell level, which holds the
     preprocess words and the heading's cell width, and every element passes
-    through the op sequence of the scalar Q20.12 chain, with the clip
-    skipped where a bound shows no op can saturate.  The sweep folds with
-    ``_fold``, whose words and clips are those of the saturating add in
-    heading order, so every cell saturates exactly where a sweep of one
-    heading after another would.  The returned map
-    carries the raw accumulator words, their decoded float values and the
-    number of saturation events of the call.
+    through the op sequence of the scalar Q20.12 chain.  Inside the
+    engine's domain, where ``_domain_bound`` keeps every word of max(H, W)
+    steps within the range, no step clips; with all 101 levels at 60 rays
+    that is up to about 12.5 m a cell at 57^2, 1.2 m at 201^2 and 0.18 m
+    at 512^2.  Outside it every step runs the clipping ops.  The sweep
+    folds with ``_fold``, whose words and clips are those of the
+    saturating add in heading order, so every cell saturates exactly where
+    a sweep of one heading after another would.  The returned map carries
+    the raw accumulator words, their decoded float values and the number
+    of saturation events of the call.
 
     A caller that computes maps of one grid as it changes passes the same
     ``memo`` to each call; the sweep is keyed by the sensor, resolution and
@@ -336,8 +342,9 @@ def compute_mi_map_fxp(grid: OccupancyGrid, sensor: SensorConfig = SensorConfig(
     # about 1 MB; bincount does not.
     present = np.flatnonzero(np.bincount(grid.levels.reshape(-1), minlength=101)).tolist()
     caps = cap_words(params)
+    # no lane is longer than the grid's longer side
     table, step = _sweep_step(_preprocess_rows(w_raws, present, caps), w_raws,
-                              caps[0], fx.encode(sensor.delta_theta))
+                              caps[0], fx.encode(sensor.delta_theta), max(grid.shape))
     # int32 buffer: saturated words fit
     mi_flat = sweep(grid.levels, sensor.ray_count, table, step, _fold, np.int32,
                     memo, (sensor, grid.resolution, params))

@@ -11,14 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-import mimap.datapath as datapath
 import mimap.fixedpoint as fx
 from mimap import grid as grid_module
 from mimap.datapath import (
+    _domain_bound,
     _fold,
     _preprocess_rows,
     _sweep_step,
@@ -60,7 +60,7 @@ def package_steps(prev, levels, w_raw: int, dth_raw: int = 0) -> list:
     w = np.array([w_raw], dtype=np.int64)
     caps = cap_words(FcmiParams())
     table, step = _sweep_step(_preprocess_rows(w, sorted(set(levels)), caps), w,
-                              caps[0], dth_raw)
+                              caps[0], dth_raw, len(levels))
     lane = np.array(prev, dtype=table.dtype)[:, None]
     out = []
     for level in levels:
@@ -277,9 +277,9 @@ RESOLUTIONS = [0.1, 1.0, 10.0, 1e3, 1e9]
 @st.composite
 def small_grids(draw):
     """Random 1..9 x 1..9 level grids at 0.1 m to 1e9 m a cell, or of 1 to
-    3 distinct levels at 10 m or 1e3 m.  From 10 m on, steps of one call
-    run with the clip and without it; long runs of few
-    levels carry the states up to the edge of the step's guard."""
+    3 distinct levels at 10 m or 1e3 m.  From 10 m on, calls run inside
+    the engine's domain or outside it, where they may saturate; long runs
+    of few levels carry the states towards the range's edge."""
     height, width = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     if draw(st.booleans()):
         palette = draw(st.lists(st.integers(0, 100), min_size=1, max_size=3, unique=True))
@@ -308,28 +308,38 @@ def test_map_fxp_matches_scalar_chain_with_saturations(grid, rays):
     assert got.saturations == want_sats
 
 
-@pytest.mark.parametrize("resolution", [10.0, 1e3])
-def test_map_fxp_call_mixes_float_and_saturating_steps(monkeypatch, resolution):
-    # at 10 m the states of a 9x9 grid outgrow the step's guard part way
-    # along the lines, and at 1e3 m they clip: one call runs steps of both
-    # kinds, and its words and clip count are still the scalar chain's.
-    # A reading's span is 0 for a step with the clip and counts the steps
-    # without it
-    spans = []
-    span = datapath._step_span
-
-    def recorded(*args):
-        spans.append(span(*args))
-        return spans[-1]
-
-    grid = OccupancyGrid(np.random.default_rng(5).integers(0, 101, (9, 9), dtype=np.uint8),
-                         resolution)
-    want, want_sats = oracle_map_fxp(grid, SensorConfig(13))
-    monkeypatch.setattr(datapath, "_step_span", recorded)
-    got = compute_mi_map_fxp(grid, SensorConfig(13))
-    assert 0 in spans and any(spans)
+@settings(max_examples=30)
+@given(palette=st.lists(st.integers(1, 100), max_size=3, unique=True),
+       resolution=st.sampled_from([100.0, 200.0, 300.0]), rays=st.integers(1, 13),
+       data=st.data())
+def test_map_fxp_inside_its_domain_matches_the_chain_without_clips(palette, resolution,
+                                                                    rays, data):
+    # grids of free cells and the palette's levels on shapes up to the
+    # edge of the domain of their table, which at these resolutions often
+    # lies within 9 cells: every word is the scalar chain's, and nothing
+    # saturates.  A grid that holds only some of the levels has a table
+    # of smaller maxima, so its domain is no smaller
+    palette = [0] + palette
+    sensor = SensorConfig(rays)
+    w = fx.encode([cell_width(a, resolution) for a in sensor.angles])
+    caps = cap_words(FcmiParams())
+    sat0 = fx.saturation_count()
+    rows = _preprocess_rows(w, palette, caps)
+    assume(fx.saturation_count() == sat0)
+    dth = fx.encode(sensor.delta_theta)
+    edge = 0
+    while edge < 9 and _domain_bound(rows, w, caps[0], dth, edge + 1) <= fx.RAW_MAX:
+        edge += 1
+    assume(edge > 0)
+    long, short = data.draw(st.integers(1, edge)), data.draw(st.integers(1, edge))
+    shape = data.draw(st.sampled_from([(long, min(short, long)), (min(short, long), long)]))
+    levels = data.draw(st.lists(st.sampled_from(palette), min_size=shape[0] * shape[1],
+                                max_size=shape[0] * shape[1]))
+    grid = OccupancyGrid(np.array(levels, np.uint8).reshape(shape), resolution)
+    want, want_sats = oracle_map_fxp(grid, sensor)
+    got = compute_mi_map_fxp(grid, sensor)
     np.testing.assert_array_equal(got.raw, want)
-    assert got.saturations == want_sats
+    assert got.saturations == want_sats == 0
 
 
 def oracle_fold(acc, rows):

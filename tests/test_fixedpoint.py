@@ -6,14 +6,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 import mimap.fixedpoint as fx
-from mimap.datapath import (SPAN_MAX, _preprocess_rows, _step_bound, _step_span,
-                            _sweep_step, cap_words)
-from mimap.grid import FcmiParams, SensorConfig, cell_width
+import mimap.datapath as datapath
+from mimap.datapath import (_domain_bound, _preprocess_rows, _sweep_step, build_occ_lut,
+                            cap_words, compute_mi_map_fxp)
+from mimap.grid import FcmiParams, OccupancyGrid, SensorConfig, cell_width
 
 RAWS = st.integers(fx.RAW_MIN, fx.RAW_MAX)
 HALF_ULP = fx.SCALE // 2  # tie point of the dropped fraction bits
@@ -265,15 +266,6 @@ def oracle_step(state, rows, w, k1, dth):
     return np.array(new).T, out, q.saturations
 
 
-def guard_edge(maxima) -> int:
-    """Largest state magnitude the step's guard lets skip the clip."""
-    lo, hi = 0, fx.RAW_MAX + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _step_bound(mid, *maxima)[1] <= fx.RAW_MAX else (lo, mid)
-    return lo
-
-
 def level_rows(resolution):
     """Preprocess rows of every level at 8 headings and that resolution."""
     w = np.array([fx.encode(cell_width(a, resolution))
@@ -281,126 +273,149 @@ def level_rows(resolution):
     return _preprocess_rows(w, list(range(101)), cap_words(FcmiParams())), w
 
 
-@pytest.mark.parametrize("case", ["1 m", "10 m", "rounding edge"])
-def test_step_just_inside_and_just_outside_its_guard(case):
-    # states at the guard's edge, one word past it and far past it, on
-    # every column of the table, step to the words and clip counts of the
-    # oracle's scalar chain.  Each state is a new lane array, so each
-    # step reads its own span
-    if case == "rounding edge":
-        # identity update and k1 = 0, dtheta = 6146 ulp: at the largest
-        # state whose final product rounds down to RAW_MAX or less its
-        # exact word would still round up past RAW_MAX; only the guard's
-        # rounding slack keeps that state on the clipping ops
-        rows = np.zeros((6, 101))
-        rows[0] = fx.ONE_RAW
-        w, k1, dth = np.zeros(1), 0, 6146
-    else:
-        rows, w = level_rows(float(case.split()[0]))
-        k1, dth = fx.encode(1.0 - math.log(1e7)), fx.encode(2 * math.pi / 8)
-    # the maxima and the oracle read ``rows`` after the table is built from it
-    table, step = _sweep_step(rows, w, k1, dth)
-    maxima = (int(np.abs(rows[1]).max()), int(np.abs(w).max()),
-              int(np.abs(rows[0]).max()), int(np.abs(rows[2:]).max()), abs(k1), abs(dth))
-    edge = guard_edge(maxima)
-    assert 0 < edge < fx.RAW_MAX
-    cols = np.arange(rows.shape[1])
-    headings = cols // 101
-    signs = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [-1, -1, -1, -1], [1, 1, -1, -1]])
-    for m in (edge, edge + 1, fx.RAW_MAX // 64, fx.RAW_MAX):
-        for sign in signs:
-            state = np.repeat(sign[:, None] * m, len(cols), axis=1)
-            want_state, want, want_sats = oracle_step(state, rows, w.take(headings),
-                                                      k1, dth)
-            lanes = state.astype(np.float64)
+class UnclippedChain(oracles.QChain):
+    """The oracle's scalar chain with no clip, keeping the largest |word|
+    its ops make in ``top``."""
+
+    def __init__(self, k1):
+        self.top = 0
+        super().__init__([])
+        self.k1, self.top = k1, 0
+
+    def clamp(self, q):
+        self.top = max(self.top, abs(q))
+        return q
+
+
+@settings(max_examples=60)
+@given(levels=st.lists(st.integers(0, 100), min_size=1, max_size=6, unique=True),
+       resolution=st.sampled_from([0.1, 1.0, 10.0, 30.0, 100.0, 1e3]),
+       rays=st.integers(1, 13),
+       runs=st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(1, 30)),
+                     min_size=1, max_size=5))
+@example(levels=[99], resolution=100.0, rays=8, runs=[(7, 30)])
+@example(levels=[0, 100], resolution=1e3, rays=1, runs=[(1, 1), (0, 20)])
+def test_domain_bound_holds_every_word_of_the_chain(levels, resolution, rays, runs):
+    # a lane from a zero state reads columns of the table in runs, one
+    # column repeated in each; every word the chain makes by step t, run
+    # with no clip, is within the bound of t steps, up to the first step
+    # whose bound leaves the range
+    sensor = SensorConfig(rays)
+    w = fx.encode([cell_width(a, resolution) for a in sensor.angles])
+    caps = cap_words(FcmiParams())
+    rows = _preprocess_rows(w, levels, caps)
+    dth = fx.encode(sensor.delta_theta)
+    chain = UnclippedChain(int(caps[0]))
+    cols = [k * 101 + level for k in range(rays) for level in levels]
+    state, t = (0, 0, 0, 0), 0
+    for pick, run in runs:
+        col = cols[pick % len(cols)]
+        row = tuple(int(v) for v in rows[:, col])
+        for _ in range(run):
+            state = chain.step(state, row, int(w[col // 101]))
+            chain.contribution(state, dth)
+            t += 1
+            bound = _domain_bound(rows, w, caps[0], dth, t)
+            assert chain.top <= bound
+            if bound > fx.RAW_MAX:
+                return
+
+
+def growing_rows(c):
+    """E = 1, x = 0 and C1 = c, the other constants 0, in every column: at
+    w = 0 and k1 = 0 a step adds exactly c to a1 and moves no other state
+    word."""
+    rows = np.zeros((6, 101))
+    rows[0], rows[2] = fx.ONE_RAW, c
+    return rows
+
+
+# (C1, rays): a1 grows by 2^24 a step, and at 1 ray its contribution, a1
+# times dtheta, leaves the range at step 21; or, at 8 rays, the exact
+# contribution of step 4 lies half an ulp to one ulp above RAW_MAX, so
+# only its rounding takes it out
+GROWING = {"growing": (1 << 24, 1), "rounding edge": (683563337, 8)}
+
+
+def domain_edge(rows, w, k1, dth) -> int:
+    """The most steps whose bound stays within the range."""
+    n = 0
+    while _domain_bound(rows, w, k1, dth, n + 1) <= fx.RAW_MAX:
+        n += 1
+    return n
+
+
+def step_lanes(rows, w, k1, dth, steps, cols) -> tuple[int, list[int]]:
+    """``steps`` steps of lanes from a zero state, lane j reading column
+    ``cols[j]`` every step, by the step ``_sweep_step`` makes for that
+    many steps; each step's words and clip count are the oracle chain's.
+    Returns the chain's clip count and the ``fx.arr_clip`` calls of each
+    step."""
+    calls = []
+    clip = fx.arr_clip
+
+    def counted(q):
+        calls[-1] += 1
+        return clip(q)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fx, "arr_clip", counted)
+        table, step = _sweep_step(rows, w, k1, dth, steps)
+        lanes = np.zeros((4, len(cols)))
+        state, sats = lanes.astype(np.int64), 0
+        for _ in range(steps):
+            calls.append(0)
+            state, want, want_sats = oracle_step(state, rows[:, cols], w.take(cols // 101),
+                                                 k1, dth)
             sat0 = fx.saturation_count()
             got = step(lanes, table.take(cols, axis=1))
             assert fx.saturation_count() - sat0 == want_sats
             np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(lanes, want_state)
+            np.testing.assert_array_equal(lanes, state)
+            sats += want_sats
+    return sats, calls
 
 
-def span_edge(n, maxima) -> int:
-    """Largest state magnitude from which one reading covers n steps."""
-    lo, hi = 0, fx.RAW_MAX + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _step_span(mid, maxima) >= n else (lo, mid)
-    return lo
-
-
-def growing_rows():
-    """E = 1, x = w = 0, k1 = 0, dtheta = 6146 ulp and C1..C4 = 2^20: each
-    step adds 2^20 to every state word, so the state keeps up with the
-    span's bound, and from the edge of a span the step after it clips its
-    contribution."""
-    rows = np.zeros((6, 101))
-    rows[0] = fx.ONE_RAW
-    rows[2:] = 1 << 20
-    return rows, np.zeros(1), 0, 6146
-
-
-def step_maxima(rows, w, k1, dth):
-    return (int(np.abs(rows[1]).max()), int(np.abs(w).max()),
-            int(np.abs(rows[0]).max()), int(np.abs(rows[2:]).max()), abs(k1), abs(dth))
-
-
-def check_step(step, table, lanes, state, rows, w, k1, dth):
-    """One step of ``lanes`` against the oracle's from ``state``; returns
-    the oracle's new state and clip count."""
-    cols = np.arange(lanes.shape[1]) % rows.shape[1]
-    want_state, want, want_sats = oracle_step(state, rows[:, cols], w.take(cols // 101),
-                                              k1, dth)
-    sat0 = fx.saturation_count()
-    got = step(lanes, table.take(cols, axis=1))
-    assert fx.saturation_count() - sat0 == want_sats
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(lanes[:, :len(got)], want_state)
-    return want_state, want_sats
-
-
-@pytest.mark.parametrize("case,n", [("growing", 1), ("growing", 2), ("growing", 7),
-                                    ("growing", SPAN_MAX), ("0.1 m", 7), ("10 m", 2)])
-def test_span_covers_its_steps_and_the_next_step_reads_again(case, n):
-    # from a state at the edge of an n-step span, n + 1 steps of the same
-    # lanes give the words and clip counts of the oracle's scalar chain:
-    # the first n skip the clip, and the next reads max|state| again
-    if case == "growing":
-        rows, w, k1, dth = growing_rows()
+@pytest.mark.parametrize("case", ["1 m", "10 m", "growing", "rounding edge"])
+def test_step_just_inside_and_just_outside_its_guard(monkeypatch, case):
+    # the step's guard is its domain check: built for the most steps the
+    # bound keeps in the range it never clips, and built for one step
+    # more it clips on every step; both give the oracle chain's words and
+    # clip count.  On real tables no word leaves the range either way; on
+    # tables that grow a1 by an exact amount a step, the chain's words
+    # leave it at the first step past the edge
+    if case in GROWING:
+        c, rays = GROWING[case]
+        rows, w, k1 = growing_rows(c), np.zeros(1), 0
     else:
         rows, w = level_rows(float(case.split()[0]))
-        k1, dth = fx.encode(1.0 - math.log(1e7)), fx.encode(2 * math.pi / 8)
-    table, step = _sweep_step(rows, w, k1, dth)
-    maxima = step_maxima(rows, w, k1, dth)
-    m = span_edge(n, maxima)
-    assert _step_span(m, maxima) == n and _step_span(m + 1, maxima) < n
-    sign = np.array([1, -1, 1, -1])[:, None]
-    state = np.repeat(sign * m, rows.shape[1], axis=1)
-    lanes = state.astype(np.float64)
-    sats = []
-    for _ in range(n + 1):
-        state, clips = check_step(step, table, lanes, state, rows, w, k1, dth)
-        sats.append(clips)
-    if case == "growing":
-        # every lane's contribution clips on the step after the span
-        assert sats == [0] * n + [rows.shape[1]]
-
-
-def test_span_holds_only_for_the_lanes_it_was_read_from():
-    rows, w, k1, dth = growing_rows()
-    table, step = _sweep_step(rows, w, k1, dth)
-    m = span_edge(3, step_maxima(rows, w, k1, dth))
-    far = 3 * (fx.RAW_MAX // 4)  # its contribution clips
-    # a span read on one lane array does not cover a step of another
-    lanes = np.full((4, 101), float(m))
-    check_step(step, table, lanes, lanes.astype(np.int64), rows, w, k1, dth)
-    other = np.full((4, 101), float(far))
-    _, clips = check_step(step, table, other, other.astype(np.int64), rows, w, k1, dth)
-    assert clips == 101
-    # nor a step of more lanes of the array it was read from
-    lanes = np.full((4, 202), float(far))
-    lanes[:, :101] = m
-    check_step(step, table, lanes[:, :101], lanes[:, :101].astype(np.int64),
-               rows, w, k1, dth)
-    _, clips = check_step(step, table, lanes, lanes.astype(np.int64), rows, w, k1, dth)
-    assert clips == 101
+        k1, rays = fx.encode(1.0 - math.log(1e7)), 8
+    dth = fx.encode(SensorConfig(rays).delta_theta)
+    edge = domain_edge(rows, w, k1, dth)
+    cols = np.arange(0, rows.shape[1], 37)
+    sats, calls = step_lanes(rows, w, k1, dth, edge, cols)
+    assert sats == 0 and not any(calls)
+    sats, calls = step_lanes(rows, w, k1, dth, edge + 1, cols)
+    assert all(calls)
+    if case not in GROWING:
+        assert sats == 0
+        return
+    assert sats == len(cols)
+    if case == "rounding edge":
+        exact = c * (edge + 1) * dth - fx.SCALE * fx.RAW_MAX
+        assert HALF_ULP <= exact < fx.SCALE
+    # the same edge through map calls, which take max(H, W) for their
+    # steps: a 1 x n grid of one level, whose table is the growing rows at
+    # every heading, at a resolution that encodes to w = 0 and a cap that
+    # makes k1 = 0
+    monkeypatch.setattr(datapath, "_preprocess_rows",
+                        lambda w_raws, levels, caps: np.tile(rows, len(w_raws)))
+    chain = oracles.QChain(build_occ_lut(), math.e)
+    chain.preprocess = lambda level, w_raw: tuple(int(v) for v in rows[:, level])
+    for n in (edge, edge + 1):
+        grid = OccupancyGrid(np.full((1, n), 50, dtype=np.uint8), 1e-9)
+        sat0 = chain.saturations
+        want = oracles.q_mi_map(grid.levels, rays, grid.resolution, chain)
+        got = compute_mi_map_fxp(grid, SensorConfig(rays), FcmiParams(math.e))
+        np.testing.assert_array_equal(got.raw, want)
+        assert got.saturations == chain.saturations - sat0

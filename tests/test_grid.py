@@ -246,6 +246,10 @@ def test_family_covers_every_cell_once(bounds):
         np.testing.assert_array_equal(fams[k].seg_start, fam.seg_start)
         np.testing.assert_array_equal(fams[k].seg_phase, fam.seg_phase)
         assert fams[k].n_units == fam.n_units
+    # a line runs along its heading's major axis, one cell per major
+    # coordinate, so no lane is longer than the grid's longer side; the
+    # Q20.12 engine bounds its words over that many steps
+    assert grid_module._lane_block(60, 0, 60, bounds).lane_len[0] <= max(bounds)
 
 
 @pytest.mark.parametrize("bounds, dtype", [((256, 256), np.uint16),
